@@ -14,6 +14,7 @@ selftest check failed).
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 
 import numpy as np
@@ -37,6 +38,8 @@ from ehrelay.system import (
 from ehrelay.waterfill import solve as oracle_solve
 
 MAX_NONCONVERGED_FRACTION = 0.05
+
+logger = logging.getLogger(__name__)
 
 
 def main(argv=None) -> int:
@@ -95,10 +98,8 @@ def _cmd_run(args) -> int:
         fractions = [row.convergence_fraction for row in result.rows_for("alpf")]
         worst = min(fractions)
         if 1.0 - worst > MAX_NONCONVERGED_FRACTION:
-            print(
-                f"warning: optimizer convergence fraction {worst:.3f} below "
-                f"{1.0 - MAX_NONCONVERGED_FRACTION:.2f}",
-                file=sys.stderr,
+            logger.warning(
+                "optimizer convergence fraction %.3f below %.2f", worst, 1.0 - MAX_NONCONVERGED_FRACTION
             )
             return 2
     return 0

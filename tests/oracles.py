@@ -71,12 +71,57 @@ def random_feasible_points(rng: np.random.Generator, n: int, count: int) -> np.n
     return raw / raw.sum(axis=1, keepdims=True) * scale
 
 
+def two_budget_nested_bisection(a: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Water-filling with both unit budgets tight, by nested bisection.
+
+    Prices the two budgets with duals ``(p1, p2)`` so that
+    ``mu_n = max(0, 1 / (p1 + p2 cost_n) - 1 / a_n)``.  For a given
+    ``p2`` the unit budget pins ``p1`` by a scalar bisection; an outer
+    bisection on ``p2`` closes the cost budget.  Both residuals are
+    monotone in their dual, so 80 halvings of each reach floating-point
+    resolution.  Needs ``a > 0`` and an instance where neither
+    single-budget solution satisfies the other budget.
+    """
+    a = np.asarray(a, dtype=float)
+    cost = np.asarray(cost, dtype=float)
+
+    def mu_at(p1: float, p2: float) -> np.ndarray:
+        return np.clip(1.0 / (p1 + p2 * cost) - 1.0 / a, 0.0, None)
+
+    def p1_for(p2: float) -> float:
+        # Root of sum(mu) = 1 in p1; sum decreases from its p1=0 value.
+        if float(mu_at(0.0, p2).sum()) <= 1.0:
+            return 0.0
+        lo, hi = 0.0, float(a.size) + 1.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if float(mu_at(mid, p2).sum()) > 1.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def cost_usage(p2: float) -> float:
+        return float(cost @ mu_at(p1_for(p2), p2))
+
+    lo, hi = 0.0, float(np.max(a / cost)) + 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if cost_usage(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    p2 = 0.5 * (lo + hi)
+    return mu_at(p1_for(p2), p2)
+
+
 def two_budget_kkt_residual(a: np.ndarray, cost: np.ndarray, mu: np.ndarray) -> float:
     """KKT residual of ``max sum ln(1+a mu)`` under the two unit budgets.
 
-    Fits dual prices by least squares on the active set and measures
-    stationarity, dual feasibility and complementary slackness.  Returns
-    the largest violation found (0 means exact).
+    Prices only the budgets that are tight (used to within 1e-9); a
+    slack budget's price is 0.  The prices are fitted by least squares
+    on the active set, and the residual measures stationarity and dual
+    feasibility.  Returns the largest violation found (0 means exact).
     """
     a = np.asarray(a, dtype=float)
     cost = np.asarray(cost, dtype=float)
@@ -88,20 +133,20 @@ def two_budget_kkt_residual(a: np.ndarray, cost: np.ndarray, mu: np.ndarray) -> 
     active = mu > 1e-12
     if not active.any():
         return res
-    # Solve marginal = y1 + y2 cost on actives in the least-squares sense.
-    design = np.stack([np.ones(int(active.sum())), cost[active]], axis=1)
-    sol, *_ = np.linalg.lstsq(design, marginal[active], rcond=None)
-    y1, y2 = float(sol[0]), float(sol[1])
-    if design.shape[0] == 1:
-        # One active channel: pick the consistent single-price split.
-        slack1 = float(mu.sum()) < 1.0 - 1e-9
-        slack2 = float(cost @ mu) < 1.0 - 1e-9
-        y1 = 0.0 if slack1 else float(marginal[active][0])
-        y2 = 0.0 if slack2 or not slack1 else float(marginal[active][0] / cost[active][0])
-        if slack1 and slack2:
-            return max(res, float(np.abs(marginal[active]).max()))
-    y1 = max(y1, 0.0)
-    y2 = max(y2, 0.0)
+    tight1 = abs(float(mu.sum()) - 1.0) <= 1e-9
+    tight2 = abs(float(cost @ mu) - 1.0) <= 1e-9
+    y1 = y2 = 0.0
+    if tight1 and (not tight2 or int(active.sum()) == 1):
+        # With one active channel either price alone fits it; use the unit one.
+        y1 = float(marginal[active].mean())
+    elif tight2 and not tight1:
+        y2 = float(marginal[active] @ cost[active] / (cost[active] @ cost[active]))
+    elif tight1 and tight2:
+        # Solve marginal = y1 + y2 cost on actives in the least-squares sense.
+        design = np.stack([np.ones(int(active.sum())), cost[active]], axis=1)
+        (y1, y2), *_ = np.linalg.lstsq(design, marginal[active], rcond=None)
+    y1 = max(float(y1), 0.0)
+    y2 = max(float(y2), 0.0)
     stat = np.abs(marginal[active] - (y1 + y2 * cost[active])) / np.maximum(marginal[active], 1e-30)
     res = max(res, float(stat.max()))
     inactive = ~active
@@ -109,9 +154,4 @@ def two_budget_kkt_residual(a: np.ndarray, cost: np.ndarray, mu: np.ndarray) -> 
         # Inactive channels must not want power at these prices.
         gap = marginal[inactive] - (y1 + y2 * cost[inactive])
         res = max(res, float(gap.max() / max(1.0, np.abs(marginal[inactive]).max())))
-    # Complementary slackness.
-    if y1 > 1e-9:
-        res = max(res, abs(float(mu.sum()) - 1.0))
-    if y2 > 1e-9:
-        res = max(res, abs(float(cost @ mu) - 1.0))
     return res

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,20 @@ class TestCli:
         from ehrelay.cli import main
 
         assert main(["run", str(spec_path), "--output", str(tmp_path / "o.csv")]) == 1
+
+    def test_low_convergence_fraction_is_logged(self, tmp_path, monkeypatch, caplog):
+        from ehrelay import cli
+
+        row = SweepRow(None, "alpf", 1.0, 0.0, 0.5, 3.0, 0.5)
+        monkeypatch.setattr(cli, "run", lambda spec: SweepResult("none", (row,)))
+        spec_path = tmp_path / "exp.txt"
+        spec_path.write_text("sweep = none\ntrials = 2\nsolvers = alpf\n")
+        with caplog.at_level(logging.WARNING, logger="ehrelay.cli"):
+            code = cli.main(["run", str(spec_path), "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("ehrelay.cli", logging.WARNING, "optimizer convergence fraction 0.500 below 0.95")
+        ]
 
     def test_single_subcommand(self, capsys):
         from ehrelay.cli import main

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from ehrelay.auglag import ALPHA_MIN, ReducedProblem
-from ehrelay.waterfill import inner_waterfill, solve
-from oracles import random_feasible_points, two_budget_kkt_residual, waterfill_bisection
+from ehrelay.auglag import ALPHA_MAX, ALPHA_MIN, ReducedProblem
+from ehrelay.waterfill import _waterfill_two_budgets, inner_waterfill, solve
+from oracles import (
+    random_feasible_points,
+    two_budget_kkt_residual,
+    two_budget_nested_bisection,
+    waterfill_bisection,
+)
 
 
 def rate_of(mu, a, alpha, bandwidth, k):
@@ -53,11 +58,19 @@ class TestInnerWaterfill:
 
     def test_kkt_residuals(self):
         rng = np.random.default_rng(53)
+        cases = []
         for _ in range(40):
             n = int(rng.integers(1, 7))
-            a = rng.uniform(1e-1, 1e3, n)
-            b = rng.uniform(1e-1, 1e3, n)
-            alpha = float(rng.uniform(0.02, 0.95))
+            cases.append((rng.uniform(1e-1, 1e3, n), rng.uniform(1e-1, 1e3, n), float(rng.uniform(0.02, 0.95))))
+        # Wide draws up to the largest time split, where the cost budget is
+        # slack by orders of magnitude; a relay hop 5-10x stronger keeps the
+        # costs of the active channels close together.
+        for alpha in (0.3, 0.9, 0.9999, ALPHA_MAX):
+            for _ in range(6):
+                a = rng.uniform(1e-1, 1e3, 64)
+                cases.append((a, rng.uniform(1e-1, 1e3, 64), alpha))
+                cases.append((a, a * rng.uniform(5.0, 10.0, 64), alpha))
+        for a, b, alpha in cases:
             problem = ReducedProblem(a, b, 1000.0, 2)
             mu, mu_bar, _ = inner_waterfill(alpha, problem)
             g = 2.0 * alpha / (1.0 - alpha)
@@ -65,6 +78,78 @@ class TestInnerWaterfill:
             assert two_budget_kkt_residual(a, cost, mu) < 1e-8
             # Pair balance holds by construction.
             assert np.max(np.abs(a * mu - g * b * mu_bar)) <= 1e-9 * max(1.0, float(np.max(a * mu)))
+
+    def test_kkt_residual_flags_moved_power(self):
+        # Moving 1% of the power between two active channels of an optimum
+        # must show as a KKT violation, whichever budgets are tight.
+        rng = np.random.default_rng(55)
+        for alpha in (0.05, 0.2, 0.5, 0.9999):
+            a = rng.uniform(1.0, 1e3, 16)
+            b = a * rng.uniform(0.5, 10.0, 16)
+            mu, _, _ = inner_waterfill(alpha, ReducedProblem(a, b, 1000.0, 2))
+            cost = a / (2.0 * alpha / (1.0 - alpha) * b)
+            assert two_budget_kkt_residual(a, cost, mu) < 1e-8
+            on = np.flatnonzero(mu > 0.0)
+            assert on.size >= 2
+            moved = mu.copy()
+            moved[on[np.argmax(mu[on])]] -= 0.01
+            moved[on[np.argmin(mu[on])]] += 0.01
+            assert two_budget_kkt_residual(a, cost, moved) > 1e-3
+
+    def test_two_budget_branch_matches_nested_bisection(self):
+        rng = np.random.default_rng(56)
+        checked = 0
+        while checked < 40:
+            n = int(rng.integers(2, 65))
+            a = 10.0 ** rng.uniform(-4.0, 8.0, n)
+            spread = rng.uniform(0.0, 3.0)  # cost ratio up to 1e6
+            shape = 10.0 ** rng.uniform(-spread, spread, n)
+            alpha = float(rng.uniform(0.05, 0.95))
+            g = 2.0 * alpha / (1.0 - alpha)
+            dead = rng.random(n) < 0.1
+            live = ~dead
+            # Scale the costs so that the live pairs are in the two-budget
+            # branch: the unit-budget solution overspends the cost budget
+            # and the cost-budget solution overspends the unit budget.
+            unit = waterfill_bisection(a[live])
+            scale = 10.0 ** rng.uniform(0.0, np.log10(shape.max() / shape.min())) / float(shape[live] @ unit)
+            cost = scale * shape
+            if (
+                float(cost[live] @ unit) <= 1.0 + 1e-9
+                or float((waterfill_bisection(a[live] / cost[live]) / cost[live]).sum()) <= 1.0 + 1e-9
+            ):
+                continue
+            b = a / (g * cost)
+            a[dead & (rng.random(n) < 0.5)] = 0.0
+            b[dead & (a > 0.0)] = 0.0
+            problem = ReducedProblem(a, b, 1000.0, 2)
+            mu, mu_bar, rate = inner_waterfill(alpha, problem)
+            assert np.array_equal(mu[dead], np.zeros(int(dead.sum())))
+            assert np.array_equal(mu_bar[dead], np.zeros(int(dead.sum())))
+            ref = two_budget_nested_bisection(a[live], a[live] / (g * b[live]))
+            assert np.max(np.abs(mu[live] - ref)) <= 1e-8
+            ref_rate = (1.0 - alpha) * 1000.0 / 4.0 * float(np.sum(np.log2(1.0 + a[live] * ref)))
+            assert rate == pytest.approx(ref_rate, rel=1e-9)
+            checked += 1
+
+    def test_price_ratio_near_one_keeps_its_digits(self):
+        # Nearly all the price sits on the cost budget, so s is close to 1;
+        # measured from 1 rather than 0, s would keep too few digits and
+        # sum(mu) would miss 1 by about 8e-8.
+        a = np.array([1e-4, 1e8, 1e3])
+        cost = np.array([1e-6, 1e6, 1.0])
+        mu, mu_bar, _ = inner_waterfill(0.5, ReducedProblem(a, a / (2.0 * cost), 1000.0, 1))
+        assert abs(mu.sum() - 1.0) <= 1e-11
+        assert abs(mu_bar.sum() - 1.0) <= 1e-11
+        assert np.max(np.abs(mu - two_budget_nested_bisection(a, cost))) <= 1e-11
+
+    def test_single_pair_with_both_budgets_tight(self):
+        # One pair has both budgets tight only at cost 1, where mu = 1.
+        for a_val in (1e-4, 3.0, 1e8):
+            a = np.array([a_val])
+            mu = _waterfill_two_budgets(a, np.array([[1.0]]))
+            assert mu[0, 0] == pytest.approx(1.0, rel=1e-12)
+            assert mu[0] == pytest.approx(two_budget_nested_bisection(a, np.array([1.0])), rel=1e-12)
 
     def test_all_dead_channels(self):
         problem = ReducedProblem(np.array([0.0, 0.0]), np.array([1.0, 0.5]), 1000.0, 1)
@@ -110,3 +195,36 @@ class TestSolve:
         problem = ReducedProblem(np.array([1.0]), np.array([1.0]), 1000.0, 1)
         with pytest.raises(ValueError):
             solve(problem, grid_points=7)
+
+    def test_profile_matches_inner_waterfill(self):
+        rng = np.random.default_rng(57)
+        problem = ReducedProblem(rng.uniform(0.1, 1e3, 12), rng.uniform(0.1, 1e3, 12), 1000.0, 2)
+        sol = solve(problem)
+        branches = set()
+        for alpha, rate in sol.alpha_grid_profile:
+            mu, mu_bar, single = inner_waterfill(alpha, problem)
+            assert rate == pytest.approx(single, rel=1e-12)
+            branches.add((mu.sum() > 1.0 - 1e-9, mu_bar.sum() > 1.0 - 1e-9))
+        # The grid crosses every branch: unit budget, cost budget, both.
+        assert branches == {(True, False), (False, True), (True, True)}
+
+    def test_all_dead_problem(self):
+        problem = ReducedProblem(np.zeros(3), np.array([1.0, 0.5, 0.0]), 1000.0, 1)
+        sol = solve(problem)
+        assert sol.rate_star == 0.0
+        assert np.array_equal(sol.mu_star, np.zeros(3))
+        assert np.array_equal(sol.mu_bar_star, np.zeros(3))
+        assert len(sol.alpha_grid_profile) == 199
+        assert all(rate == 0.0 for _, rate in sol.alpha_grid_profile)
+
+    def test_dead_pairs_stay_off(self):
+        a = np.array([2.0, 0.0, 5.0, 3.0, 40.0])
+        b = np.array([1.0, 4.0, 0.0, 2.0, 0.5])
+        sol = solve(ReducedProblem(a, b, 1000.0, 2))
+        dead = np.array([False, True, True, False, False])
+        assert np.array_equal(sol.mu_star[dead], np.zeros(2))
+        assert np.array_equal(sol.mu_bar_star[dead], np.zeros(2))
+        assert (sol.mu_star[~dead] > 0.0).all()
+        live = solve(ReducedProblem(a[~dead], b[~dead], 1000.0, 2))
+        for (_, rate), (_, live_rate) in zip(sol.alpha_grid_profile, live.alpha_grid_profile):
+            assert rate == pytest.approx(live_rate, rel=1e-12)
