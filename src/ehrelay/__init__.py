@@ -2,7 +2,6 @@
 
 The package splits into small focused modules:
 
-* :mod:`ehrelay.linalg` - dense complex linear algebra (Jacobi SVD).
 * :mod:`ehrelay.channel` - random fading channels with path loss.
 * :mod:`ehrelay.system` - time-switching relay protocol quantities.
 * :mod:`ehrelay.auglag` - augmented Lagrangian rate optimizer.
@@ -11,7 +10,6 @@ The package splits into small focused modules:
 """
 
 from ehrelay.channel import ChannelRealization, Scenario, effective_subchannels, generate
-from ehrelay.linalg import SvdResult, frobenius_norm_sq, matmul, svd
 from ehrelay.system import (
     Allocation,
     EnergyPlan,
@@ -29,17 +27,13 @@ __all__ = [
     "EnergyPlan",
     "Pairing",
     "Scenario",
-    "SvdResult",
     "achievable_rate",
     "benchmark_allocation",
     "effective_subchannels",
-    "frobenius_norm_sq",
     "generate",
-    "matmul",
     "optimal_energy_plan",
     "optimal_pairing",
     "snr_coefficients",
-    "svd",
 ]
 
 __version__ = "0.1.0"

@@ -408,16 +408,14 @@ def optimize(
     eps: float = 1e-6,
     max_outer_iters: int = 100,
     max_inner_iters: int = 5000,
-    update_multipliers_first: bool = False,
 ) -> AlpfResult:
     """Run the full augmented Lagrangian loop.
 
     Each outer iteration solves the penalized subproblem warm-started at
     the previous point, stops if the violation norm is at most ``eps``,
-    and otherwise updates penalties then multipliers.  The multiplier
-    step always uses the penalties that were in force during the
-    subproblem solve, so ``update_multipliers_first`` only swaps the
-    bookkeeping order of the two updates (exposed for experimentation).
+    and otherwise updates penalties then multipliers; the multiplier
+    step uses the penalties that were in force during the subproblem
+    solve.
 
     Returns the allocation with slacks stripped, budgets rescaled to at
     most 1 and each pair trimmed to its weaker hop, plus a convergence
@@ -455,13 +453,9 @@ def optimize(
         if state.violation <= eps:
             converged = True
             break
-        sigma_used = state.sigma.copy()
-        if update_multipliers_first:
-            state.nu = update_multipliers(state.nu, sigma_used, c_new)
-            state.sigma = update_penalties(state.sigma, c_new, c_prev, k)
-        else:
-            state.sigma = update_penalties(state.sigma, c_new, c_prev, k)
-            state.nu = update_multipliers(state.nu, sigma_used, c_new)
+        sigma_used = state.sigma
+        state.sigma = update_penalties(state.sigma, c_new, c_prev, k)
+        state.nu = update_multipliers(state.nu, sigma_used, c_new)
         c_prev = c_new
 
     alpha, mu, mu_bar, _, _ = unpack_point(state.x, n)

@@ -4,9 +4,9 @@ A :class:`Scenario` collects every physical and protocol parameter of the
 two-hop link.  :func:`generate` draws one block-fading realization: i.i.d.
 circularly-symmetric complex Gaussian entries (Rayleigh fading) whose
 per-entry power follows a ``max(distance, 1)**(-pathloss_exp)`` law, one
-matrix per OFDM subcarrier and hop.  Each matrix is decomposed on the spot so
-that downstream code can work with per-subchannel power gains (squared
-singular values).
+matrix per OFDM subcarrier and hop.  Each matrix is decomposed on the spot
+by LAPACK's SVD, and only its per-subchannel power gains (squared singular
+values) are kept; no downstream code reads the singular vectors.
 
 Realizations are immutable after construction and generation is
 deterministic for a given seed.
@@ -19,8 +19,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-
-from ehrelay.linalg import SvdResult, svd
+from numpy.linalg import svd
 
 __all__ = [
     "ChannelRealization",
@@ -130,28 +129,23 @@ class ChannelRealization:
     """One block-fading draw of both hops, decomposed per subcarrier.
 
     ``gains1``/``gains2`` hold the ``K * n_streams`` squared singular
-    values in subcarrier-major order; ``index1``/``index2`` record the
-    ``(subcarrier, layer)`` provenance of each flattened entry.
+    values in subcarrier-major order, strongest layer first within each
+    subcarrier: entry ``k * n_streams`` is the top gain of subcarrier
+    ``k``.
     """
 
     scenario: Scenario
     h1: tuple[np.ndarray, ...]
     h2: tuple[np.ndarray, ...]
-    svd1: tuple[SvdResult, ...]
-    svd2: tuple[SvdResult, ...]
     gains1: np.ndarray
     gains2: np.ndarray
-    index1: tuple[tuple[int, int], ...]
-    index2: tuple[tuple[int, int], ...]
 
 
 class EffectiveSubchannels(NamedTuple):
-    """Sorted end-to-end subchannel gains plus provenance maps."""
+    """Both hops' subchannel gains, each sorted in descending order."""
 
     gains1: np.ndarray
     gains2: np.ndarray
-    index1: tuple[tuple[int, int], ...]
-    index2: tuple[tuple[int, int], ...]
 
 
 def generate(scenario: Scenario, rng: np.random.Generator | None = None) -> ChannelRealization:
@@ -175,38 +169,19 @@ def generate(scenario: Scenario, rng: np.random.Generator | None = None) -> Chan
         _complex_gaussian(rng, scenario.n_d, scenario.n_r, var2)
         for _ in range(scenario.k_subcarriers)
     )
-    svd1 = tuple(svd(h) for h in h1)
-    svd2 = tuple(svd(h) for h in h2)
-
     n = scenario.n_streams
-    gains1, index1 = _flatten_gains(svd1, n)
-    gains2, index2 = _flatten_gains(svd2, n)
-    return ChannelRealization(
-        scenario=scenario,
-        h1=h1,
-        h2=h2,
-        svd1=svd1,
-        svd2=svd2,
-        gains1=gains1,
-        gains2=gains2,
-        index1=index1,
-        index2=index2,
-    )
+    # One decomposition per matrix, so the benchmark's tracer counts one
+    # span each; LAPACK returns the singular values in descending order.
+    gains1 = np.concatenate([svd(h, compute_uv=False)[:n] ** 2 for h in h1])
+    gains2 = np.concatenate([svd(h, compute_uv=False)[:n] ** 2 for h in h2])
+    return ChannelRealization(scenario=scenario, h1=h1, h2=h2, gains1=gains1, gains2=gains2)
 
 
 def effective_subchannels(real: ChannelRealization) -> EffectiveSubchannels:
-    """Sort both hops' flattened gains in descending order.
-
-    The returned index maps give, for each sorted position, the
-    ``(subcarrier, layer)`` pair the gain came from.
-    """
-    order1 = np.argsort(-real.gains1, kind="stable")
-    order2 = np.argsort(-real.gains2, kind="stable")
+    """Sort both hops' flattened gains in descending order."""
     return EffectiveSubchannels(
-        gains1=real.gains1[order1],
-        gains2=real.gains2[order2],
-        index1=tuple(real.index1[i] for i in order1),
-        index2=tuple(real.index2[i] for i in order2),
+        gains1=real.gains1[np.argsort(-real.gains1, kind="stable")],
+        gains2=real.gains2[np.argsort(-real.gains2, kind="stable")],
     )
 
 
@@ -264,15 +239,3 @@ def _complex_gaussian(rng: np.random.Generator, rows: int, cols: int, variance: 
     re = rng.standard_normal((rows, cols))
     im = rng.standard_normal((rows, cols))
     return scale * (re + 1j * im)
-
-
-def _flatten_gains(
-    svds: tuple[SvdResult, ...], n_streams: int
-) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
-    gains = []
-    index = []
-    for k, dec in enumerate(svds):
-        top = dec.singular_values[:n_streams]
-        gains.extend(float(s) ** 2 for s in top)
-        index.extend((k, layer) for layer in range(len(top)))
-    return np.asarray(gains, dtype=float), tuple(index)

@@ -4,9 +4,9 @@ The block of unit duration splits into an energy-transfer phase of
 length ``alpha`` followed by two information phases of length
 ``(1 - alpha) / 2`` each.  The relay stores everything it harvests in
 phase one and spends it in phase three; this module provides the
-harvested energy and relay power, the optimal energy beam, the optimal
-rank-ordered subchannel pairing, and the end-to-end achievable rate of
-an arbitrary power allocation.
+harvested energy and relay power, the optimal energy-transfer subcarrier,
+the optimal rank-ordered subchannel pairing, and the end-to-end
+achievable rate of an arbitrary power allocation.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ class EnergyPlan:
     """
 
     chosen_subcarrier: int
-    beam_direction: np.ndarray
     harvest_coeff: float
     eta: float
     p_source: float
@@ -110,24 +109,18 @@ class EnergyPlan:
 
 
 def optimal_energy_plan(real: ChannelRealization, scenario: Scenario) -> EnergyPlan:
-    """Pick the subcarrier and beam that maximize harvested power.
+    """Pick the subcarrier that maximizes harvested power.
 
     The best choice is the hop-1 subcarrier with the largest top squared
-    singular value, with the beam along the matching right singular
-    vector.
+    singular value (the beam runs along the matching right singular
+    vector, which nothing downstream needs).  Ties go to the lowest
+    subcarrier.
     """
-    best_k = 0
-    best_gain = -1.0
-    for k, dec in enumerate(real.svd1):
-        gain = float(dec.singular_values[0]) ** 2
-        if gain > best_gain:
-            best_gain = gain
-            best_k = k
-    beam = real.svd1[best_k].v[:, :1].copy()
+    tops = real.gains1[:: scenario.n_streams]
+    best_k = int(np.argmax(tops))
     return EnergyPlan(
         chosen_subcarrier=best_k,
-        beam_direction=beam,
-        harvest_coeff=best_gain,
+        harvest_coeff=float(tops[best_k]),
         eta=scenario.eta,
         p_source=scenario.p_source,
     )

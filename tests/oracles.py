@@ -1,28 +1,14 @@
 """Independent reference computations shared by the test modules.
 
-Everything here deliberately avoids the code paths under test: matrix
-products are naive triple loops, eigenvalues come from characteristic
-polynomial roots (Faddeev-LeVerrier), water levels from plain bisection.
+Everything here deliberately avoids the code paths under test:
+eigenvalues come from characteristic polynomial roots (Faddeev-LeVerrier)
+rather than an SVD, water levels from plain bisection, and two-budget
+water-filling from nested bisection on the two prices.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entry-by-entry triple-loop product."""
-    rows, inner = a.shape
-    inner2, cols = b.shape
-    assert inner == inner2
-    out = np.zeros((rows, cols), dtype=complex)
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0.0 + 0.0j
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
 
 
 def charpoly_eigenvalues(hermitian: np.ndarray) -> np.ndarray:
@@ -120,8 +106,11 @@ def two_budget_kkt_residual(a: np.ndarray, cost: np.ndarray, mu: np.ndarray) -> 
 
     Prices only the budgets that are tight (used to within 1e-9); a
     slack budget's price is 0.  The prices are fitted by least squares
-    on the active set, and the residual measures stationarity and dual
-    feasibility.  Returns the largest violation found (0 means exact).
+    on the active set, each channel's stationarity row divided by its
+    marginal, so the fit minimizes the same relative misfit the residual
+    reports however many decades the costs span.  The residual measures
+    stationarity and dual feasibility.  Returns the largest violation
+    found (0 means exact).
     """
     a = np.asarray(a, dtype=float)
     cost = np.asarray(cost, dtype=float)
@@ -142,9 +131,10 @@ def two_budget_kkt_residual(a: np.ndarray, cost: np.ndarray, mu: np.ndarray) -> 
     elif tight2 and not tight1:
         y2 = float(marginal[active] @ cost[active] / (cost[active] @ cost[active]))
     elif tight1 and tight2:
-        # Solve marginal = y1 + y2 cost on actives in the least-squares sense.
-        design = np.stack([np.ones(int(active.sum())), cost[active]], axis=1)
-        (y1, y2), *_ = np.linalg.lstsq(design, marginal[active], rcond=None)
+        # Solve (y1 + y2 cost) / marginal = 1 on actives in the least-squares sense.
+        m = marginal[active]
+        design = np.stack([1.0 / m, cost[active] / m], axis=1)
+        (y1, y2), *_ = np.linalg.lstsq(design, np.ones(m.size), rcond=None)
     y1 = max(float(y1), 0.0)
     y2 = max(float(y2), 0.0)
     stat = np.abs(marginal[active] - (y1 + y2 * cost[active])) / np.maximum(marginal[active], 1e-30)

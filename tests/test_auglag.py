@@ -375,12 +375,6 @@ class TestOptimize:
         assert res.converged
         assert res.inner_iterations <= 500
 
-    def test_update_order_switch_matches(self):
-        problem = ReducedProblem(np.array([4.0, 2.0]), np.array([3.0, 5.0]), 1000.0, 2)
-        res_a = optimize(problem, update_multipliers_first=False)
-        res_b = optimize(problem, update_multipliers_first=True)
-        assert res_a.rate_bps == pytest.approx(res_b.rate_bps, rel=1e-12)
-
     def test_alpha_stays_in_clamp(self):
         problem = ReducedProblem(np.array([1.0]), np.array([1e12]), 1000.0, 1)
         res = optimize(problem)

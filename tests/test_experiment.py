@@ -211,6 +211,18 @@ class TestCli:
         assert "benchmark rate" in out
         assert "converged: True" in out
 
+    def test_failed_decomposition_is_reported(self, monkeypatch, capsys):
+        # LAPACK's LinAlgError is a ValueError, so main reports it and
+        # returns 1 instead of ending in a traceback.
+        from ehrelay import channel, cli
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(channel, "svd", fail)
+        assert cli.main(["single"]) == 1
+        assert capsys.readouterr().err == "error: SVD did not converge\n"
+
     def test_selftest_subcommand(self, capsys):
         from ehrelay.cli import main
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ehrelay import channel
 from ehrelay.auglag import ReducedProblem
 from ehrelay.channel import Scenario, effective_subchannels, generate
 from ehrelay.system import (
@@ -23,28 +24,20 @@ def realization(scen):
 
 
 class TestEnergyPlan:
-    def test_diagonal_channel(self):
-        from ehrelay.channel import ChannelRealization, _flatten_gains
-        from ehrelay.linalg import svd
-
+    def test_diagonal_channel(self, monkeypatch):
+        # Both hops diag(2, 1) on one subcarrier, through generate's gains path.
+        diagonal = np.diag([2.0, 1.0]).astype(complex)
+        monkeypatch.setattr(channel, "_complex_gaussian", lambda *_: diagonal)
         scen = Scenario(n_s=2, n_r=2, n_d=2, k_subcarriers=1)
-        h = (np.diag([2.0, 1.0]).astype(complex),)
-        decs = tuple(svd(m) for m in h)
-        g, i = _flatten_gains(decs, 2)
-        real = ChannelRealization(
-            scenario=scen, h1=h, h2=h, svd1=decs, svd2=decs,
-            gains1=g, gains2=g, index1=i, index2=i,
-        )
+        real = generate(scen)
         plan = optimal_energy_plan(real, scen)
+        assert plan.chosen_subcarrier == 0
         assert plan.harvest_coeff == pytest.approx(4.0)
-        # Top right-singular direction is e1 up to a phase.
-        assert abs(abs(plan.beam_direction[0, 0]) - 1.0) < 1e-10
-        assert abs(plan.beam_direction[1, 0]) < 1e-10
 
     def test_picks_best_subcarrier(self):
         scen = Scenario(k_subcarriers=2, seed=8)
         real, eff, plan = realization(scen)
-        tops = [float(dec.singular_values[0]) ** 2 for dec in real.svd1]
+        tops = [float(np.linalg.svd(h, compute_uv=False)[0]) ** 2 for h in real.h1]
         assert plan.chosen_subcarrier == int(np.argmax(tops))
         assert plan.harvest_coeff == pytest.approx(max(tops))
         assert plan.harvest_coeff == pytest.approx(eff.gains1[0])
@@ -139,7 +132,6 @@ class TestAchievableRate:
         gains2 = np.array([1.0])
         plan = EnergyPlan(
             chosen_subcarrier=0,
-            beam_direction=np.array([[1.0 + 0j]]),
             harvest_coeff=1e6,
             eta=scen.eta,
             p_source=scen.p_source,

@@ -70,6 +70,16 @@ class TestInnerWaterfill:
                 a = rng.uniform(1e-1, 1e3, 64)
                 cases.append((a, rng.uniform(1e-1, 1e3, 64), alpha))
                 cases.append((a, a * rng.uniform(5.0, 10.0, 64), alpha))
+        # Coefficients spanning twelve decades, so the active channels' costs
+        # can span ten or more; draw 130 (n = 11, alpha = ALPHA_MIN, active costs
+        # from 0.17 to 3.3e9) reads 1.5e-8 if the prices are fitted to the
+        # absolute marginals rather than the relative misfit.
+        wide = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(wide.integers(2, 65))
+            a, b = 10.0 ** wide.uniform(-4.0, 8.0, (2, n))
+            alpha = (ALPHA_MIN, 0.01, 0.3, 0.9, ALPHA_MAX)[int(wide.integers(0, 5))]
+            cases.append((a, b, alpha))
         for a, b, alpha in cases:
             problem = ReducedProblem(a, b, 1000.0, 2)
             mu, mu_bar, _ = inner_waterfill(alpha, problem)
