@@ -93,12 +93,14 @@ class ReducedProblem:
         object.__setattr__(self, "b_coeffs", b)
         if a.ndim != 1 or a.shape != b.shape or a.size < 1:
             raise ValueError("a_coeffs and b_coeffs must be equal-length 1-D arrays")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("SNR coefficients must be finite")
         if a.min() < 0 or b.min() < 0:
             raise ValueError("SNR coefficients must be nonnegative")
         if int(self.k_subcarriers) < 1:
             raise ValueError("k_subcarriers must be >= 1")
-        if not self.bandwidth_hz > 0:
-            raise ValueError("bandwidth_hz must be > 0")
+        if not (np.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
+            raise ValueError("bandwidth_hz must be finite and > 0")
 
     @property
     def n_pairs(self) -> int:

@@ -10,8 +10,8 @@ by ``cost / a``.  When both bind, their prices are ``lam (1 - s, s)``
 and a one-dimensional root in the price ratio ``s`` closes both, each
 step being one single-budget water level (the one-ratio idea of Palomar
 & Fonollosa, IEEE TSP 53(2), 2005).  The whole ``alpha`` grid is solved
-as array operations, and golden-section refinement around its best
-point completes the solution.
+as array operations, and zoom rounds, each a finer grid around the last
+best point solved the same way, complete the solution.
 
 This module shares only the problem coefficients with the augmented
 Lagrangian optimizer; the solution path (sorted water levels and a
@@ -31,15 +31,17 @@ from ehrelay.auglag import ALPHA_MAX, ALPHA_MIN, ReducedProblem
 __all__ = ["OracleSolution", "inner_waterfill", "solve"]
 
 _FEAS_SLACK = 1e-12
-# Relative Newton step or bracket width at which the price-ratio root stops.
+# Rounding level at which the price-ratio root stops: relative step or bracket, absolute f.
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 # Cap on steps per root; seeded stress runs stop within 30.
 _ROOT_STEPS = 200
+# Time splits per zoom round; each round narrows the bracket twelvefold.
+_ZOOM_POINTS = 25
 
 
 @dataclass(frozen=True)
 class OracleSolution:
-    """Best allocation found by grid search plus refinement."""
+    """Best allocation found by grid search plus zoom rounds."""
 
     alpha_star: float
     mu_star: np.ndarray
@@ -67,34 +69,43 @@ def inner_waterfill(alpha: float, problem: ReducedProblem) -> tuple[np.ndarray, 
 
 
 def solve(problem: ReducedProblem, grid_points: int = 199, refine_tol: float = 1e-6) -> OracleSolution:
-    """Grid search over the time split plus golden-section refinement.
+    """Grid search over the time split, refined by zoom rounds.
 
-    Evaluates the inner water-filling on ``grid_points`` uniform values
-    of ``alpha`` at once, then refines around the best grid point with
-    :func:`inner_waterfill` until the bracket is narrower than
-    ``refine_tol``.
+    Round 0 solves ``grid_points`` uniform values of ``alpha`` at once;
+    each later round solves ``_ZOOM_POINTS`` uniform values between the
+    neighbours of the last round's best point, also at once.  Rounds
+    stop once that bracket is narrower than ``refine_tol`` or no longer
+    shrinks; :func:`inner_waterfill` returns the best point's allocation.
     """
     if grid_points < 8:
         raise ValueError("grid_points must be >= 8")
+    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
+        raise ValueError("refine_tol must be finite and > 0")
     alphas = np.linspace(ALPHA_MIN, ALPHA_MAX, grid_points)
     _, _, rates = _waterfill_grid(alphas, problem)
+    profile = tuple(zip(alphas.tolist(), rates.tolist()))
+    best_rate = -math.inf
+    width = math.inf
+    while True:
+        i = int(np.argmax(rates))
+        if rates[i] > best_rate:
+            best_alpha, best_rate = float(alphas[i]), rates[i]
+        lo = alphas[max(0, i - 1)]
+        hi = alphas[min(alphas.size - 1, i + 1)]
+        if hi - lo <= refine_tol or hi - lo >= width:
+            break
+        width = hi - lo
+        alphas = np.linspace(lo, hi, _ZOOM_POINTS)
+        _, _, rates = _waterfill_grid(alphas, problem)
 
-    best = int(np.argmax(rates))
-    lo = float(alphas[max(0, best - 1)])
-    hi = float(alphas[min(grid_points - 1, best + 1)])
-    best_alpha, best_rate = _golden_max(
-        lambda al: inner_waterfill(al, problem)[2], lo, hi, refine_tol
-    )
-    if rates[best] > best_rate:
-        best_alpha, best_rate = float(alphas[best]), float(rates[best])
-
+    # Through inner_waterfill, so tracers that wrap it (perfbench) still see the oracle.
     mu, mu_bar, rate = inner_waterfill(best_alpha, problem)
     return OracleSolution(
         alpha_star=best_alpha,
         mu_star=mu,
         mu_bar_star=mu_bar,
         rate_star=rate,
-        alpha_grid_profile=tuple(zip(alphas.tolist(), rates.tolist())),
+        alpha_grid_profile=profile,
     )
 
 
@@ -150,20 +161,18 @@ def _waterfill_single(a: np.ndarray, cost: np.ndarray, order: np.ndarray) -> tup
     order for every row or one row of it per row of ``cost``; ``a`` is
     one row for every row of ``cost`` or one per row.
 
-    Returns ``(mu, level)``, with ``mu = max(0, level / cost - 1 / a)``.
+    Returns ``(mu, level)``, with ``mu = max(0, level / cost - 1 / a)``
+    where ``theta < level`` (the active set) and 0 elsewhere.
     """
     theta = cost / a
-    order = np.broadcast_to(order, theta.shape)
-    theta_s = np.take_along_axis(theta, order, axis=1)
+    rows = np.arange(theta.shape[0])[:, None]
+    theta_s = theta[rows, order]
     ks = np.arange(1, theta.shape[1] + 1, dtype=float)
     levels = (1.0 + np.cumsum(theta_s, axis=1)) / ks
     # One past the last rank whose level clears its theta; rank 0 always does.
     k = theta.shape[1] - np.argmax((levels > theta_s)[:, ::-1], axis=1)
-    level = levels[np.arange(k.size), k - 1]
-    mu = np.clip(level[:, None] / cost - 1.0 / a, 0.0, None)
-    beyond = np.empty(theta.shape, dtype=bool)
-    np.put_along_axis(beyond, order, ks > k[:, None], axis=1)
-    mu[beyond] = 0.0
+    level = levels[rows[:, 0], k - 1]
+    mu = np.maximum(level[:, None] / cost - 1.0 / a, 0.0) * (theta < level[:, None])
     return mu, level
 
 
@@ -212,8 +221,8 @@ def _price_ratio_root(a: np.ndarray, cost: np.ndarray, start: np.ndarray) -> np.
     Takes Newton steps on ``f`` from ``start``, whose derivative over the
     current active set is closed-form, kept inside the bracket: a step
     that leaves it, or does not halve the previous step, is replaced by
-    bisection.  Each step costs one sort per row; a row stops when ``f``
-    is zero, the Newton step is below rounding or the bracket has closed.
+    bisection.  Each step costs one sort per row; a row stops when ``f``,
+    the Newton step or the bracket is down to rounding.
     """
     rows = cost.shape[0]
     mu = np.empty(cost.shape)
@@ -234,7 +243,8 @@ def _price_ratio_root(a: np.ndarray, cost: np.ndarray, start: np.ndarray) -> np.
         take = (np.abs(newton) <= 0.5 * last_step[live]) & (lo_l < sl + newton) & (sl + newton < hi_l)
         step = np.where(take, newton, 0.5 * (lo_l + hi_l) - sl)
 
-        done = (f == 0.0) | (np.abs(newton) <= _ROOT_RTOL * sl) | (hi_l - lo_l <= _ROOT_RTOL * hi_l)
+        done = np.abs(f) <= _ROOT_RTOL
+        done |= (np.abs(newton) <= _ROOT_RTOL * sl) | (hi_l - lo_l <= _ROOT_RTOL * hi_l)
         lo[live] = lo_l
         hi[live] = hi_l
         s[live] = sl + step
@@ -254,31 +264,8 @@ def _blend(a: np.ndarray, cost: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, 
     w = (1.0 - s)[:, None] + s[:, None] * cost
     mu, level = _waterfill_single(a, w, np.argsort(w / a, axis=1, kind="stable"))
     d = cost - 1.0
-    f = np.sum(d * mu, axis=1)
+    f = (d * mu).sum(axis=1)
     on = mu > 0.0
-    dlevel = np.sum(np.where(on, d / a, 0.0), axis=1) / np.maximum(on.sum(axis=1), 1)
-    slope = np.sum(np.where(on, d * (dlevel[:, None] - level[:, None] * d / w) / w, 0.0), axis=1)
+    dlevel = (d / a * on).sum(axis=1) / np.maximum(on.sum(axis=1), 1)
+    slope = (d * (dlevel[:, None] - level[:, None] * d / w) / w * on).sum(axis=1)
     return mu, f, slope
-
-
-def _golden_max(fun, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization on ``[lo, hi]`` to bracket width ``tol``."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1 = fun(x1)
-    f2 = fun(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo = x1
-            x1, f1 = x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = fun(x2)
-        else:
-            hi = x2
-            x2, f2 = x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = fun(x1)
-    if f1 >= f2:
-        return x1, f1
-    return x2, f2

@@ -2,11 +2,14 @@
 
 Everything here deliberately avoids the code paths under test:
 eigenvalues come from characteristic polynomial roots (Faddeev-LeVerrier)
-rather than an SVD, water levels from plain bisection, and two-budget
-water-filling from nested bisection on the two prices.
+rather than an SVD, water levels from plain bisection, two-budget
+water-filling from nested bisection on the two prices, and the best time
+split from scalar golden-section search.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -145,3 +148,31 @@ def two_budget_kkt_residual(a: np.ndarray, cost: np.ndarray, mu: np.ndarray) -> 
         gap = marginal[inactive] - (y1 + y2 * cost[inactive])
         res = max(res, float(gap.max() / max(1.0, np.abs(marginal[inactive]).max())))
     return res
+
+
+def golden_section_max(fun, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Golden-section maximization of a scalar ``fun`` on ``[lo, hi]``.
+
+    Shrinks the bracket until it is at most ``tol`` wide, one evaluation
+    per step, and returns the better of the last two interior points as
+    ``(x, fun(x))``.  Assumes ``fun`` is unimodal on the bracket.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1 = fun(x1)
+    f2 = fun(x2)
+    while hi - lo > tol:
+        if f1 < f2:
+            lo = x1
+            x1, f1 = x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = fun(x2)
+        else:
+            hi = x2
+            x2, f2 = x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = fun(x1)
+    if f1 >= f2:
+        return x1, f1
+    return x2, f2

@@ -98,6 +98,24 @@ def violation_by_hand(x, problem):
     return np.array(out)
 
 
+class TestReducedProblem:
+    @pytest.mark.parametrize(
+        "a, b, bandwidth",
+        [
+            ([np.nan, 1.0], [1.0, 1.0], 1000.0),
+            ([np.inf, 1.0], [1.0, 1.0], 1000.0),
+            ([1.0, 1.0], [1.0, -np.inf], 1000.0),
+            ([1.0, 1.0], [np.nan, 1.0], 1000.0),
+            ([1.0, 1.0], [1.0, 1.0], np.inf),
+            ([1.0, 1.0], [1.0, 1.0], np.nan),
+        ],
+        ids=["nan-a", "inf-a", "minus-inf-b", "nan-b", "inf-bandwidth", "nan-bandwidth"],
+    )
+    def test_non_finite_inputs_rejected(self, a, b, bandwidth):
+        with pytest.raises(ValueError):
+            ReducedProblem(np.array(a), np.array(b), bandwidth, 1)
+
+
 class TestViolation:
     def test_all_slack_point_is_feasible(self):
         problem = ReducedProblem(np.array([1.0, 2.0]), np.array([1.0, 1.0]), 1000.0, 1)

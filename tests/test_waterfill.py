@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
+from ehrelay import waterfill
 from ehrelay.auglag import ALPHA_MAX, ALPHA_MIN, ReducedProblem
+from ehrelay.channel import effective_subchannels, generate
+from ehrelay.experiment import Scenario, trial_rng
+from ehrelay.system import optimal_energy_plan, snr_coefficients
 from ehrelay.waterfill import _waterfill_two_budgets, inner_waterfill, solve
 from oracles import (
+    golden_section_max,
     random_feasible_points,
     two_budget_kkt_residual,
     two_budget_nested_bisection,
@@ -14,6 +19,27 @@ from oracles import (
 def rate_of(mu, a, alpha, bandwidth, k):
     w = (1.0 - alpha) * bandwidth / (2.0 * k)
     return w * float(np.sum(np.log2(1.0 + a * mu)))
+
+
+def crosscheck_problem(trial):
+    """A 64-pair problem drawn as the benchmark's crosscheck workload draws it."""
+    scen = Scenario(
+        n_s=2, n_r=2, n_d=2, k_subcarriers=32, bandwidth_hz=1000.0, p_source=0.1, d_sd=2.0, phi=0.5
+    )
+    real = generate(scen, trial_rng(2718, 0, trial))
+    eff = effective_subchannels(real)
+    a, b = snr_coefficients(eff.gains1, eff.gains2, optimal_energy_plan(real, scen), scen)
+    return ReducedProblem(a, b, scen.bandwidth_hz, scen.k_subcarriers)
+
+
+def golden_section_rate(problem, sol):
+    """Best rate of golden-section refinement around ``sol``'s best grid point."""
+    alphas, rates = map(np.array, zip(*sol.alpha_grid_profile))
+    best = int(np.argmax(rates))
+    lo = float(alphas[max(0, best - 1)])
+    hi = float(alphas[min(alphas.size - 1, best + 1)])
+    _, rate = golden_section_max(lambda al: inner_waterfill(al, problem)[2], lo, hi, 1e-6)
+    return max(rate, float(rates[best]))
 
 
 class TestInnerWaterfill:
@@ -238,3 +264,104 @@ class TestSolve:
         live = solve(ReducedProblem(a[~dead], b[~dead], 1000.0, 2))
         for (_, rate), (_, live_rate) in zip(sol.alpha_grid_profile, live.alpha_grid_profile):
             assert rate == pytest.approx(live_rate, rel=1e-12)
+
+    @pytest.mark.parametrize("refine_tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_refine_tol_validated(self, refine_tol):
+        problem = ReducedProblem(np.array([1.0]), np.array([1.0]), 1000.0, 1)
+        with pytest.raises(ValueError):
+            solve(problem, refine_tol=refine_tol)
+
+    def test_refine_tol_below_float_spacing_returns(self):
+        # The bracket cannot shrink below the spacing of floats near alpha*;
+        # the rounds stop once it no longer shrinks.
+        problem = crosscheck_problem(0)
+        sol = solve(problem, refine_tol=1e-300)
+        assert sol.rate_star >= max(rate for _, rate in sol.alpha_grid_profile)
+
+    def test_zoom_matches_golden_section(self):
+        rng = np.random.default_rng(57)
+        three_branch = ReducedProblem(rng.uniform(0.1, 1e3, 12), rng.uniform(0.1, 1e3, 12), 1000.0, 2)
+        problems = [crosscheck_problem(t) for t in range(6)] + [three_branch]
+        rng = np.random.default_rng(58)
+        for _ in range(4):
+            a = 10.0 ** rng.uniform(-2.0, 4.0, 20)
+            b = 10.0 ** rng.uniform(-2.0, 4.0, 20)
+            a[rng.random(20) < 0.15] = 0.0
+            b[rng.random(20) < 0.15] = 0.0
+            problems.append(ReducedProblem(a, b, 1000.0, 3))
+        for problem in problems:
+            sol = solve(problem)
+            ref = golden_section_rate(problem, sol)
+            assert sol.rate_star >= ref * (1.0 - 1e-11)
+            assert sol.rate_star >= max(rate for _, rate in sol.alpha_grid_profile)
+            assert ALPHA_MIN <= sol.alpha_star <= ALPHA_MAX
+            assert sol.mu_star.sum() <= 1.0 + 1e-9
+            assert sol.mu_bar_star.sum() <= 1.0 + 1e-9
+            assert (sol.mu_star >= 0.0).all() and (sol.mu_bar_star >= 0.0).all()
+            # The pairs stay balanced, and the rate is that of the allocation.
+            g = 2.0 * sol.alpha_star / (1.0 - sol.alpha_star)
+            hop1 = problem.a_coeffs * sol.mu_star
+            hop2 = g * problem.b_coeffs * sol.mu_bar_star
+            assert np.allclose(hop1, hop2, rtol=1e-12, atol=0.0)
+            rate = rate_of(sol.mu_star, problem.a_coeffs, sol.alpha_star, 1000.0, problem.k_subcarriers)
+            assert sol.rate_star == pytest.approx(rate, rel=1e-12)
+
+    def test_alpha_within_refine_tol_of_dense_optimum(self):
+        # Coefficients spanning many decades put some optima on a kink,
+        # where one budget leaves the active set and the rate is steep on
+        # one side; the contract there is on alpha, not on the rate.
+        rng = np.random.default_rng(59)
+        for _ in range(30):
+            n = int(rng.integers(1, 65))
+            a = 10.0 ** rng.uniform(-4.0, 8.0, n)
+            b = 10.0 ** rng.uniform(-4.0, 8.0, n)
+            a[rng.random(n) < 0.1] = 0.0
+            problem = ReducedProblem(a, b, 1000.0, int(rng.integers(1, 40)))
+            sol = solve(problem)
+            if sol.rate_star == 0.0:
+                continue
+            dense = np.linspace(
+                max(ALPHA_MIN, sol.alpha_star - 4e-6), min(ALPHA_MAX, sol.alpha_star + 4e-6), 801
+            )
+            _, _, rates = waterfill._waterfill_grid(dense, problem)
+            assert abs(dense[np.argmax(rates)] - sol.alpha_star) <= 1e-6
+
+    def test_price_ratio_roots_stop_at_rounding(self, monkeypatch):
+        # f sums 64 terms, so its rounding can keep the Newton step above
+        # 4 eps * s at the root; the root must then stop on |f| itself.
+        calls = [0]
+        steps = []
+        blend = waterfill._blend
+        root = waterfill._price_ratio_root
+
+        def counted_blend(*args):
+            calls[0] += 1
+            return blend(*args)
+
+        def counted_root(*args):
+            before = calls[0]
+            out = root(*args)
+            steps.append(calls[0] - before)
+            return out
+
+        monkeypatch.setattr(waterfill, "_blend", counted_blend)
+        monkeypatch.setattr(waterfill, "_price_ratio_root", counted_root)
+        for t in range(6):
+            solve(crosscheck_problem(t))
+        assert max(steps) <= 30
+
+    def test_refinement_stays_batched(self, monkeypatch):
+        calls = {"grid": 0, "inner": 0}
+
+        def counting(name, fun):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fun(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(waterfill, "_waterfill_grid", counting("grid", waterfill._waterfill_grid))
+        monkeypatch.setattr(waterfill, "inner_waterfill", counting("inner", waterfill.inner_waterfill))
+        solve(crosscheck_problem(0))
+        assert calls["grid"] <= 8
+        assert calls["inner"] <= 1
