@@ -3,7 +3,7 @@
 The package splits into small focused modules:
 
 * :mod:`ehrelay.channel` - random fading channels with path loss.
-* :mod:`ehrelay.system` - time-switching relay protocol quantities.
+* :mod:`ehrelay.system` - time-switching relay protocol and the reduced problem.
 * :mod:`ehrelay.auglag` - augmented Lagrangian rate optimizer.
 * :mod:`ehrelay.waterfill` - independent water-filling reference solver.
 * :mod:`ehrelay.experiment` / :mod:`ehrelay.cli` - Monte Carlo sweeps and CLI.
@@ -13,11 +13,9 @@ from ehrelay.channel import ChannelRealization, Scenario, effective_subchannels,
 from ehrelay.system import (
     Allocation,
     EnergyPlan,
-    Pairing,
     achievable_rate,
     benchmark_allocation,
     optimal_energy_plan,
-    optimal_pairing,
     snr_coefficients,
 )
 
@@ -25,14 +23,12 @@ __all__ = [
     "Allocation",
     "ChannelRealization",
     "EnergyPlan",
-    "Pairing",
     "Scenario",
     "achievable_rate",
     "benchmark_allocation",
     "effective_subchannels",
     "generate",
     "optimal_energy_plan",
-    "optimal_pairing",
     "snr_coefficients",
 ]
 

@@ -1,7 +1,7 @@
 """Augmented Lagrangian penalty optimizer for the reduced rate problem.
 
-After the energy beam and the rank-ordered pairing are fixed, maximizing
-the end-to-end rate reduces to choosing the time split ``alpha`` and the
+After the energy beam is fixed, maximizing the end-to-end rate of the
+paired subchannels reduces to choosing the time split ``alpha`` and the
 per-subchannel power fractions ``mu`` (source) and ``mu_bar`` (relay)
 under two unit budgets and one SNR-balance equality per pair.  The
 inequality budgets are turned into equalities with slack variables
@@ -32,25 +32,22 @@ Augmented Lagrangian Methods for Constrained Optimization* (SIAM, 2014).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ehrelay.system import Allocation, Pairing
+from ehrelay.system import Allocation, ReducedProblem, achievable_rate
 
 __all__ = [
     "ALPHA_MAX",
     "ALPHA_MIN",
     "AlpfResult",
-    "AlpfState",
-    "ReducedProblem",
     "SubproblemResult",
     "default_initial_point",
     "optimize",
     "pack_point",
     "penalty_gradient",
     "penalty_value",
-    "rate_of_point",
     "solve_subproblem",
     "unpack_point",
     "update_multipliers",
@@ -69,53 +66,6 @@ _MAX_HALVINGS = 60
 # bound, and the largest time-split move of one Newton step.
 _ACTIVE_EPS = 1e-3
 _ALPHA_STEP = 0.25
-
-
-@dataclass(frozen=True)
-class ReducedProblem:
-    """Coefficients of the reduced rate problem over paired subchannels.
-
-    ``a_coeffs[n]`` is the hop-1 SNR per unit power fraction and
-    ``b_coeffs[n]`` the hop-2 SNR per unit power fraction divided by the
-    time-split factor ``2 alpha / (1 - alpha)``.  Entries are paired by
-    index (rank-ordered pairing applied beforehand).
-    """
-
-    a_coeffs: np.ndarray
-    b_coeffs: np.ndarray
-    bandwidth_hz: float
-    k_subcarriers: int
-
-    def __post_init__(self):
-        a = np.asarray(self.a_coeffs, dtype=float)
-        b = np.asarray(self.b_coeffs, dtype=float)
-        object.__setattr__(self, "a_coeffs", a)
-        object.__setattr__(self, "b_coeffs", b)
-        if a.ndim != 1 or a.shape != b.shape or a.size < 1:
-            raise ValueError("a_coeffs and b_coeffs must be equal-length 1-D arrays")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ValueError("SNR coefficients must be finite")
-        if a.min() < 0 or b.min() < 0:
-            raise ValueError("SNR coefficients must be nonnegative")
-        if int(self.k_subcarriers) < 1:
-            raise ValueError("k_subcarriers must be >= 1")
-        if not (np.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
-            raise ValueError("bandwidth_hz must be finite and > 0")
-
-    @property
-    def n_pairs(self) -> int:
-        return int(self.a_coeffs.size)
-
-
-@dataclass
-class AlpfState:
-    """Mutable optimizer iterate: primal point, multipliers, penalties."""
-
-    x: np.ndarray
-    nu: np.ndarray
-    sigma: np.ndarray
-    iter: int = 0
-    violation: float = np.inf
 
 
 @dataclass(frozen=True)
@@ -272,15 +222,18 @@ def update_penalties(
 
 
 def solve_subproblem(
-    state: AlpfState,
+    x: np.ndarray,
+    nu: np.ndarray,
+    sigma: np.ndarray,
     problem: ReducedProblem,
     inner_tol: float,
     max_inner_iters: int,
 ) -> SubproblemResult:
-    """Approximately minimize the penalty over the box.
+    """Approximately minimize the penalty over the box, from ``x``.
 
-    Projected Newton over ``(alpha, mu)`` with Armijo backtracking
-    (halving from trial step 1.0) along the projection arc.
+    The multipliers ``nu`` and penalties ``sigma`` stay fixed.  Projected
+    Newton over ``(alpha, mu)`` with Armijo backtracking (halving from
+    trial step 1.0) along the projection arc.
     ``(mu_bar, s1, s2)`` are restored by exact partial minimization at
     every trial point, so the returned point never has a larger penalty
     value than the input point.  Terminates when the projected-gradient
@@ -290,8 +243,7 @@ def solve_subproblem(
     found, flagged.
     """
     n = problem.n_pairs
-    nu, sigma = state.nu, state.sigma
-    z = _project(np.concatenate([[state.x[0]], state.x[1 : 1 + n]]))
+    z = _project(np.concatenate([[x[0]], x[1 : 1 + n]]))
     point = _assemble(z, nu, sigma, problem)
 
     stalled = False
@@ -431,9 +383,10 @@ def optimize(
     if not ALPHA_MIN <= x[0] <= ALPHA_MAX or np.min(x[1:]) < 0.0:
         raise ValueError("init must lie inside the box")
 
-    state = AlpfState(x=x, nu=np.zeros(n + 2), sigma=np.ones(n + 2))
+    nu = np.zeros(n + 2)
+    sigma = np.ones(n + 2)
     c_prev = violation(x, problem)
-    state.violation = float(np.max(np.abs(c_prev)))
+    final_violation = float(np.max(np.abs(c_prev)))
 
     converged = False
     stalled = False
@@ -444,23 +397,22 @@ def optimize(
         # lets the subproblem exit at non-stationary points whose violation
         # happens to be small, which derails the multiplier updates.
         inner_tol = max(1e-8, 0.1 * min(float(np.max(np.abs(c_prev))), 1e-2))
-        sub = solve_subproblem(state, problem, inner_tol, max_inner_iters)
+        sub = solve_subproblem(x, nu, sigma, problem, inner_tol, max_inner_iters)
         total_inner += sub.iterations
         stalled = stalled or sub.stalled
         c_new = sub.residual
-        state.x = sub.x
-        state.iter = k
-        state.violation = float(np.max(np.abs(c_new)))
+        x = sub.x
+        final_violation = float(np.max(np.abs(c_new)))
         outer_used = k
-        if state.violation <= eps:
+        if final_violation <= eps:
             converged = True
             break
-        sigma_used = state.sigma
-        state.sigma = update_penalties(state.sigma, c_new, c_prev, k)
-        state.nu = update_multipliers(state.nu, sigma_used, c_new)
+        sigma_used = sigma
+        sigma = update_penalties(sigma, c_new, c_prev, k)
+        nu = update_multipliers(nu, sigma_used, c_new)
         c_prev = c_new
 
-    alpha, mu, mu_bar, _, _ = unpack_point(state.x, n)
+    alpha, mu, mu_bar, _, _ = unpack_point(x, n)
     mu = np.clip(mu, 0.0, None)
     mu_bar = np.clip(mu_bar, 0.0, None)
     # The convergence tolerance allows budget overshoot up to eps; rescale
@@ -471,34 +423,18 @@ def optimize(
     # the SNR of a nearly switched-off pair; trim each pair to the smaller
     # of its hop SNRs.  That only lowers powers and keeps min(r1, r2).
     mu, mu_bar = _balance_pairs(problem, alpha, mu, mu_bar)
-    allocation = Allocation(
-        alpha=alpha,
-        mu=mu,
-        mu_bar=mu_bar,
-        pairing=Pairing(perm=tuple(range(n))),
-    )
+    allocation = Allocation(alpha=alpha, mu=mu, mu_bar=mu_bar)
     return AlpfResult(
         allocation=allocation,
-        rate_bps=rate_of_point(problem, alpha, mu, mu_bar),
+        rate_bps=achievable_rate(problem, allocation),
         converged=converged,
         outer_iterations=outer_used,
         inner_iterations=total_inner,
-        final_violation=state.violation,
-        final_nu=state.nu.copy(),
-        final_sigma=state.sigma.copy(),
+        final_violation=final_violation,
+        final_nu=nu.copy(),
+        final_sigma=sigma.copy(),
         stalled=stalled,
     )
-
-
-def rate_of_point(problem: ReducedProblem, alpha: float, mu, mu_bar) -> float:
-    """End-to-end rate in bit/s: per pair the minimum of the hop rates."""
-    mu = np.asarray(mu, dtype=float)
-    mu_bar = np.asarray(mu_bar, dtype=float)
-    g = _duty_ratio(alpha)
-    r1 = np.log2(1.0 + problem.a_coeffs * mu)
-    r2 = np.log2(1.0 + g * problem.b_coeffs * mu_bar)
-    w = (1.0 - alpha) * problem.bandwidth_hz / (2.0 * problem.k_subcarriers)
-    return float(w * np.sum(np.minimum(r1, r2)))
 
 
 def _balance_pairs(problem: ReducedProblem, alpha: float, mu: np.ndarray, mu_bar: np.ndarray):

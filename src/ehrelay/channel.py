@@ -178,7 +178,12 @@ def generate(scenario: Scenario, rng: np.random.Generator | None = None) -> Chan
 
 
 def effective_subchannels(real: ChannelRealization) -> EffectiveSubchannels:
-    """Sort both hops' flattened gains in descending order."""
+    """Sort both hops' flattened gains in descending order.
+
+    The sort is the pairing: index ``n`` pairs the n-th strongest hop-1
+    subchannel with the n-th strongest hop-2 subchannel, the rank-ordered
+    pairing that maximizes the rate.
+    """
     return EffectiveSubchannels(
         gains1=real.gains1[np.argsort(-real.gains1, kind="stable")],
         gains2=real.gains2[np.argsort(-real.gains2, kind="stable")],

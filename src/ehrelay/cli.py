@@ -16,10 +16,11 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from ehrelay.auglag import ReducedProblem, optimize
+from ehrelay.auglag import optimize
 from ehrelay.channel import Scenario, effective_subchannels, generate, scenario_from_file
 from ehrelay.experiment import (
     SOLVER_ORDER,
@@ -108,8 +109,6 @@ def _cmd_run(args) -> int:
 def _cmd_single(args) -> int:
     scenario = scenario_from_file(args.scenario_file) if args.scenario_file else Scenario()
     if args.seed is not None:
-        from dataclasses import replace
-
         scenario = replace(scenario, seed=args.seed)
     solvers = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
     for s in solvers:
@@ -119,8 +118,7 @@ def _cmd_single(args) -> int:
     real = generate(scenario)
     eff = effective_subchannels(real)
     plan = optimal_energy_plan(real, scenario)
-    a, b = snr_coefficients(eff.gains1, eff.gains2, plan, scenario)
-    problem = ReducedProblem(a, b, scenario.bandwidth_hz, scenario.k_subcarriers)
+    problem = snr_coefficients(eff.gains1, eff.gains2, plan, scenario)
 
     print(f"scenario: {scenario}")
     print(f"energy beam subcarrier: {plan.chosen_subcarrier}, harvest gain {plan.harvest_coeff!r}")
@@ -128,8 +126,7 @@ def _cmd_single(args) -> int:
     print(f"sorted hop-2 gains: {np.array2string(eff.gains2, precision=6)}")
 
     if "benchmark" in solvers:
-        alloc = benchmark_allocation(eff.gains1, eff.gains2)
-        rate = achievable_rate(alloc, eff.gains1, eff.gains2, plan, scenario)
+        rate = achievable_rate(problem, benchmark_allocation(problem))
         print(f"\nbenchmark rate: {rate!r} bit/s (alpha = 0.5)")
     if "oracle" in solvers:
         sol = oracle_solve(problem)

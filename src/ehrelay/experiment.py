@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ehrelay.auglag import ReducedProblem, optimize
+from ehrelay.auglag import optimize
 from ehrelay.channel import (
     Scenario,
     effective_subchannels,
@@ -149,14 +149,12 @@ def run_trial(scenario: Scenario, rng: np.random.Generator, solvers) -> dict[str
     real = generate(scenario, rng)
     eff = effective_subchannels(real)
     plan = optimal_energy_plan(real, scenario)
-    a, b = snr_coefficients(eff.gains1, eff.gains2, plan, scenario)
-    problem = ReducedProblem(a, b, scenario.bandwidth_hz, scenario.k_subcarriers)
+    problem = snr_coefficients(eff.gains1, eff.gains2, plan, scenario)
 
     outcomes: dict[str, TrialOutcome] = {}
     for solver in solvers:
         if solver == "benchmark":
-            alloc = benchmark_allocation(eff.gains1, eff.gains2)
-            rate = achievable_rate(alloc, eff.gains1, eff.gains2, plan, scenario)
+            rate = achievable_rate(problem, benchmark_allocation(problem))
             outcomes[solver] = TrialOutcome(rate_bps=rate, alpha=0.5, iterations=0, converged=True)
         elif solver == "alpf":
             res = optimize(problem)

@@ -3,10 +3,14 @@
 The block of unit duration splits into an energy-transfer phase of
 length ``alpha`` followed by two information phases of length
 ``(1 - alpha) / 2`` each.  The relay stores everything it harvests in
-phase one and spends it in phase three; this module provides the
-harvested energy and relay power, the optimal energy-transfer subcarrier,
-the optimal rank-ordered subchannel pairing, and the end-to-end
-achievable rate of an arbitrary power allocation.
+phase one and spends it in phase three.  Both hops' subchannels arrive
+sorted by gain, and that sort is the pairing: the n-th strongest hop-1
+subchannel forwards over the n-th strongest hop-2 subchannel.
+
+This module owns :class:`ReducedProblem`, the one problem type that
+every solver reads.  It provides the optimal energy-transfer
+subcarrier, the problem's SNR coefficients, the fixed benchmark
+allocation and the end-to-end achievable rate of any allocation.
 """
 
 from __future__ import annotations
@@ -20,11 +24,10 @@ from ehrelay.channel import ChannelRealization, Scenario
 __all__ = [
     "Allocation",
     "EnergyPlan",
-    "Pairing",
+    "ReducedProblem",
     "achievable_rate",
     "benchmark_allocation",
     "optimal_energy_plan",
-    "optimal_pairing",
     "snr_coefficients",
 ]
 
@@ -37,18 +40,39 @@ _NEG_SLACK = -1e-12
 
 
 @dataclass(frozen=True)
-class Pairing:
-    """Bijection from hop-1 subchannel index to hop-2 subchannel index."""
+class ReducedProblem:
+    """Coefficients of the reduced rate problem over paired subchannels.
 
-    perm: tuple[int, ...]
+    ``a_coeffs[n]`` is the hop-1 SNR per unit power fraction and
+    ``b_coeffs[n]`` the hop-2 SNR per unit power fraction divided by the
+    time-split factor ``2 alpha / (1 - alpha)``.  Entries are paired by
+    index.
+    """
+
+    a_coeffs: np.ndarray
+    b_coeffs: np.ndarray
+    bandwidth_hz: float
+    k_subcarriers: int
 
     def __post_init__(self):
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(n)):
-            raise ValueError("perm must be a permutation of 0..n-1")
+        a = np.asarray(self.a_coeffs, dtype=float)
+        b = np.asarray(self.b_coeffs, dtype=float)
+        object.__setattr__(self, "a_coeffs", a)
+        object.__setattr__(self, "b_coeffs", b)
+        if a.ndim != 1 or a.shape != b.shape or a.size < 1:
+            raise ValueError("a_coeffs and b_coeffs must be equal-length 1-D arrays")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("SNR coefficients must be finite")
+        if a.min() < 0 or b.min() < 0:
+            raise ValueError("SNR coefficients must be nonnegative")
+        if int(self.k_subcarriers) < 1:
+            raise ValueError("k_subcarriers must be >= 1")
+        if not (np.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
+            raise ValueError("bandwidth_hz must be finite and > 0")
 
-    def __len__(self) -> int:
-        return len(self.perm)
+    @property
+    def n_pairs(self) -> int:
+        return int(self.a_coeffs.size)
 
 
 @dataclass(frozen=True)
@@ -56,14 +80,13 @@ class Allocation:
     """Decision variables of one transmission round.
 
     ``mu[n]`` is the fraction of source power on hop-1 subchannel ``n``
-    and ``mu_bar[m]`` the fraction of relay power on hop-2 subchannel
-    ``m``; ``pairing`` maps hop-1 indices to hop-2 indices.
+    and ``mu_bar[n]`` the fraction of relay power on the hop-2
+    subchannel paired with it.
     """
 
     alpha: float
     mu: np.ndarray
     mu_bar: np.ndarray
-    pairing: Pairing
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -74,8 +97,6 @@ class Allocation:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if mu.shape != mu_bar.shape or mu.ndim != 1:
             raise ValueError("mu and mu_bar must be 1-D arrays of equal length")
-        if len(self.pairing) != mu.size:
-            raise ValueError("pairing length must match mu length")
         for name, vec in (("mu", mu), ("mu_bar", mu_bar)):
             if vec.size and vec.min() < _NEG_SLACK:
                 raise ValueError(f"{name} has a negative entry: {vec.min()}")
@@ -94,18 +115,6 @@ class EnergyPlan:
 
     chosen_subcarrier: int
     harvest_coeff: float
-    eta: float
-    p_source: float
-
-    def harvested_energy(self, alpha: float) -> float:
-        """Energy collected over phase one (block length normalized to 1)."""
-        return alpha * self.eta * self.p_source * self.harvest_coeff
-
-    def relay_power(self, alpha: float) -> float:
-        """Transmit power available at the relay during phase three."""
-        if alpha >= 1.0:
-            raise ValueError("alpha must be < 1: phase three has zero duration")
-        return 2.0 * alpha * self.eta * self.p_source * self.harvest_coeff / (1.0 - alpha)
 
 
 def optimal_energy_plan(real: ChannelRealization, scenario: Scenario) -> EnergyPlan:
@@ -118,87 +127,44 @@ def optimal_energy_plan(real: ChannelRealization, scenario: Scenario) -> EnergyP
     """
     tops = real.gains1[:: scenario.n_streams]
     best_k = int(np.argmax(tops))
-    return EnergyPlan(
-        chosen_subcarrier=best_k,
-        harvest_coeff=float(tops[best_k]),
-        eta=scenario.eta,
-        p_source=scenario.p_source,
-    )
+    return EnergyPlan(chosen_subcarrier=best_k, harvest_coeff=float(tops[best_k]))
 
 
-def optimal_pairing(gains1, gains2, sigma_r_sq: float, sigma_d_sq: float) -> Pairing:
-    """Rank-ordered pairing of noise-normalized subchannel gains.
-
-    The n-th strongest hop-1 subchannel (gain over relay noise) is paired
-    with the n-th strongest hop-2 subchannel (gain over destination
-    noise).  Input order is arbitrary.
-    """
-    g1 = np.asarray(gains1, dtype=float)
-    g2 = np.asarray(gains2, dtype=float)
-    if g1.shape != g2.shape or g1.ndim != 1:
-        raise ValueError("gain lists must be 1-D and of equal length")
-    if sigma_r_sq <= 0 or sigma_d_sq <= 0:
-        raise ValueError("noise powers must be > 0")
-    order1 = np.argsort(-g1 / sigma_r_sq, kind="stable")
-    order2 = np.argsort(-g2 / sigma_d_sq, kind="stable")
-    perm = [0] * g1.size
-    for rank in range(g1.size):
-        perm[order1[rank]] = int(order2[rank])
-    return Pairing(perm=tuple(perm))
-
-
-def achievable_rate(
-    alloc: Allocation,
-    gains1,
-    gains2,
-    plan: EnergyPlan,
-    scenario: Scenario,
-) -> float:
+def achievable_rate(problem: ReducedProblem, alloc: Allocation) -> float:
     """End-to-end rate in bit/s of a given allocation.
 
     Each pair carries the minimum of its hop rates; every pair is scaled
     by the duty-cycle factor ``(1 - alpha) * bandwidth / (2 K)``.
 
     Raises:
-        ValueError: if ``alloc.alpha >= 1`` (the relay power is undefined).
+        ValueError: if ``alloc.alpha >= 1`` (the relay power is undefined)
+            or the allocation does not have one entry per pair.
     """
     if alloc.alpha >= 1.0:
         raise ValueError("alpha must be < 1: relay power undefined at alpha = 1")
-    g1 = np.asarray(gains1, dtype=float)
-    g2 = np.asarray(gains2, dtype=float)
-    sigma_sq = scenario.noise_per_subchannel
-    p_relay = plan.relay_power(alloc.alpha)
-    weight = (1.0 - alloc.alpha) * scenario.bandwidth_hz / (2.0 * scenario.k_subcarriers)
-
-    total = 0.0
-    for n, m in enumerate(alloc.pairing.perm):
-        snr1 = scenario.p_source * alloc.mu[n] * g1[n] / sigma_sq
-        snr2 = p_relay * alloc.mu_bar[m] * g2[m] / sigma_sq
-        total += weight * min(np.log2(1.0 + snr1), np.log2(1.0 + snr2))
-    return float(total)
+    if alloc.mu.size != problem.n_pairs:
+        raise ValueError("allocation length must match the number of pairs")
+    g = 2.0 * alloc.alpha / (1.0 - alloc.alpha)
+    r1 = np.log2(1.0 + problem.a_coeffs * alloc.mu)
+    r2 = np.log2(1.0 + g * problem.b_coeffs * alloc.mu_bar)
+    w = (1.0 - alloc.alpha) * problem.bandwidth_hz / (2.0 * problem.k_subcarriers)
+    return float(w * np.sum(np.minimum(r1, r2)))
 
 
-def benchmark_allocation(gains1, gains2) -> Allocation:
+def benchmark_allocation(problem: ReducedProblem) -> Allocation:
     """Non-adaptive reference: half-time split, gain-proportional powers.
 
-    ``alpha = 0.5`` and each hop spreads its budget proportionally to its
-    subchannel gains, with rank-ordered pairing.
+    ``alpha = 0.5`` and each hop spreads its budget in proportion to its
+    SNR coefficients, which are proportional to its subchannel gains.
 
     Raises:
-        ValueError: if either hop has all-zero gains.
+        ValueError: if either hop has all-zero coefficients.
     """
-    g1 = np.asarray(gains1, dtype=float)
-    g2 = np.asarray(gains2, dtype=float)
-    t1 = g1.sum()
-    t2 = g2.sum()
+    t1 = problem.a_coeffs.sum()
+    t2 = problem.b_coeffs.sum()
     if t1 <= 0.0 or t2 <= 0.0:
         raise ValueError("cannot build benchmark allocation from all-zero gains")
-    return Allocation(
-        alpha=0.5,
-        mu=g1 / t1,
-        mu_bar=g2 / t2,
-        pairing=optimal_pairing(g1, g2, 1.0, 1.0),
-    )
+    return Allocation(alpha=0.5, mu=problem.a_coeffs / t1, mu_bar=problem.b_coeffs / t2)
 
 
 def snr_coefficients(
@@ -206,12 +172,13 @@ def snr_coefficients(
     gains2,
     plan: EnergyPlan,
     scenario: Scenario,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dimensionless SNR coefficients of paired subchannel lists.
+) -> ReducedProblem:
+    """The reduced problem of paired subchannel gains.
 
     For hop-1 entry ``n``: ``a[n] = P_S * gain1[n] / sigma^2``.  For hop-2
     entry ``n``: ``b[n] = eta * P_S * harvest_coeff * gain2[n] / sigma^2``,
-    so the hop-2 SNR equals ``2 alpha / (1 - alpha) * b[n] * mu_bar[n]``.
+    so the hop-2 SNR, with relay power ``2 alpha eta P_S harvest_coeff /
+    (1 - alpha)``, equals ``2 alpha / (1 - alpha) * b[n] * mu_bar[n]``.
 
     Gains below ``GAIN_FLOOR_REL`` times the hop maximum are treated as
     exact zeros (rank-deficiency noise).
@@ -221,7 +188,7 @@ def snr_coefficients(
     sigma_sq = scenario.noise_per_subchannel
     a = scenario.p_source * g1 / sigma_sq
     b = scenario.eta * scenario.p_source * plan.harvest_coeff * g2 / sigma_sq
-    return a, b
+    return ReducedProblem(a, b, scenario.bandwidth_hz, scenario.k_subcarriers)
 
 
 def _floor_gains(g: np.ndarray) -> np.ndarray:

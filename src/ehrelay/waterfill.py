@@ -13,10 +13,11 @@ step being one single-budget water level (the one-ratio idea of Palomar
 as array operations, and zoom rounds, each a finer grid around the last
 best point solved the same way, complete the solution.
 
-This module shares only the problem coefficients with the augmented
-Lagrangian optimizer; the solution path (sorted water levels and a
-root in the price ratio) is entirely separate, which is what makes it
-usable as a cross-check.
+This module reads the same :class:`~ehrelay.system.ReducedProblem` as
+the augmented Lagrangian optimizer and shares only the time-split clamp
+``ALPHA_MIN``/``ALPHA_MAX`` with it; the solution path (sorted water
+levels and a root in the price ratio) and the rate formula are entirely
+separate, which is what makes it usable as a cross-check.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ehrelay.auglag import ALPHA_MAX, ALPHA_MIN, ReducedProblem
+from ehrelay.auglag import ALPHA_MAX, ALPHA_MIN
+from ehrelay.system import ReducedProblem
 
 __all__ = ["OracleSolution", "inner_waterfill", "solve"]
 

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from ehrelay.auglag import ReducedProblem, optimize
+from ehrelay.auglag import optimize
 from ehrelay.channel import Scenario, effective_subchannels, generate, svd
 from ehrelay.experiment import ExperimentSpec, emit_csv, run, trial_rng
 from ehrelay.system import (
+    ReducedProblem,
     achievable_rate,
     benchmark_allocation,
     optimal_energy_plan,
@@ -59,12 +60,10 @@ def comparison_batch():
         real = generate(scen, trial_rng(31337, 0, trial))
         eff = effective_subchannels(real)
         plan = optimal_energy_plan(real, scen)
-        a, b = snr_coefficients(eff.gains1, eff.gains2, plan, scen)
-        problem = ReducedProblem(a, b, scen.bandwidth_hz, scen.k_subcarriers)
+        problem = snr_coefficients(eff.gains1, eff.gains2, plan, scen)
         res = optimize(problem)
         sol = oracle_solve(problem)
-        bench = benchmark_allocation(eff.gains1, eff.gains2)
-        bench_rate = achievable_rate(bench, eff.gains1, eff.gains2, plan, scen)
+        bench_rate = achievable_rate(problem, benchmark_allocation(problem))
         runs.append(
             ComparisonRun(
                 k=k, n=n, p_source=p, problem=problem, alpf=res, oracle=sol, benchmark_rate=bench_rate

@@ -4,8 +4,6 @@ import pytest
 from ehrelay.auglag import (
     ALPHA_MAX,
     ALPHA_MIN,
-    AlpfState,
-    ReducedProblem,
     _assemble,
     _newton_direction,
     default_initial_point,
@@ -19,6 +17,8 @@ from ehrelay.auglag import (
     update_penalties,
     violation,
 )
+from ehrelay.channel import Scenario, effective_subchannels, generate
+from ehrelay.system import ReducedProblem, achievable_rate, optimal_energy_plan, snr_coefficients
 
 
 def random_state(rng, n, coeff_lo=1e-2, coeff_hi=1e3, bandwidth=1000.0):
@@ -192,10 +192,8 @@ class TestSubproblem:
     def test_fixed_point_returned_unchanged(self):
         rng = np.random.default_rng(43)
         problem, x, nu, sigma = random_state(rng, 3, coeff_hi=10.0)
-        state = AlpfState(x=x, nu=nu, sigma=sigma)
-        first = solve_subproblem(state, problem, inner_tol=1e-6, max_inner_iters=5000)
-        state2 = AlpfState(x=first.x, nu=nu, sigma=sigma)
-        second = solve_subproblem(state2, problem, inner_tol=1e-6, max_inner_iters=5000)
+        first = solve_subproblem(x, nu, sigma, problem, inner_tol=1e-6, max_inner_iters=5000)
+        second = solve_subproblem(first.x, nu, sigma, problem, inner_tol=1e-6, max_inner_iters=5000)
         assert second.iterations <= 2
         assert np.max(np.abs(second.x - first.x)) < 1e-6
         v1 = penalty_value(first.x, nu, sigma, problem)
@@ -209,8 +207,8 @@ class TestSubproblem:
         problem = ReducedProblem(np.array([0.0]), np.array([1.0]), 1000.0, 1)
         nu = np.array([0.4, -0.3, -0.2])
         sigma = np.array([2.0, 1.0, 4.0])
-        state = AlpfState(x=default_initial_point(problem), nu=nu, sigma=sigma)
-        res = solve_subproblem(state, problem, inner_tol=1e-12, max_inner_iters=5000)
+        x0 = default_initial_point(problem)
+        res = solve_subproblem(x0, nu, sigma, problem, inner_tol=1e-12, max_inner_iters=5000)
         value = penalty_value(res.x, nu, sigma, problem)
         expected = -float(np.sum(nu**2 / (2.0 * sigma)))
         assert value == pytest.approx(expected, abs=1e-8)
@@ -263,8 +261,7 @@ class TestSubproblem:
         for _ in range(20):
             problem, x, nu, sigma = random_state(rng, int(rng.integers(1, 5)))
             before = penalty_value(x, nu, sigma, problem)
-            state = AlpfState(x=x, nu=nu, sigma=sigma)
-            res = solve_subproblem(state, problem, inner_tol=1e-8, max_inner_iters=500)
+            res = solve_subproblem(x, nu, sigma, problem, inner_tol=1e-8, max_inner_iters=500)
             after = penalty_value(res.x, nu, sigma, problem)
             assert after <= before + 1e-9 * max(1.0, abs(before))
 
@@ -392,6 +389,22 @@ class TestOptimize:
         res = optimize(problem)
         assert res.converged
         assert res.inner_iterations <= 500
+
+    def test_rate_is_achievable_rate_of_allocation(self):
+        # The reported rate is the one rate function applied to the
+        # reported allocation, bit for bit.
+        rng = np.random.default_rng(48)
+        for seed in range(8):
+            n = int(rng.integers(1, 4))
+            scen = Scenario(
+                n_s=n, n_r=n, n_d=n, k_subcarriers=int(rng.integers(1, 3)),
+                p_source=float(rng.choice([0.1, 1.0, 10.0])), phi=float(rng.uniform(0.2, 0.8)), seed=seed,
+            )
+            real = generate(scen)
+            eff = effective_subchannels(real)
+            problem = snr_coefficients(eff.gains1, eff.gains2, optimal_energy_plan(real, scen), scen)
+            res = optimize(problem)
+            assert res.rate_bps == achievable_rate(problem, res.allocation)
 
     def test_alpha_stays_in_clamp(self):
         problem = ReducedProblem(np.array([1.0]), np.array([1e12]), 1000.0, 1)

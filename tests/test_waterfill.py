@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from ehrelay import waterfill
-from ehrelay.auglag import ALPHA_MAX, ALPHA_MIN, ReducedProblem
+from ehrelay.auglag import ALPHA_MAX, ALPHA_MIN
 from ehrelay.channel import effective_subchannels, generate
 from ehrelay.experiment import Scenario, trial_rng
-from ehrelay.system import optimal_energy_plan, snr_coefficients
+from ehrelay.system import Allocation, ReducedProblem, achievable_rate, optimal_energy_plan, snr_coefficients
 from ehrelay.waterfill import _waterfill_two_budgets, inner_waterfill, solve
 from oracles import (
     golden_section_max,
@@ -28,8 +28,7 @@ def crosscheck_problem(trial):
     )
     real = generate(scen, trial_rng(2718, 0, trial))
     eff = effective_subchannels(real)
-    a, b = snr_coefficients(eff.gains1, eff.gains2, optimal_energy_plan(real, scen), scen)
-    return ReducedProblem(a, b, scen.bandwidth_hz, scen.k_subcarriers)
+    return snr_coefficients(eff.gains1, eff.gains2, optimal_energy_plan(real, scen), scen)
 
 
 def golden_section_rate(problem, sol):
@@ -305,6 +304,15 @@ class TestSolve:
             assert np.allclose(hop1, hop2, rtol=1e-12, atol=0.0)
             rate = rate_of(sol.mu_star, problem.a_coeffs, sol.alpha_star, 1000.0, problem.k_subcarriers)
             assert sol.rate_star == pytest.approx(rate, rel=1e-12)
+
+    def test_rate_matches_achievable_rate(self):
+        # Two independent formulas for the same rate: the oracle's own
+        # water-filling sum and the system's per-pair minimum of hop rates.
+        for t in range(3):
+            problem = crosscheck_problem(t)
+            sol = solve(problem)
+            rate = achievable_rate(problem, Allocation(sol.alpha_star, sol.mu_star, sol.mu_bar_star))
+            assert rate == pytest.approx(sol.rate_star, rel=1e-12)
 
     def test_alpha_within_refine_tol_of_dense_optimum(self):
         # Coefficients spanning many decades put some optima on a kink,
