@@ -85,7 +85,14 @@ class SubproblemResult:
 
 @dataclass(frozen=True)
 class AlpfResult:
-    """Converged (or best-effort) allocation plus a convergence report."""
+    """Allocation plus a convergence report.
+
+    ``converged`` means max |c| <= ``eps``: feasibility only, not
+    optimality.  At SNRs far below 1 a converged run can stop well below
+    the optimum; in a seeded stress of 293 scenarios, 6 converged runs
+    missed the water-filling oracle by more than 1e-3 (worst by 99%), all
+    at ``d_sd = 30``.
+    """
 
     allocation: Allocation
     rate_bps: float
@@ -163,7 +170,8 @@ def penalty_value(x: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem: Red
     if alpha >= 1.0:
         raise ValueError("alpha must be < 1")
     c = violation(x, problem)
-    obj = _objective_prefactor(alpha, problem) * float(np.sum(np.log2(1.0 + problem.a_coeffs * mu)))
+    prefactor = (alpha - 1.0) * problem.bandwidth_hz / (2.0 * problem.k_subcarriers)
+    obj = prefactor * float(np.sum(np.log2(1.0 + problem.a_coeffs * mu)))
     return obj + float(np.sum(-nu * c + 0.5 * sigma * c * c))
 
 
@@ -189,7 +197,7 @@ def penalty_gradient(x: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem: 
     scale = problem.bandwidth_hz / (2.0 * problem.k_subcarriers)
     grad = np.zeros_like(x)
     grad[0] = scale * float(np.sum(np.log2(1.0 + a * mu))) + float(
-        np.sum(p_pair * (-_duty_ratio_deriv(alpha) * b * mu_bar))
+        np.sum(p_pair * (-2.0 / (1.0 - alpha) ** 2 * b * mu_bar))
     )
     grad[1 : 1 + n] = (alpha - 1.0) * scale / _LN2 * a / (1.0 + a * mu) + p1 + p_pair * a
     grad[1 + n : 1 + 2 * n] = p2 - p_pair * g * b
@@ -242,8 +250,7 @@ def solve_subproblem(
     iteration cap; a genuinely failed line search returns the best point
     found, flagged.
     """
-    n = problem.n_pairs
-    z = _project(np.concatenate([[x[0]], x[1 : 1 + n]]))
+    z = _project(x[: 1 + problem.n_pairs])
     point = _assemble(z, nu, sigma, problem)
 
     stalled = False
@@ -251,7 +258,7 @@ def solve_subproblem(
     for _ in range(max_inner_iters):
         grad = point.gradient
         pg = z - _project(z - grad)
-        pg_norm = float(np.max(np.abs(pg)))
+        pg_norm = float(np.abs(pg).max())
         if pg_norm <= inner_tol:
             break
         direction = _newton_direction(z, point, min(_ACTIVE_EPS, pg_norm))
@@ -282,9 +289,7 @@ def solve_subproblem(
             break
         iterations += 1
         z, point = z_new, point_new
-    return SubproblemResult(
-        x=point.x, residual=point.residual.copy(), iterations=iterations, stalled=stalled
-    )
+    return SubproblemResult(x=point.x, residual=point.residual, iterations=iterations, stalled=stalled)
 
 
 def _newton_direction(z: np.ndarray, point: _ReducedPoint, eps: float) -> np.ndarray:
@@ -304,19 +309,18 @@ def _newton_direction(z: np.ndarray, point: _ReducedPoint, eps: float) -> np.nda
     """
     grad = point.gradient
     g_alpha = float(grad[0])
-    g_mu = grad[1:]
     mu = z[1:]
-    fixed = (mu <= eps) & (g_mu > 0.0)
-    free = ~fixed
-
+    fixed = (mu <= eps) & (grad[1:] > 0.0)
     floor = 1e-12 * max(float(point.h_diag.max()), point.h_budget1)
-    diag = np.where(free, np.maximum(point.h_diag, floor if floor > 0.0 else 1.0), 1.0)
-    rhs = np.stack([np.where(free, g_mu, 0.0), np.where(free, point.h_cross, 0.0)], axis=1)
-    solved = _solve_diag_plus_rank_ones(
-        diag,
-        ((point.h_budget1, free.astype(float)), (point.h_damp, np.where(free, point.h_ratio, 0.0))),
-        rhs,
-    )
+    diag = np.maximum(point.h_diag, floor if floor > 0.0 else 1.0)
+    diag[fixed] = 1.0
+    block = np.empty((mu.size, 4))
+    block[:, 0] = grad[1:]
+    block[:, 1] = point.h_cross
+    block[:, 2] = 1.0
+    block[:, 3] = point.h_ratio
+    block[fixed] = 0.0
+    solved = _solve_diag_plus_rank_ones(diag, (point.h_budget1, point.h_damp), block)
     inv_g, inv_w = solved[:, 0], solved[:, 1]
 
     direction = np.empty_like(z)
@@ -334,25 +338,27 @@ def _newton_direction(z: np.ndarray, point: _ReducedPoint, eps: float) -> np.nda
         else:
             direction[0] = _ALPHA_STEP * float(np.sign(reduced))
         d_mu = -(inv_g + inv_w * direction[0])
-    direction[1:] = np.where(free, d_mu, -mu)
+    direction[1:] = d_mu
+    direction[1:][fixed] = -mu[fixed]
     return direction
 
 
-def _solve_diag_plus_rank_ones(diag: np.ndarray, updates, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(diag(diag) + sum_k c_k u_k u_k^T) X = rhs`` in O(n) per column.
+def _solve_diag_plus_rank_ones(diag: np.ndarray, weights, block: np.ndarray) -> np.ndarray:
+    """Solve ``(diag(diag) + sum_k c_k u_k u_k^T) X = B``, ``block = [B | u_1 u_2 ..]``.
 
-    Each update with ``c_k > 0`` is folded in by one Sherman-Morrison
-    step applied to every column at once, in the form that stays exact
-    as ``c_k`` grows without bound.
+    Each update with ``c_k > 0`` (one per entry of ``weights``) is folded
+    in by one Sherman-Morrison step applied to every column at once, in
+    the form that stays exact as ``c_k`` grows without bound.  O(n) per
+    column.
     """
-    cols = np.concatenate([rhs, np.stack([u for _, u in updates], axis=1)], axis=1)
-    sol = cols / diag[:, None]
-    m = rhs.shape[1]
-    for k, (c, u) in enumerate(updates):
+    m = block.shape[1] - len(weights)
+    updates = block[:, m:].T.copy()  # contiguous: BLAS sums a strided dot in another order
+    sol = block / diag[:, None]
+    for k, (c, u) in enumerate(zip(weights, updates)):
         if c <= 0.0:
             continue
         y = sol[:, m + k].copy()
-        sol -= np.outer(y, (u @ sol) / (1.0 / c + float(u @ y)))
+        sol -= y[:, None] * ((u @ sol) / (1.0 / c + float(u @ y)))
     return sol[:, :m]
 
 
@@ -374,7 +380,8 @@ def optimize(
     Returns the allocation with slacks stripped, budgets rescaled to at
     most 1 and each pair trimmed to its weaker hop, plus a convergence
     report; a run that exhausts ``max_outer_iters`` is returned with
-    ``converged=False`` and its final violation.
+    ``converged=False`` and its final violation.  ``converged=True`` is
+    feasibility only, not optimality (see :class:`AlpfResult`).
     """
     n = problem.n_pairs
     x = default_initial_point(problem) if init is None else np.asarray(init, dtype=float).copy()
@@ -454,27 +461,17 @@ def _duty_ratio(alpha: float) -> float:
     return 2.0 * alpha / (1.0 - alpha)
 
 
-def _duty_ratio_deriv(alpha: float) -> float:
-    return 2.0 / (1.0 - alpha) ** 2
-
-
-def _objective_prefactor(alpha: float, problem: ReducedProblem) -> float:
-    return (alpha - 1.0) * problem.bandwidth_hz / (2.0 * problem.k_subcarriers)
-
-
 def _project(z: np.ndarray) -> np.ndarray:
-    out = z.copy()
+    out = np.maximum(z, 0.0)
     out[0] = min(ALPHA_MAX, max(ALPHA_MIN, out[0]))
-    np.clip(out[1:], 0.0, None, out=out[1:])
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _ReducedPoint:
-    """Eliminated point with cancellation-free residuals and prices.
+    """Point ``z = (alpha, mu)`` with its eliminated ``(mu_bar, s1, s2)``.
 
-    ``residual`` is the constraint vector and ``price`` the per-constraint
-    quantity ``-nu + sigma * c``, both derived from the elimination's
+    ``residual`` is the constraint vector, derived from the elimination's
     stationarity conditions rather than recomputed by subtraction.  At
     SNR-scale coefficients the direct difference ``a mu - g b mu_bar``
     loses all significant digits once the pair penalties grow, which
@@ -482,8 +479,8 @@ class _ReducedPoint:
     stay exact.
 
     ``value`` and ``gradient`` are the penalty value and its gradient over
-    ``z = (alpha, mu)``.  The Hessian over ``z`` (exact inside the current
-    active set of the elimination) is kept in structured form::
+    ``z``.  The Hessian over ``z`` (exact inside the current active set of
+    the elimination) is kept in structured form::
 
         [[h_alpha, h_cross^T                                         ],
          [h_cross, diag(h_diag) + h_budget1 11^T + h_damp h_ratio h_ratio^T]]
@@ -491,9 +488,11 @@ class _ReducedPoint:
     so a Newton step costs O(n).
     """
 
-    x: np.ndarray
+    z: np.ndarray
+    mu_bar: np.ndarray
+    s1: float
+    s2: float
     residual: np.ndarray
-    price: np.ndarray
     value: float
     gradient: np.ndarray
     h_alpha: float
@@ -502,6 +501,11 @@ class _ReducedPoint:
     h_budget1: float
     h_damp: float
     h_ratio: np.ndarray
+
+    @property
+    def x(self) -> np.ndarray:
+        """The full primal vector, laid out as :func:`pack_point` lays it out."""
+        return np.concatenate((self.z, self.mu_bar, (self.s1, self.s2)))
 
 
 def _assemble(z: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem: ReducedProblem) -> _ReducedPoint:
@@ -528,32 +532,37 @@ def _assemble(z: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem: Reduced
     mu = z[1:]
     a = problem.a_coeffs
     b = problem.b_coeffs
+    nu1, nu2 = float(nu[0]), float(nu[1])
+    sig1, sig2 = float(sigma[0]), float(sigma[1])
     nu_pair = nu[2:]
     sig_pair = sigma[2:]
-    sig1 = float(sigma[0])
-    sig2 = float(sigma[1])
     scale = problem.bandwidth_hz / (2.0 * problem.k_subcarriers)
 
     # Budget 1: slack absorbs everything up to the multiplier shift.
     mu_sum = float(mu.sum())
-    s1 = 1.0 + nu[0] / sig1 - mu_sum
+    s1 = 1.0 + nu1 / sig1 - mu_sum
     if s1 > 0.0:
-        c1 = nu[0] / sig1
+        c1 = nu1 / sig1
         p1 = 0.0
     else:
         s1 = 0.0
         c1 = mu_sum - 1.0
-        p1 = -nu[0] + sig1 * c1
+        p1 = -nu1 + sig1 * c1
 
     g = 2.0 * alpha / (1.0 - alpha)
     d = g * b
     a_mu = a * mu
-    q = a_mu - nu_pair / sig_pair
-    r = 1.0 + nu[1] / sig2
+    shift = nu_pair / sig_pair
+    q = a_mu - shift
+    r = 1.0 + nu2 / sig2
 
+    # A pair with d = 0 (no hop-2 gain) gets no relay power.
     live = d > 0.0
-    d_safe = np.where(live, d, 1.0)
-    mu_bar = np.where(live, np.maximum(q, 0.0) / d_safe, 0.0)
+    if live.all():
+        d_safe, mu_bar = d, np.maximum(q, 0.0) / d
+    else:
+        d_safe = np.where(live, d, 1.0)
+        mu_bar = np.where(live, np.maximum(q, 0.0) / d_safe, 0.0)
     total = float(mu_bar.sum())
 
     k_resp = 0.0
@@ -568,20 +577,21 @@ def _assemble(z: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem: Reduced
         tau = qd / slope  # price at which this pair's mu_bar reaches 0
         order = np.argsort(tau)
         tau_s = tau[order]
-        suf_q = np.concatenate([np.cumsum(qd[order][::-1])[::-1], [0.0]])
-        suf_k = np.concatenate([np.cumsum(slope[order][::-1])[::-1], [0.0]])
+        # Suffix sums from each breakpoint on; the leading zero is the empty sum.
+        parts = np.zeros((2, tau.size + 1))
+        parts[0, 1:] = qd[order[::-1]]
+        parts[1, 1:] = slope[order[::-1]]
+        suf_q, suf_k = np.cumsum(parts, axis=1)[:, ::-1]
         lo = 0.0
-        found = False
         for i in range(tau_s.size + 1):
             hi = float(tau_s[i]) if i < tau_s.size else np.inf
             cand = sig2 * (suf_q[i] - r) / (1.0 + sig2 * suf_k[i])
             if lo - 1e-300 <= cand <= hi:
                 t2 = cand
                 k_resp = float(suf_k[i])
-                found = True
                 break
             lo = hi
-        if not found:  # pragma: no cover - the sweep is exhaustive
+        else:  # pragma: no cover - the sweep is exhaustive
             raise RuntimeError("price sweep failed to bracket the budget-2 price")
         bar = np.zeros(n)
         bar[act] = np.maximum(qd - slope * t2, 0.0)
@@ -589,37 +599,41 @@ def _assemble(z: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem: Reduced
         s2 = 0.0
 
     if s2 > 0.0:
-        c2 = nu[1] / sig2
-        p2 = 0.0
+        c2 = nu2 / sig2
     else:
-        c2 = (nu[1] + t2) / sig2 if t2 > 0.0 else float(mu_bar.sum()) - 1.0
-        p2 = -nu[1] + sig2 * c2
+        c2 = (nu2 + t2) / sig2 if t2 > 0.0 else mu_bar.sum() - 1.0
 
     # Pair residuals: where mu_bar is interior its stationarity gives the
     # residual exactly; where it is clipped to zero the residual is the
-    # plain product a mu (no cancellation either way).
+    # plain product a mu (no cancellation either way).  The masks are only
+    # needed when some pair is clipped.
     interior = mu_bar > 0.0
-    c_pair = np.where(interior, nu_pair / sig_pair + t2 / (sig_pair * d_safe), a_mu)
-    p_pair = np.where(interior, t2 / d_safe, -nu_pair + sig_pair * a_mu)
+    clipped = not interior.all()
+    c_pair = shift + t2 / (sig_pair * d_safe)
+    p_pair = t2 / d_safe
+    if clipped:
+        c_pair = np.where(interior, c_pair, a_mu)
+        p_pair = np.where(interior, p_pair, -nu_pair + sig_pair * a_mu)
 
     # Value, gradient and curvature share the intermediates.
     one_amu = 1.0 + a_mu
-    log_sum = float(np.sum(np.log2(one_amu)))
+    log_sum = np.log2(one_amu).sum()
     value = (
         (alpha - 1.0) * scale * log_sum
-        + (-nu[0] * c1 + 0.5 * sig1 * c1 * c1)
-        + (-nu[1] * c2 + 0.5 * sig2 * c2 * c2)
-        + float(np.sum(-nu_pair * c_pair + 0.5 * sig_pair * c_pair * c_pair))
+        + (-nu1 * c1 + 0.5 * sig1 * c1 * c1)
+        + (-nu2 * c2 + 0.5 * sig2 * c2 * c2)
+        + (-nu_pair * c_pair + 0.5 * sig_pair * c_pair * c_pair).sum()
     )
 
     g1 = 2.0 / (1.0 - alpha) ** 2
-    b_bar = b * mu_bar
     grad = np.empty(n + 1)
-    grad[0] = scale * log_sum - g1 * float(np.sum(p_pair * b_bar))
+    grad[0] = scale * log_sum - g1 * (p_pair * (b * mu_bar)).sum()
     grad[1:] = (alpha - 1.0) * scale / _LN2 * a / one_amu + p1 + p_pair * a
 
     obj_slope = scale / _LN2 * a / one_amu
-    h_diag = (1.0 - alpha) * obj_slope * a / one_amu + np.where(interior, 0.0, sig_pair * a * a)
+    h_diag = (1.0 - alpha) * obj_slope * a / one_amu
+    if clipped:
+        h_diag += np.where(interior, 0.0, sig_pair * a * a)
     h_cross = obj_slope
     h_alpha = 0.0
     damp = 0.0
@@ -632,31 +646,17 @@ def _assemble(z: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem: Reduced
         m_int = float(mu_bar.sum())
         denom = 1.0 + sig2 * k_resp
         damp = sig2 / denom
-        ratio = np.where(interior, a / d_safe, 0.0)
+        ratio = np.where(interior, a / d_safe, 0.0) if clipped else a / d_safe
         h_cross = h_cross - u * (sig2 * m_int + t2) / denom * ratio
         h_alpha = u * u * (
             (1.0 - 2.0 * alpha) * t2 * m_int + (m_int - t2 * k_resp) * (sig2 * m_int + t2) / denom
         )
 
-    x = pack_point(alpha, mu, mu_bar, s1, s2)
     residual = np.empty(n + 2)
     residual[0] = c1
     residual[1] = c2
     residual[2:] = c_pair
-    price = np.empty(n + 2)
-    price[0] = p1
-    price[1] = p2
-    price[2:] = p_pair
+    h_budget1 = sig1 if s1 <= 0.0 else 0.0
     return _ReducedPoint(
-        x=x,
-        residual=residual,
-        price=price,
-        value=value,
-        gradient=grad,
-        h_alpha=h_alpha,
-        h_cross=h_cross,
-        h_diag=h_diag,
-        h_budget1=sig1 if s1 <= 0.0 else 0.0,
-        h_damp=damp,
-        h_ratio=ratio,
+        z, mu_bar, s1, s2, residual, value, grad, h_alpha, h_cross, h_diag, h_budget1, damp, ratio
     )

@@ -44,7 +44,7 @@ class Scenario:
         phi: Relay position as the ratio d_SR / d_SD, in (0, 1).
         d_sd: Source-destination distance, in units of the path-loss
             reference distance.
-        pathloss_exp: Path loss exponent.
+        pathloss_exp: Path loss exponent, finite and >= 0.
         noise_total_w: Total receiver noise power over the whole band, W.
             Each subchannel sees ``noise_total_w / k_subcarriers``.
         seed: Seed for the default random generator.
@@ -90,18 +90,15 @@ class Scenario:
                 raise ValueError(f"{name} must be a positive antenna count")
         if int(self.k_subcarriers) < 1:
             raise ValueError("k_subcarriers must be >= 1")
-        if not self.bandwidth_hz > 0:
-            raise ValueError("bandwidth_hz must be > 0")
-        if not self.p_source > 0:
-            raise ValueError("p_source must be > 0")
+        for name in ("bandwidth_hz", "p_source", "d_sd", "noise_total_w"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
         if not 0.0 < self.phi < 1.0:
             raise ValueError("phi must lie strictly in (0, 1)")
-        if not self.d_sd > 0:
-            raise ValueError("d_sd must be > 0")
-        if not self.noise_total_w > 0:
-            raise ValueError("noise_total_w must be > 0")
+        if not 0.0 <= self.pathloss_exp < np.inf:
+            raise ValueError("pathloss_exp must be finite and >= 0: path loss never amplifies")
 
     @property
     def noise_per_subchannel(self) -> float:

@@ -18,7 +18,9 @@ from ehrelay.auglag import (
     violation,
 )
 from ehrelay.channel import Scenario, effective_subchannels, generate
+from ehrelay.experiment import trial_rng
 from ehrelay.system import ReducedProblem, achievable_rate, optimal_energy_plan, snr_coefficients
+from test_waterfill import crosscheck_problem
 
 
 def random_state(rng, n, coeff_lo=1e-2, coeff_hi=1e3, bandwidth=1000.0):
@@ -256,6 +258,72 @@ class TestSubproblem:
             checked += 1
         assert checked >= 10
 
+    def test_newton_direction_holds_coordinates_at_bound(self):
+        # With eps > 0, every mu within eps of 0 whose gradient pushes it
+        # outward steps exactly to 0 and drops out of the Hessian.  The free
+        # mu solve the free rows of the dense Newton system at the alpha
+        # move taken, and where the free block is positive definite and the
+        # move short the whole free step is the dense Newton step.  With
+        # budget 2 slack h_alpha is 0, so only the first check applies.
+        eps = 1e-3
+        rng = np.random.default_rng(52)
+        seen = {"budget 1 slack": 0, "budget 2 slack": 0, "both bind": 0, "dense step": 0}
+        for _ in range(1000):
+            problem, x, nu, sigma = random_state(rng, int(rng.integers(2, 6)), coeff_hi=1e2, bandwidth=2.0)
+            n = problem.n_pairs
+            # Budget multipliers far to either side make each budget slack
+            # or binding; weak pairs near 0 let the prices push them out.
+            nu[:2] = sigma[:2] * rng.choice([-2.0, 2.0], 2)
+            low = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+            a = problem.a_coeffs.copy()
+            a[low] *= 1e-4
+            problem = ReducedProblem(a, problem.b_coeffs, problem.bandwidth_hz, problem.k_subcarriers)
+            z = x[: 1 + n].copy()
+            z[1 + low] = rng.choice([0.0, eps]) * rng.uniform(0.0, 1.0, low.size)
+            point = _assemble(z, nu, sigma, problem)
+            mu = z[1:]
+            fixed = (mu <= eps) & (point.gradient[1:] > 0.0)
+            if not fixed.any() or fixed.all():
+                continue
+            step = _newton_direction(z, point, eps)
+            assert np.array_equal(step[1:][fixed], -mu[fixed])
+
+            free = np.concatenate([[True], ~fixed])
+            hess = dense_hessian(point)[np.ix_(free, free)]
+            grad = point.gradient[free]
+            d_mu = -np.linalg.solve(hess[1:, 1:], grad[1:] + hess[1:, 0] * step[0])
+            assert np.max(np.abs(step[1:][~fixed] - d_mu)) <= 1e-10 * np.max(np.abs(d_mu))
+            if np.linalg.eigvalsh(hess).min() > 0.0:
+                dense = -np.linalg.solve(hess, grad)
+                if abs(dense[0]) < 0.25:
+                    assert np.max(np.abs(step[free] - dense)) <= 1e-10 * np.max(np.abs(dense))
+                    seen["dense step"] += 1
+            if point.h_budget1 == 0.0:
+                seen["budget 1 slack"] += 1
+            elif point.h_damp == 0.0:
+                seen["budget 2 slack"] += 1
+            else:
+                seen["both bind"] += 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_dead_pair_gets_no_relay_power(self):
+        # A pair with no hop-2 gain (b = 0) takes the masked branch of the
+        # elimination: it gets no relay power, and the reduced value and
+        # gradient still equal the full penalty's at the eliminated point.
+        rng = np.random.default_rng(53)
+        for _ in range(30):
+            problem, x, nu, sigma = random_state(rng, int(rng.integers(2, 5)), coeff_hi=1e2, bandwidth=2.0)
+            n = problem.n_pairs
+            b = problem.b_coeffs.copy()
+            b[rng.integers(0, n)] = 0.0
+            problem = ReducedProblem(problem.a_coeffs, b, problem.bandwidth_hz, problem.k_subcarriers)
+            point = _assemble(x[: 1 + n].copy(), nu, sigma, problem)
+            assert np.all(point.x[1 + n : 1 + 2 * n][b == 0.0] == 0.0)
+            value = penalty_value(point.x, nu, sigma, problem)
+            assert abs(point.value - value) <= 1e-12 * max(1.0, abs(value))
+            grad = penalty_gradient(point.x, nu, sigma, problem)[: 1 + n]
+            assert np.max(np.abs(point.gradient - grad)) <= 1e-9 * max(1.0, np.max(np.abs(grad)))
+
     def test_never_increases_penalty(self):
         rng = np.random.default_rng(44)
         for _ in range(20):
@@ -405,6 +473,38 @@ class TestOptimize:
             problem = snr_coefficients(eff.gains1, eff.gains2, optimal_energy_plan(real, scen), scen)
             res = optimize(problem)
             assert res.rate_bps == achievable_rate(problem, res.allocation)
+
+    @pytest.mark.parametrize(
+        "draw, rate_hex, alpha_hex, outer, inner",
+        [
+            (("crosscheck", 0), "0x1.c6cc73563810bp+13", "0x1.d33770101ad6bp-5", 11, 90),
+            (("crosscheck", 1), "0x1.c913c8d869354p+13", "0x1.26e837def7c97p-4", 12, 67),
+            (("crosscheck", 2), "0x1.c325ffcb9c951p+13", "0x1.021f167f0cf2ep-4", 12, 96),
+            (("phi", 0.1), "0x1.1ab9b7248631fp+12", "0x1.c69c2dc0ebe53p-3", 11, 63),
+            (("phi", 0.5), "0x1.8d3aed5b489b9p+10", "0x1.362ed7dbbfc40p-2", 13, 60),
+            (("phi", 0.9), "0x1.f2d8896f4ce15p+11", "0x1.2b1de2bcecaa1p-4", 11, 53),
+        ],
+        ids=["crosscheck-0", "crosscheck-1", "crosscheck-2", "phi-0.1", "phi-0.5", "phi-0.9"],
+    )
+    def test_results_pinned_bit_for_bit(self, draw, rate_hex, alpha_hex, outer, inner):
+        # A rewrite of the solver's kernels that claims the same arithmetic
+        # must reproduce these exactly; comparing two runs of one build
+        # cannot show that.  The values were recorded with numpy 2.4 on
+        # OpenBLAS 0.3; another BLAS may order its dot products differently
+        # and move the last bits, which is then a reason to re-record, not
+        # a solver change.
+        kind, key = draw
+        if kind == "crosscheck":
+            problem = crosscheck_problem(key)
+        else:  # K = 2, N = 2, d_sd = 10 at relay position phi = key
+            scen = Scenario(phi=key)
+            real = generate(scen, trial_rng(7, 0, 0))
+            eff = effective_subchannels(real)
+            problem = snr_coefficients(eff.gains1, eff.gains2, optimal_energy_plan(real, scen), scen)
+        res = optimize(problem)
+        assert res.rate_bps.hex() == rate_hex
+        assert res.allocation.alpha.hex() == alpha_hex
+        assert (res.outer_iterations, res.inner_iterations) == (outer, inner)
 
     def test_alpha_stays_in_clamp(self):
         problem = ReducedProblem(np.array([1.0]), np.array([1e12]), 1000.0, 1)

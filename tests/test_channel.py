@@ -26,6 +26,12 @@ class TestScenarioValidation:
             ("phi", 1.0),
             ("d_sd", 0.0),
             ("noise_total_w", 0.0),
+            ("pathloss_exp", -4.0),
+            ("pathloss_exp", np.nan),
+            ("bandwidth_hz", np.inf),
+            ("p_source", np.inf),
+            ("d_sd", np.inf),
+            ("noise_total_w", np.inf),
         ],
     )
     def test_invalid_field_named_in_error(self, field, value):
