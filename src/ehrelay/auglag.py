@@ -13,13 +13,13 @@ outer loop with per-constraint multipliers and penalties:
 * grow the penalty of every constraint whose violation did not shrink
   by a factor of four, then step the multipliers.
 
-The primal vector is laid out as ``[alpha, mu (n), mu_bar (n), s1, s2]``
-and the constraint vector as ``[budget1, budget2, pair 0 .. pair n-1]``.
+The constraint vector, and with it the multipliers ``nu`` and penalties
+``sigma``, is laid out as ``[budget1, budget2, pair 0 .. pair n-1]``.
 
 The penalized subproblem mixes O(1) budget terms with SNR-scaled pair
-terms, which makes plain projected gradient over the full vector
-hopelessly ill-conditioned.  :func:`solve_subproblem` therefore works
-over ``(alpha, mu)`` only, recovering ``(mu_bar, s1, s2)`` at every trial
+terms, which makes plain projected gradient over every primal variable
+hopelessly ill-conditioned.  The solver therefore iterates on the point
+``z = (alpha, mu)`` only, recovering ``(mu_bar, s1, s2)`` at every trial
 point by exact partial minimization (closed-form for the slacks, an
 exact piecewise-linear scalar solve for ``mu_bar``).  The reduced
 function's Hessian is a diagonal plus two rank-one terms bordered by the
@@ -42,17 +42,10 @@ __all__ = [
     "ALPHA_MAX",
     "ALPHA_MIN",
     "AlpfResult",
-    "SubproblemResult",
-    "default_initial_point",
     "optimize",
-    "pack_point",
-    "penalty_gradient",
-    "penalty_value",
     "solve_subproblem",
-    "unpack_point",
     "update_multipliers",
     "update_penalties",
-    "violation",
 ]
 
 # Box clamp keeping the time split away from the singular endpoints.
@@ -66,28 +59,17 @@ _MAX_HALVINGS = 60
 # bound, and the largest time-split move of one Newton step.
 _ACTIVE_EPS = 1e-3
 _ALPHA_STEP = 0.25
-
-
-@dataclass(frozen=True)
-class SubproblemResult:
-    """Outcome of one penalized subproblem solve.
-
-    ``residual`` is the constraint violation at ``x`` in the elimination's
-    cancellation-free form; at SNR-scale coefficients it is far more
-    accurate than re-deriving the pair balances by subtraction.
-    """
-
-    x: np.ndarray
-    residual: np.ndarray
-    iterations: int
-    stalled: bool
+# Stopping violation and the outer and per-subproblem inner iteration caps.
+_EPS = 1e-6
+_MAX_OUTER_ITERS = 100
+_MAX_INNER_ITERS = 5000
 
 
 @dataclass(frozen=True)
 class AlpfResult:
     """Allocation plus a convergence report.
 
-    ``converged`` means max |c| <= ``eps``: feasibility only, not
+    ``converged`` means max |c| <= 1e-6 (``_EPS``): feasibility only, not
     optimality.  At SNRs far below 1 a converged run can stop well below
     the optimum; in a seeded stress of 293 scenarios, 6 converged runs
     missed the water-filling oracle by more than 1e-3 (worst by 99%), all
@@ -120,92 +102,6 @@ class AlpfResult:
         return "\n".join(lines)
 
 
-def pack_point(alpha: float, mu, mu_bar, s1: float, s2: float) -> np.ndarray:
-    """Flatten the primal variables into a single vector."""
-    mu = np.asarray(mu, dtype=float)
-    mu_bar = np.asarray(mu_bar, dtype=float)
-    return np.concatenate([[float(alpha)], mu, mu_bar, [float(s1), float(s2)]])
-
-
-def unpack_point(x: np.ndarray, n_pairs: int):
-    """Inverse of :func:`pack_point`."""
-    alpha = float(x[0])
-    mu = x[1 : 1 + n_pairs]
-    mu_bar = x[1 + n_pairs : 1 + 2 * n_pairs]
-    s1 = float(x[1 + 2 * n_pairs])
-    s2 = float(x[2 + 2 * n_pairs])
-    return alpha, mu, mu_bar, s1, s2
-
-
-def default_initial_point(problem: ReducedProblem) -> np.ndarray:
-    """Standard starting point: even split, small positive slacks."""
-    n = problem.n_pairs
-    return pack_point(0.5, np.full(n, 1.0 / n), np.full(n, 1.0 / n), 0.05, 0.05)
-
-
-def violation(x: np.ndarray, problem: ReducedProblem) -> np.ndarray:
-    """Constraint residuals ``[budget1, budget2, pair balances...]``.
-
-    Budget residuals are ``sum + slack - 1``; each pair residual is the
-    hop-1 SNR minus the hop-2 SNR of that pair.
-    """
-    alpha, mu, mu_bar, s1, s2 = unpack_point(x, problem.n_pairs)
-    g = _duty_ratio(alpha)
-    c1 = mu.sum() + s1 - 1.0
-    c2 = mu_bar.sum() + s2 - 1.0
-    pairs = problem.a_coeffs * mu - g * problem.b_coeffs * mu_bar
-    return np.concatenate([[c1, c2], pairs])
-
-
-def penalty_value(x: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem: ReducedProblem) -> float:
-    """Augmented Lagrangian penalty function (to be minimized).
-
-    Objective part is the negated rate ``(alpha - 1) B / (2K) * sum
-    log2(1 + a mu)``; each constraint contributes ``-nu c + sigma c^2 / 2``.
-
-    Raises:
-        ValueError: at ``alpha >= 1`` where the time-split factor blows up.
-    """
-    alpha, mu, _, _, _ = unpack_point(x, problem.n_pairs)
-    if alpha >= 1.0:
-        raise ValueError("alpha must be < 1")
-    c = violation(x, problem)
-    prefactor = (alpha - 1.0) * problem.bandwidth_hz / (2.0 * problem.k_subcarriers)
-    obj = prefactor * float(np.sum(np.log2(1.0 + problem.a_coeffs * mu)))
-    return obj + float(np.sum(-nu * c + 0.5 * sigma * c * c))
-
-
-def penalty_gradient(x: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem: ReducedProblem) -> np.ndarray:
-    """Analytic gradient of :func:`penalty_value` w.r.t. the primal vector.
-
-    The ``alpha`` component collects both the objective prefactor and the
-    chain term of the time-split factor, whose derivative is
-    ``2 / (1 - alpha)^2``.
-    """
-    n = problem.n_pairs
-    alpha, mu, mu_bar, _, _ = unpack_point(x, n)
-    if alpha >= 1.0:
-        raise ValueError("alpha must be < 1")
-    a = problem.a_coeffs
-    b = problem.b_coeffs
-    g = _duty_ratio(alpha)
-    c = violation(x, problem)
-    price = -nu + sigma * c  # d(penalty terms)/dc, per constraint
-    p1, p2 = price[0], price[1]
-    p_pair = price[2:]
-
-    scale = problem.bandwidth_hz / (2.0 * problem.k_subcarriers)
-    grad = np.zeros_like(x)
-    grad[0] = scale * float(np.sum(np.log2(1.0 + a * mu))) + float(
-        np.sum(p_pair * (-2.0 / (1.0 - alpha) ** 2 * b * mu_bar))
-    )
-    grad[1 : 1 + n] = (alpha - 1.0) * scale / _LN2 * a / (1.0 + a * mu) + p1 + p_pair * a
-    grad[1 + n : 1 + 2 * n] = p2 - p_pair * g * b
-    grad[1 + 2 * n] = p1
-    grad[2 + 2 * n] = p2
-    return grad
-
-
 def update_multipliers(nu: np.ndarray, sigma: np.ndarray, violation_new: np.ndarray) -> np.ndarray:
     """Multiplier step: each ``nu`` moves by ``-sigma * c`` of its constraint."""
     return nu - sigma * violation_new
@@ -230,32 +126,32 @@ def update_penalties(
 
 
 def solve_subproblem(
-    x: np.ndarray,
+    z: np.ndarray,
     nu: np.ndarray,
     sigma: np.ndarray,
     problem: ReducedProblem,
     inner_tol: float,
-    max_inner_iters: int,
-) -> SubproblemResult:
-    """Approximately minimize the penalty over the box, from ``x``.
+) -> tuple[_ReducedPoint, int, bool]:
+    """Approximately minimize the penalty over the box, from ``z = (alpha, mu)``.
 
     The multipliers ``nu`` and penalties ``sigma`` stay fixed.  Projected
-    Newton over ``(alpha, mu)`` with Armijo backtracking (halving from
-    trial step 1.0) along the projection arc.
-    ``(mu_bar, s1, s2)`` are restored by exact partial minimization at
-    every trial point, so the returned point never has a larger penalty
-    value than the input point.  Terminates when the projected-gradient
-    norm drops below ``inner_tol``, when any further descent falls below
-    double-precision resolution of the penalty value, or at the
-    iteration cap; a genuinely failed line search returns the best point
-    found, flagged.
+    Newton over ``z`` with Armijo backtracking (halving from trial step
+    1.0) along the projection arc.  ``(mu_bar, s1, s2)`` are restored by
+    exact partial minimization at every trial point, so the returned
+    point never has a larger penalty value than the projected start.
+    Terminates when the projected-gradient norm drops below
+    ``inner_tol``, when any further descent falls below double-precision
+    resolution of the penalty value, or after ``_MAX_INNER_ITERS``
+    iterations; a genuinely failed line search returns the best point
+    found, flagged.  Returns that point, the number of accepted steps and
+    the stall flag.
     """
-    z = _project(x[: 1 + problem.n_pairs])
+    z = _project(z)
     point = _assemble(z, nu, sigma, problem)
 
     stalled = False
     iterations = 0
-    for _ in range(max_inner_iters):
+    for _ in range(_MAX_INNER_ITERS):
         grad = point.gradient
         pg = z - _project(z - grad)
         pg_norm = float(np.abs(pg).max())
@@ -289,7 +185,7 @@ def solve_subproblem(
             break
         iterations += 1
         z, point = z_new, point_new
-    return SubproblemResult(x=point.x, residual=point.residual, iterations=iterations, stalled=stalled)
+    return point, iterations, stalled
 
 
 def _newton_direction(z: np.ndarray, point: _ReducedPoint, eps: float) -> np.ndarray:
@@ -362,56 +258,49 @@ def _solve_diag_plus_rank_ones(diag: np.ndarray, weights, block: np.ndarray) -> 
     return sol[:, :m]
 
 
-def optimize(
-    problem: ReducedProblem,
-    init: np.ndarray | None = None,
-    eps: float = 1e-6,
-    max_outer_iters: int = 100,
-    max_inner_iters: int = 5000,
-) -> AlpfResult:
+def optimize(problem: ReducedProblem) -> AlpfResult:
     """Run the full augmented Lagrangian loop.
 
-    Each outer iteration solves the penalized subproblem warm-started at
-    the previous point, stops if the violation norm is at most ``eps``,
-    and otherwise updates penalties then multipliers; the multiplier
-    step uses the penalties that were in force during the subproblem
-    solve.
+    The run starts at ``alpha = 1/2`` with an even ``1/n`` share of each
+    budget on every pair and both slacks at 0.05; these ``mu_bar`` and
+    slacks only set the first violation, and with it the first inner
+    tolerance.  Each outer iteration solves the penalized subproblem
+    warm-started at the previous point, stops if max |c| is at most
+    ``_EPS`` = 1e-6, and otherwise updates penalties then multipliers
+    (the multiplier step uses the penalties in force during the solve).
+    At most ``_MAX_OUTER_ITERS`` = 100 outer iterations run, each capped
+    at ``_MAX_INNER_ITERS`` = 5000 inner iterations.
 
     Returns the allocation with slacks stripped, budgets rescaled to at
     most 1 and each pair trimmed to its weaker hop, plus a convergence
-    report; a run that exhausts ``max_outer_iters`` is returned with
-    ``converged=False`` and its final violation.  ``converged=True`` is
-    feasibility only, not optimality (see :class:`AlpfResult`).
+    report; a run that exhausts the outer iterations is returned with
+    ``converged=False``.  ``converged=True`` is feasibility only, not
+    optimality (see :class:`AlpfResult`).
     """
     n = problem.n_pairs
-    x = default_initial_point(problem) if init is None else np.asarray(init, dtype=float).copy()
-    if x.shape != (2 * n + 3,):
-        raise ValueError(f"init must have length {2 * n + 3}")
-    if not ALPHA_MIN <= x[0] <= ALPHA_MAX or np.min(x[1:]) < 0.0:
-        raise ValueError("init must lie inside the box")
-
+    even = np.full(n, 1.0 / n)
+    z = np.concatenate(([0.5], even))
+    # The start point's violation, with mu_bar = mu and g = 2 at alpha = 1/2.
+    pairs = problem.a_coeffs * even - 2.0 * problem.b_coeffs * even
+    c_prev = np.concatenate(([even.sum() + 0.05 - 1.0] * 2, pairs))
     nu = np.zeros(n + 2)
     sigma = np.ones(n + 2)
-    c_prev = violation(x, problem)
-    final_violation = float(np.max(np.abs(c_prev)))
 
     converged = False
     stalled = False
     total_inner = 0
-    outer_used = 0
-    for k in range(1, max_outer_iters + 1):
+    for k in range(1, _MAX_OUTER_ITERS + 1):
         # Violation-proportional tolerance, capped: a loose early tolerance
         # lets the subproblem exit at non-stationary points whose violation
         # happens to be small, which derails the multiplier updates.
         inner_tol = max(1e-8, 0.1 * min(float(np.max(np.abs(c_prev))), 1e-2))
-        sub = solve_subproblem(x, nu, sigma, problem, inner_tol, max_inner_iters)
-        total_inner += sub.iterations
-        stalled = stalled or sub.stalled
-        c_new = sub.residual
-        x = sub.x
+        point, iterations, sub_stalled = solve_subproblem(z, nu, sigma, problem, inner_tol)
+        total_inner += iterations
+        stalled = stalled or sub_stalled
+        z = point.z
+        c_new = point.residual
         final_violation = float(np.max(np.abs(c_new)))
-        outer_used = k
-        if final_violation <= eps:
+        if final_violation <= _EPS:
             converged = True
             break
         sigma_used = sigma
@@ -419,14 +308,14 @@ def optimize(
         nu = update_multipliers(nu, sigma_used, c_new)
         c_prev = c_new
 
-    alpha, mu, mu_bar, _, _ = unpack_point(x, n)
-    mu = np.clip(mu, 0.0, None)
-    mu_bar = np.clip(mu_bar, 0.0, None)
-    # The convergence tolerance allows budget overshoot up to eps; rescale
+    alpha = float(z[0])
+    mu = np.clip(z[1:], 0.0, None)
+    mu_bar = np.clip(point.mu_bar, 0.0, None)
+    # The convergence tolerance allows budget overshoot up to _EPS; rescale
     # so the reported allocation is strictly feasible.
     mu = mu / max(1.0, mu.sum())
     mu_bar = mu_bar / max(1.0, mu_bar.sum())
-    # It also allows pair imbalance up to eps, which is not small next to
+    # It also allows pair imbalance up to _EPS, which is not small next to
     # the SNR of a nearly switched-off pair; trim each pair to the smaller
     # of its hop SNRs.  That only lowers powers and keeps min(r1, r2).
     mu, mu_bar = _balance_pairs(problem, alpha, mu, mu_bar)
@@ -435,7 +324,7 @@ def optimize(
         allocation=allocation,
         rate_bps=achievable_rate(problem, allocation),
         converged=converged,
-        outer_iterations=outer_used,
+        outer_iterations=k,
         inner_iterations=total_inner,
         final_violation=final_violation,
         final_nu=nu.copy(),
@@ -447,18 +336,12 @@ def optimize(
 def _balance_pairs(problem: ReducedProblem, alpha: float, mu: np.ndarray, mu_bar: np.ndarray):
     """Lower the stronger hop of every pair to the SNR of the weaker one."""
     hop1 = problem.a_coeffs * mu
-    hop2_coeff = _duty_ratio(alpha) * problem.b_coeffs
+    hop2_coeff = 2.0 * alpha / (1.0 - alpha) * problem.b_coeffs
     hop2 = hop2_coeff * mu_bar
     snr = np.minimum(hop1, hop2)
     mu = np.divide(snr, problem.a_coeffs, out=mu.copy(), where=hop1 > snr)
     mu_bar = np.divide(snr, hop2_coeff, out=mu_bar.copy(), where=hop2 > snr)
     return mu, mu_bar
-
-
-def _duty_ratio(alpha: float) -> float:
-    if alpha >= 1.0:
-        raise ValueError("alpha must be < 1")
-    return 2.0 * alpha / (1.0 - alpha)
 
 
 def _project(z: np.ndarray) -> np.ndarray:
@@ -501,11 +384,6 @@ class _ReducedPoint:
     h_budget1: float
     h_damp: float
     h_ratio: np.ndarray
-
-    @property
-    def x(self) -> np.ndarray:
-        """The full primal vector, laid out as :func:`pack_point` lays it out."""
-        return np.concatenate((self.z, self.mu_bar, (self.s1, self.s2)))
 
 
 def _assemble(z: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem: ReducedProblem) -> _ReducedPoint:

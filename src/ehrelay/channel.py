@@ -131,9 +131,6 @@ class ChannelRealization:
     ``k``.
     """
 
-    scenario: Scenario
-    h1: tuple[np.ndarray, ...]
-    h2: tuple[np.ndarray, ...]
     gains1: np.ndarray
     gains2: np.ndarray
 
@@ -171,7 +168,7 @@ def generate(scenario: Scenario, rng: np.random.Generator | None = None) -> Chan
     # span each; LAPACK returns the singular values in descending order.
     gains1 = np.concatenate([svd(h, compute_uv=False)[:n] ** 2 for h in h1])
     gains2 = np.concatenate([svd(h, compute_uv=False)[:n] ** 2 for h in h2])
-    return ChannelRealization(scenario=scenario, h1=h1, h2=h2, gains1=gains1, gains2=gains2)
+    return ChannelRealization(gains1=gains1, gains2=gains2)
 
 
 def effective_subchannels(real: ChannelRealization) -> EffectiveSubchannels:

@@ -111,6 +111,8 @@ def _cmd_single(args) -> int:
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     solvers = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
+    if not solvers:
+        raise ValueError("solvers must be nonempty")
     for s in solvers:
         if s not in SOLVER_ORDER:
             raise ValueError(f"unknown solver '{s}'")
@@ -145,6 +147,8 @@ def _cmd_single(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     failures = []
     for i in range(args.trials):

@@ -253,10 +253,10 @@ def test_criterion_8_numerics():
     worst_grad = 0.0
     grad_rng = np.random.default_rng(89)
     for _ in range(100):
-        problem, x, nu, sigma = random_state(
+        problem, z, nu, sigma = random_state(
             grad_rng, int(grad_rng.integers(1, 5)), coeff_hi=1e2, bandwidth=2.0
         )
-        worst_grad = max(worst_grad, gradient_vs_central_differences(problem, x, nu, sigma))
+        worst_grad = max(worst_grad, gradient_vs_central_differences(problem, z, nu, sigma))
     ok = worst_rec <= 1e-10 and worst_grad <= 1e-5
     report(8, ok, f"worst SVD reconstruction {worst_rec:.2e}, worst gradient error {worst_grad:.2e}")
     assert worst_rec <= 1e-10

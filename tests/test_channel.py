@@ -11,6 +11,25 @@ from ehrelay.channel import (
 from oracles import charpoly_eigenvalues
 
 
+def channel_matrices(scen, rng=None):
+    """Redraw the hop-1 and hop-2 matrices behind ``generate(scen, rng)``.
+
+    Consumes the random stream in ``generate``'s order (every hop-1
+    subcarrier, then every hop-2 one; real part before imaginary), so for
+    the same seed the matrices are the ones ``generate`` decomposed.
+    """
+    rng = np.random.default_rng(scen.seed) if rng is None else rng
+
+    def hop(rows, cols, distance):
+        scale = np.sqrt(max(distance, 1.0) ** (-scen.pathloss_exp) / 2.0)
+        return tuple(
+            scale * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+            for _ in range(scen.k_subcarriers)
+        )
+
+    return hop(scen.n_r, scen.n_s, scen.d_sr), hop(scen.n_d, scen.n_r, scen.d_rd)
+
+
 class TestScenarioValidation:
     @pytest.mark.parametrize(
         "field,value",
@@ -51,14 +70,15 @@ class TestGenerate:
         # phi = 0.5, exponent 4.  At d_sd = 4 each hop spans 2 reference
         # distances, so the per-entry power is 2**-4 = 1/16; at d_sd = 1 a
         # hop spans half the reference distance and has unit gain, since
-        # path loss never amplifies.
+        # path loss never amplifies.  With 2x2 hops both singular values
+        # are kept, so a subcarrier's gains add up to its matrix's power.
         for d_sd, expected in ((4.0, 1.0 / 16.0), (1.0, 1.0)):
             scen = Scenario(n_s=2, n_r=2, k_subcarriers=1, phi=0.5, d_sd=d_sd)
             rng = np.random.default_rng(100)
             powers = []
             for _ in range(12500):
                 real = generate(scen, rng)
-                powers.append(np.abs(real.h1[0]) ** 2)
+                powers.append(real.gains1.sum() / 4.0)
             mean_power = float(np.mean(powers))  # 50k entries
             assert abs(mean_power - expected) / expected < 0.02, d_sd
 
@@ -68,17 +88,21 @@ class TestGenerate:
         p1, p2 = [], []
         for _ in range(5000):
             real = generate(scen, rng)
-            p1.append(np.mean(np.abs(np.stack(real.h1)) ** 2))
-            p2.append(np.mean(np.abs(np.stack(real.h2)) ** 2))
+            p1.append(real.gains1.mean())
+            p2.append(real.gains2.mean())
         assert abs(np.mean(p1) - np.mean(p2)) / np.mean(p1) < 0.05
 
     def test_deterministic_for_seed(self):
         scen = Scenario(seed=77)
         r1 = generate(scen)
         r2 = generate(scen)
-        for h_a, h_b in zip(r1.h1 + r1.h2, r2.h1 + r2.h2):
-            assert np.array_equal(h_a, h_b)
         assert np.array_equal(r1.gains1, r2.gains1)
+        assert np.array_equal(r1.gains2, r2.gains2)
+        # The gains are those of the matrices redrawn from the same seed.
+        h1, h2 = channel_matrices(scen)
+        for gains, hop in ((r1.gains1, h1), (r1.gains2, h2)):
+            redrawn = np.concatenate([np.linalg.svd(h, compute_uv=False) ** 2 for h in hop])
+            assert np.array_equal(gains, redrawn)
 
     def test_gain_counts_with_unequal_antennas(self):
         scen = Scenario(n_s=3, n_r=2, n_d=4, k_subcarriers=3)
@@ -95,9 +119,10 @@ class TestGenerate:
         # singular values, so the gains must add up to its squared norm.
         scen = Scenario(n_s=3, n_r=2, n_d=3, k_subcarriers=2)
         real = generate(scen)
+        h1, _ = channel_matrices(scen)
         for k in range(2):
             total = real.gains1[2 * k : 2 * k + 2].sum()
-            assert abs(total - np.linalg.norm(real.h1[k]) ** 2) < 1e-9 * max(total, 1.0)
+            assert abs(total - np.linalg.norm(h1[k]) ** 2) < 1e-9 * max(total, 1.0)
 
 
 class TestEffectiveSubchannels:
@@ -116,7 +141,7 @@ class TestEffectiveSubchannels:
         real = generate(scen)
         eff = effective_subchannels(real)
         expected = []
-        for h in real.h1:
+        for h in channel_matrices(scen)[0]:
             expected.extend(charpoly_eigenvalues(h.conj().T @ h))
         expected = np.sort(np.array(expected))[::-1]
         assert np.max(np.abs(np.sort(eff.gains1)[::-1] - expected)) < 1e-9 * max(expected[0], 1.0)

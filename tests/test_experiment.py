@@ -230,3 +230,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "selftest passed" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_selftest_without_trials_is_validation_error(self, trials, capsys):
+        from ehrelay.cli import main
+
+        assert main(["selftest", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --trials must be >= 1, got {trials}\n"
+        assert "selftest passed" not in captured.out
+
+    @pytest.mark.parametrize("solvers", ["", ",,", " , "])
+    def test_single_without_solvers_is_validation_error(self, solvers, capsys):
+        from ehrelay.cli import main
+
+        assert main(["single", "--solvers", solvers]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: solvers must be nonempty\n"
+        assert captured.out == ""
