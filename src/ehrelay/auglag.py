@@ -147,7 +147,8 @@ def solve_subproblem(
     the stall flag.
     """
     z = _project(z)
-    point = _assemble(z, nu, sigma, problem)
+    fixed = _Subproblem(nu, sigma, problem)
+    point = _eliminate(z, fixed)
 
     stalled = False
     iterations = 0
@@ -175,7 +176,7 @@ def solve_subproblem(
                 # as accurately as the arithmetic allows.
                 at_value_floor = True
                 break
-            point_new = _assemble(z_new, nu, sigma, problem)
+            point_new = _eliminate(z_new, fixed)
             if point_new.value <= point.value + _ARMIJO * decrease:
                 accepted = True
                 break
@@ -386,7 +387,45 @@ class _ReducedPoint:
     h_ratio: np.ndarray
 
 
+class _Subproblem:
+    """What the elimination derives from ``nu``, ``sigma`` and the problem alone.
+
+    ``solve_subproblem`` holds these fixed over every elimination it runs,
+    so each term is computed once per subproblem, by the same
+    floating-point operations in the same order as inside the elimination.
+    """
+
+    __slots__ = (
+        "a", "b", "n", "scale", "obj_coeff", "nu1", "nu2", "sig1", "sig2",
+        "shift1", "room1", "shift2", "room2", "neg_nu_pair", "sig_pair",
+        "half_sig_pair", "shift", "clip_curv",
+    )
+
+    def __init__(self, nu: np.ndarray, sigma: np.ndarray, problem: ReducedProblem):
+        self.a = a = problem.a_coeffs
+        self.b = problem.b_coeffs
+        self.n = problem.n_pairs
+        self.scale = scale = problem.bandwidth_hz / (2.0 * problem.k_subcarriers)
+        self.obj_coeff = scale / _LN2 * a
+        self.nu1, self.nu2 = nu1, nu2 = float(nu[0]), float(nu[1])
+        self.sig1, self.sig2 = sig1, sig2 = float(sigma[0]), float(sigma[1])
+        self.shift1 = nu1 / sig1
+        self.room1 = 1.0 + self.shift1
+        self.shift2 = nu2 / sig2
+        self.room2 = 1.0 + self.shift2
+        self.neg_nu_pair = -nu[2:]
+        self.sig_pair = sig_pair = sigma[2:]
+        self.half_sig_pair = 0.5 * sig_pair
+        self.shift = nu[2:] / sig_pair
+        self.clip_curv = sig_pair * a * a
+
+
 def _assemble(z: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem: ReducedProblem) -> _ReducedPoint:
+    """Eliminate ``(mu_bar, s1, s2)`` at one point ``z``; see :func:`_eliminate`."""
+    return _eliminate(z, _Subproblem(nu, sigma, problem))
+
+
+def _eliminate(z: np.ndarray, fixed: _Subproblem) -> _ReducedPoint:
     """Eliminate ``(mu_bar, s1, s2)`` at fixed ``z = (alpha, mu)``.
 
     The slack of budget 1 separates into a clipped affine expression.
@@ -405,22 +444,22 @@ def _assemble(z: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem: Reduced
     ``k = sum_I 1 / (sigma d^2)``, together with the ``alpha`` border it
     induces through ``d = g b``.
     """
-    n = problem.n_pairs
+    n = fixed.n
     alpha = float(z[0])
     mu = z[1:]
-    a = problem.a_coeffs
-    b = problem.b_coeffs
-    nu1, nu2 = float(nu[0]), float(nu[1])
-    sig1, sig2 = float(sigma[0]), float(sigma[1])
-    nu_pair = nu[2:]
-    sig_pair = sigma[2:]
-    scale = problem.bandwidth_hz / (2.0 * problem.k_subcarriers)
+    a = fixed.a
+    b = fixed.b
+    nu1, nu2 = fixed.nu1, fixed.nu2
+    sig1, sig2 = fixed.sig1, fixed.sig2
+    neg_nu_pair = fixed.neg_nu_pair
+    sig_pair = fixed.sig_pair
+    scale = fixed.scale
 
     # Budget 1: slack absorbs everything up to the multiplier shift.
     mu_sum = float(mu.sum())
-    s1 = 1.0 + nu1 / sig1 - mu_sum
+    s1 = fixed.room1 - mu_sum
     if s1 > 0.0:
-        c1 = nu1 / sig1
+        c1 = fixed.shift1
         p1 = 0.0
     else:
         s1 = 0.0
@@ -430,9 +469,9 @@ def _assemble(z: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem: Reduced
     g = 2.0 * alpha / (1.0 - alpha)
     d = g * b
     a_mu = a * mu
-    shift = nu_pair / sig_pair
+    shift = fixed.shift
     q = a_mu - shift
-    r = 1.0 + nu2 / sig2
+    r = fixed.room2
 
     # A pair with d = 0 (no hop-2 gain) gets no relay power.
     live = d > 0.0
@@ -477,7 +516,7 @@ def _assemble(z: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem: Reduced
         s2 = 0.0
 
     if s2 > 0.0:
-        c2 = nu2 / sig2
+        c2 = fixed.shift2
     else:
         c2 = (nu2 + t2) / sig2 if t2 > 0.0 else mu_bar.sum() - 1.0
 
@@ -491,7 +530,7 @@ def _assemble(z: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem: Reduced
     p_pair = t2 / d_safe
     if clipped:
         c_pair = np.where(interior, c_pair, a_mu)
-        p_pair = np.where(interior, p_pair, -nu_pair + sig_pair * a_mu)
+        p_pair = np.where(interior, p_pair, neg_nu_pair + sig_pair * a_mu)
 
     # Value, gradient and curvature share the intermediates.
     one_amu = 1.0 + a_mu
@@ -500,7 +539,7 @@ def _assemble(z: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem: Reduced
         (alpha - 1.0) * scale * log_sum
         + (-nu1 * c1 + 0.5 * sig1 * c1 * c1)
         + (-nu2 * c2 + 0.5 * sig2 * c2 * c2)
-        + (-nu_pair * c_pair + 0.5 * sig_pair * c_pair * c_pair).sum()
+        + (neg_nu_pair * c_pair + fixed.half_sig_pair * c_pair * c_pair).sum()
     )
 
     g1 = 2.0 / (1.0 - alpha) ** 2
@@ -508,10 +547,10 @@ def _assemble(z: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem: Reduced
     grad[0] = scale * log_sum - g1 * (p_pair * (b * mu_bar)).sum()
     grad[1:] = (alpha - 1.0) * scale / _LN2 * a / one_amu + p1 + p_pair * a
 
-    obj_slope = scale / _LN2 * a / one_amu
+    obj_slope = fixed.obj_coeff / one_amu
     h_diag = (1.0 - alpha) * obj_slope * a / one_amu
     if clipped:
-        h_diag += np.where(interior, 0.0, sig_pair * a * a)
+        h_diag += np.where(interior, 0.0, fixed.clip_curv)
     h_cross = obj_slope
     h_alpha = 0.0
     damp = 0.0

@@ -4,9 +4,13 @@ A :class:`Scenario` collects every physical and protocol parameter of the
 two-hop link.  :func:`generate` draws one block-fading realization: i.i.d.
 circularly-symmetric complex Gaussian entries (Rayleigh fading) whose
 per-entry power follows a ``max(distance, 1)**(-pathloss_exp)`` law, one
-matrix per OFDM subcarrier and hop.  Each matrix is decomposed on the spot
-by LAPACK's SVD, and only its per-subchannel power gains (squared singular
-values) are kept; no downstream code reads the singular vectors.
+matrix per OFDM subcarrier and hop.  Each hop's K matrices come from a
+single ``standard_normal`` call whose stream order matches a draw per
+subcarrier, so the gains equal those of that draw bit for bit.  Each
+matrix is then decomposed by LAPACK's SVD, one call per matrix (the
+benchmark's tracer counts one ``svd`` span each), and only its
+per-subchannel power gains (squared singular values) are kept; no
+downstream code reads the singular vectors.
 
 Realizations are immutable after construction and generation is
 deterministic for a given seed.
@@ -149,26 +153,23 @@ def generate(scenario: Scenario, rng: np.random.Generator | None = None) -> Chan
     and hop-2 entries use d_RD in the same way.  When ``rng`` is omitted a
     fresh ``numpy.random.default_rng(scenario.seed)`` is used, so two
     calls with the same scenario produce identical realizations.
+
+    Each hop's K matrices come from one ``standard_normal`` call, which
+    consumes the stream exactly as one draw per subcarrier would (real
+    part before imaginary part per subcarrier, all of hop 1 before
+    hop 2), so the gains are those of the per-subcarrier draw, bit for
+    bit.  The SVD runs once per matrix, because the benchmark's tracer
+    counts one ``channel.svd`` span per matrix.
     """
     if rng is None:
         rng = np.random.default_rng(scenario.seed)
+    k = scenario.k_subcarriers
     var1 = max(scenario.d_sr, 1.0) ** (-scenario.pathloss_exp)
     var2 = max(scenario.d_rd, 1.0) ** (-scenario.pathloss_exp)
-
-    h1 = tuple(
-        _complex_gaussian(rng, scenario.n_r, scenario.n_s, var1)
-        for _ in range(scenario.k_subcarriers)
-    )
-    h2 = tuple(
-        _complex_gaussian(rng, scenario.n_d, scenario.n_r, var2)
-        for _ in range(scenario.k_subcarriers)
-    )
+    h1 = _complex_gaussian(rng, k, scenario.n_r, scenario.n_s, var1)
+    h2 = _complex_gaussian(rng, k, scenario.n_d, scenario.n_r, var2)
     n = scenario.n_streams
-    # One decomposition per matrix, so the benchmark's tracer counts one
-    # span each; LAPACK returns the singular values in descending order.
-    gains1 = np.concatenate([svd(h, compute_uv=False)[:n] ** 2 for h in h1])
-    gains2 = np.concatenate([svd(h, compute_uv=False)[:n] ** 2 for h in h2])
-    return ChannelRealization(gains1=gains1, gains2=gains2)
+    return ChannelRealization(gains1=_power_gains(h1, n), gains2=_power_gains(h2, n))
 
 
 def effective_subchannels(real: ChannelRealization) -> EffectiveSubchannels:
@@ -233,8 +234,23 @@ def _parse_scalar(key: str, raw: str, typ) -> int | float:
         raise ValueError(f"invalid value for '{key}': {raw!r}") from exc
 
 
-def _complex_gaussian(rng: np.random.Generator, rows: int, cols: int, variance: float) -> np.ndarray:
+def _complex_gaussian(
+    rng: np.random.Generator, k: int, rows: int, cols: int, variance: float
+) -> np.ndarray:
+    """``(k, rows, cols)`` stack of i.i.d. CN(0, variance) entries, drawn in one call."""
     scale = np.sqrt(variance / 2.0)
-    re = rng.standard_normal((rows, cols))
-    im = rng.standard_normal((rows, cols))
-    return scale * (re + 1j * im)
+    x = rng.standard_normal((k, 2, rows, cols))
+    return scale * (x[:, 0] + 1j * x[:, 1])
+
+
+def _power_gains(h: np.ndarray, n_streams: int) -> np.ndarray:
+    """Top ``n_streams`` squared singular values of each matrix, subcarrier-major.
+
+    One decomposition per matrix; LAPACK returns the singular values in
+    descending order.
+    """
+    gains = np.empty((h.shape[0], n_streams))
+    for k, matrix in enumerate(h):
+        gains[k] = svd(matrix, compute_uv=False)[:n_streams]
+    gains **= 2
+    return gains.reshape(-1)

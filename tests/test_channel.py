@@ -104,6 +104,28 @@ class TestGenerate:
             redrawn = np.concatenate([np.linalg.svd(h, compute_uv=False) ** 2 for h in hop])
             assert np.array_equal(gains, redrawn)
 
+    @pytest.mark.parametrize("case", range(40))
+    def test_batched_draw_matches_per_subcarrier_redraw(self, case):
+        # generate draws each hop's K matrices in one call; its bytes must
+        # equal the SVD of the matrices redrawn one subcarrier at a time.
+        # K runs over 1..40 and antenna counts are drawn independently, so
+        # most cases truncate to n_streams.
+        meta = np.random.default_rng(1000 + case)
+        scen = Scenario(
+            n_s=int(meta.integers(1, 7)),
+            n_r=int(meta.integers(1, 7)),
+            n_d=int(meta.integers(1, 7)),
+            k_subcarriers=case + 1,
+            phi=float(meta.uniform(0.05, 0.95)),
+            seed=case,
+        )
+        real = generate(scen)
+        n = scen.n_streams
+        h1, h2 = channel_matrices(scen)
+        for gains, hop in ((real.gains1, h1), (real.gains2, h2)):
+            redrawn = np.concatenate([np.linalg.svd(h, compute_uv=False)[:n] ** 2 for h in hop])
+            assert gains.tobytes() == redrawn.tobytes()
+
     def test_gain_counts_with_unequal_antennas(self):
         scen = Scenario(n_s=3, n_r=2, n_d=4, k_subcarriers=3)
         real = generate(scen)
@@ -147,11 +169,12 @@ class TestEffectiveSubchannels:
         assert np.max(np.abs(np.sort(eff.gains1)[::-1] - expected)) < 1e-9 * max(expected[0], 1.0)
 
     def test_rank_one_channel_single_nonzero_gain(self, monkeypatch):
-        # Feed rank-one matrices through generate's own gains path.
+        # Feed rank-one matrices through generate's own gains path, one
+        # single-subcarrier stack per hop.
         rng = np.random.default_rng(3)
         a = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
         b = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
-        rank_one = iter((a @ b.conj().T, b @ a.conj().T))
+        rank_one = iter(((a @ b.conj().T)[None], (b @ a.conj().T)[None]))
         monkeypatch.setattr(channel, "_complex_gaussian", lambda *_: next(rank_one))
         real = generate(Scenario(n_s=2, n_r=2, n_d=2, k_subcarriers=1, seed=3))
         assert real.gains1.size == real.gains2.size == 2

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 
 import numpy as np
@@ -153,6 +154,23 @@ class TestCsv:
         emit_csv(run(small_spec), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_pipeline_bytes_pinned(self, tmp_path):
+        # Channel draw, every solver, aggregation and formatting, end to
+        # end: a change that claims the same numbers must reproduce this
+        # digest, which comparing two runs of one build cannot show.
+        # Recorded with numpy 2.4 on OpenBLAS 0.3; another BLAS may order
+        # its dot products differently and move the last bits, which is
+        # then a reason to re-record, not a pipeline change.
+        spec = ExperimentSpec(
+            scenario=Scenario(), sweep="antennas", sweep_values=(2, 3), trials=2,
+            solvers=("alpf", "oracle", "benchmark"), master_seed=2014,
+        )
+        path = tmp_path / "out.csv"
+        emit_csv(run(spec), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "2fd2f9907b7277b52d70e1efb88043d476a9a7c25daa3a2f837d5fdf25cae738"
+        )
+
     def test_unwritable_path_raises_oserror(self, small_spec):
         result = run(small_spec)
         with pytest.raises(OSError, match="no/such/dir"):
@@ -230,6 +248,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "selftest passed" in out
+        # Each instance line names the trial_rng seed triple that replays it.
+        lines = [line for line in out.splitlines() if line.startswith("[")]
+        assert len(lines) == 3
+        for i, line in enumerate(lines):
+            assert f"seed=(6, 0, {i})" in line
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_selftest_without_trials_is_validation_error(self, trials, capsys):

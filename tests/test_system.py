@@ -25,8 +25,9 @@ def realization(scen):
 
 class TestEnergyPlan:
     def test_diagonal_channel(self, monkeypatch):
-        # Both hops diag(2, 1) on one subcarrier, through generate's gains path.
-        diagonal = np.diag([2.0, 1.0]).astype(complex)
+        # Both hops diag(2, 1) on one subcarrier, through generate's gains
+        # path: a stack of one matrix per hop.
+        diagonal = np.diag([2.0, 1.0]).astype(complex)[None]
         monkeypatch.setattr(channel, "_complex_gaussian", lambda *_: diagonal)
         scen = Scenario(n_s=2, n_r=2, n_d=2, k_subcarriers=1)
         real = generate(scen)
