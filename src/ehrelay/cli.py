@@ -179,8 +179,8 @@ def _cmd_selftest(args) -> int:
         status = "PASS" if not bad else "FAIL(" + ",".join(bad) + ")"
         print(
             f"[{i + 1:02d}/{args.trials}] {status} seed={triple} "
-            f"K={scenario.k_subcarriers} N={scenario.n_streams} "
-            f"P={scenario.p_source} phi={scenario.phi:.2f} "
+            f"n_s={scenario.n_s} n_r={scenario.n_r} n_d={scenario.n_d} "
+            f"K={scenario.k_subcarriers} P={scenario.p_source!r} phi={scenario.phi!r} "
             f"alpf={alpf.rate_bps:.6g} oracle={oracle.rate_bps:.6g} bench={bench.rate_bps:.6g}"
         )
         if bad:

@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -160,7 +161,9 @@ class TestCsv:
         # digest, which comparing two runs of one build cannot show.
         # Recorded with numpy 2.4 on OpenBLAS 0.3; another BLAS may order
         # its dot products differently and move the last bits, which is
-        # then a reason to re-record, not a pipeline change.
+        # then a reason to re-record, not a pipeline change.  A deliberate
+        # change of a solver's path is the other reason, and CHANGES.md
+        # lists the old and new digests.
         spec = ExperimentSpec(
             scenario=Scenario(), sweep="antennas", sweep_values=(2, 3), trials=2,
             solvers=("alpf", "oracle", "benchmark"), master_seed=2014,
@@ -168,7 +171,7 @@ class TestCsv:
         path = tmp_path / "out.csv"
         emit_csv(run(spec), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "2fd2f9907b7277b52d70e1efb88043d476a9a7c25daa3a2f837d5fdf25cae738"
+            "9e1d59ad5d75526cad89a3bedf342b66bde47dcddafb81f43a646c4418e6a85e"
         )
 
     def test_unwritable_path_raises_oserror(self, small_spec):
@@ -248,11 +251,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "selftest passed" in out
-        # Each instance line names the trial_rng seed triple that replays it.
+        # Each instance line names the trial_rng seed triple and the
+        # scenario fields that replay it alone.
         lines = [line for line in out.splitlines() if line.startswith("[")]
         assert len(lines) == 3
         for i, line in enumerate(lines):
             assert f"seed=(6, 0, {i})" in line
+        fields = dict(re.findall(r"(\w+)=(\S+)", lines[-1]))
+        scenario = Scenario(
+            n_s=int(fields["n_s"]), n_r=int(fields["n_r"]), n_d=int(fields["n_d"]),
+            k_subcarriers=int(fields["K"]), p_source=float(fields["P"]), phi=float(fields["phi"]),
+        )
+        outcome = run_trial(scenario, trial_rng(6, 0, 2), ("alpf",))
+        assert f"{outcome['alpf'].rate_bps:.6g}" == fields["alpf"]
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_selftest_without_trials_is_validation_error(self, trials, capsys):
