@@ -250,21 +250,29 @@ def spec_from_file(path) -> ExperimentSpec:
     sweep_values: tuple = ()
     if "sweep_values" in exp_raw:
         parser = int if sweep in ("antennas", "k_subcarriers") else float
-        sweep_values = tuple(parser(v.strip()) for v in exp_raw["sweep_values"].split(",") if v.strip())
+        entries = (v.strip() for v in exp_raw["sweep_values"].split(","))
+        sweep_values = tuple(_parse_value(path, "sweep_values", v, parser) for v in entries if v)
     kwargs = {
         "scenario": scenario,
         "sweep": sweep,
         "sweep_values": sweep_values,
     }
     if "trials" in exp_raw:
-        kwargs["trials"] = int(exp_raw["trials"])
+        kwargs["trials"] = _parse_value(path, "trials", exp_raw["trials"], int)
     if "solvers" in exp_raw:
         kwargs["solvers"] = tuple(s.strip() for s in exp_raw["solvers"].split(",") if s.strip())
     if "output_path" in exp_raw:
         kwargs["output_path"] = exp_raw["output_path"]
     if "master_seed" in exp_raw:
-        kwargs["master_seed"] = int(exp_raw["master_seed"])
+        kwargs["master_seed"] = _parse_value(path, "master_seed", exp_raw["master_seed"], int)
     return ExperimentSpec(**kwargs)
+
+
+def _parse_value(path, key: str, raw: str, parser):
+    try:
+        return parser(raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: invalid value for '{key}': {raw!r}") from exc
 
 
 def _aggregate(sweep_value, solver: str, outcomes: list[TrialOutcome]) -> SweepRow:

@@ -9,9 +9,12 @@ binds, the solution is the closed-form water level over channels sorted
 by ``cost / a``.  When both bind, their prices are ``lam (1 - s, s)``
 and a one-dimensional root in the price ratio ``s`` closes both, each
 step being one single-budget water level (the one-ratio idea of Palomar
-& Fonollosa, IEEE TSP 53(2), 2005).  The whole ``alpha`` grid is solved
-as array operations, and zoom rounds, each a finer grid around the last
-best point solved the same way, complete the solution.
+& Fonollosa, IEEE TSP 53(2), 2005).
+
+One evaluator, :func:`inner_waterfill`, solves a single ``alpha`` or a
+whole array of them as array operations.  :func:`solve` calls it once on
+a uniform grid and once per zoom round, each a finer grid around the last
+best point, and returns the best row it has seen as that call solved it.
 
 This module reads the same :class:`~ehrelay.system.ReducedProblem` as
 the augmented Lagrangian optimizer and shares only the time-split clamp
@@ -35,7 +38,7 @@ __all__ = ["OracleSolution", "inner_waterfill", "solve"]
 _FEAS_SLACK = 1e-12
 # Rounding level at which the price-ratio root stops: relative step or bracket, absolute f.
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
-# Cap on steps per root; seeded stress runs stop within 30.
+# Cap on steps per root, past which it raises; seeded stress runs stop within 30.
 _ROOT_STEPS = 200
 # Time splits per zoom round; each round narrows the bracket twelvefold.
 _ZOOM_POINTS = 25
@@ -52,129 +55,154 @@ class OracleSolution:
     alpha_grid_profile: tuple[tuple[float, float], ...]
 
 
-def inner_waterfill(alpha: float, problem: ReducedProblem) -> tuple[np.ndarray, np.ndarray, float]:
-    """Optimal power fractions for a fixed time split.
+def inner_waterfill(
+    alpha: float | np.ndarray, problem: ReducedProblem
+) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+    """Optimal power fractions for a fixed time split, or for each of several.
 
     Maximizes ``sum log2(1 + a mu)`` subject to ``sum mu <= 1`` and
     ``sum cost mu <= 1`` with ``cost_n = a_n (1 - alpha) / (2 alpha b_n)``,
     then recovers ``mu_bar = cost * mu`` so the per-pair SNR balance holds
     exactly by construction.  Subchannels with a zero coefficient on
-    either hop are switched off.  This is :func:`_waterfill_grid` on a
-    grid of one point.
+    either hop are switched off.
 
-    Returns ``(mu, mu_bar, rate_bps)``.
+    ``alpha`` is a float or a 1-D array of time splits, all in ``(0, 1)``.
+    For a float, returns ``(mu, mu_bar, rate_bps)`` with 1-D ``mu`` and
+    ``mu_bar``; for an array, row ``i`` of ``(mu, mu_bar, rates)`` solves
+    the problem at ``alpha[i]``, with the same bits as a float call at
+    that value.  The rows are solved together: the unit-budget solution
+    does not depend on ``alpha``, so it is computed once.  Rows where it
+    overspends the cost budget take the cost-budget solution, whose sort
+    order (``theta = 1 / (g b)``) is the same for every ``alpha``.  Rows
+    where that in turn overspends the unit budget go to
+    :func:`_waterfill_two_budgets` together.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    mu, mu_bar, rates = _waterfill_grid(np.array([alpha]), problem)
-    return mu[0], mu_bar[0], float(rates[0])
+    alphas = np.asarray(alpha, dtype=float)
+    if alphas.ndim > 1 or not ((alphas > 0.0) & (alphas < 1.0)).all():
+        raise ValueError("alpha must be a float or a 1-D array, each in (0, 1)")
+    scalar = alphas.ndim == 0
+    alphas = alphas.reshape(-1)
+    a = problem.a_coeffs
+    b = problem.b_coeffs
+    ok = (a > 0.0) & (b > 0.0)
+    if ok.all():
+        mu, mu_bar, rates = _waterfill_live(alphas, a, b, problem)
+    else:
+        mu = np.zeros((alphas.size, a.size))
+        mu_bar = np.zeros_like(mu)
+        rates = np.zeros(alphas.size)
+        if ok.any():
+            mu[:, ok], mu_bar[:, ok], rates = _waterfill_live(alphas, a[ok], b[ok], problem)
+    if scalar:
+        return mu[0], mu_bar[0], float(rates[0])
+    return mu, mu_bar, rates
 
 
 def solve(problem: ReducedProblem, grid_points: int = 199, refine_tol: float = 1e-6) -> OracleSolution:
     """Grid search over the time split, refined by zoom rounds.
 
-    Round 0 solves ``grid_points`` uniform values of ``alpha`` at once;
-    each later round solves ``_ZOOM_POINTS`` uniform values between the
-    neighbours of the last round's best point, also at once.  Rounds
-    stop once that bracket is narrower than ``refine_tol`` or no longer
-    shrinks; :func:`inner_waterfill` returns the best point's allocation.
+    Round 0 solves ``grid_points`` uniform values of ``alpha`` in one
+    :func:`inner_waterfill` call; each later round solves ``_ZOOM_POINTS``
+    uniform values between the neighbours of the last round's best point,
+    also in one call.  Rounds stop once that bracket is narrower than
+    ``refine_tol`` or no longer shrinks, and the best row seen is
+    returned as it was solved, with no further call.
+
+    ``refine_tol`` bounds the error in ``alpha``, not in the rate: where
+    the optimum sits on a kink (a budget leaving the active set), the rate
+    is steep on one side, and the returned rate can lie about 2e-7
+    relative below the optimum.
     """
     if grid_points < 8:
         raise ValueError("grid_points must be >= 8")
     if not (math.isfinite(refine_tol) and refine_tol > 0.0):
         raise ValueError("refine_tol must be finite and > 0")
     alphas = np.linspace(ALPHA_MIN, ALPHA_MAX, grid_points)
-    _, _, rates = _waterfill_grid(alphas, problem)
+    mu, mu_bar, rates = inner_waterfill(alphas, problem)
     profile = tuple(zip(alphas.tolist(), rates.tolist()))
     best_rate = -math.inf
     width = math.inf
     while True:
         i = int(np.argmax(rates))
         if rates[i] > best_rate:
-            best_alpha, best_rate = float(alphas[i]), rates[i]
+            best_alpha, best_rate = float(alphas[i]), float(rates[i])
+            # Copies, so that no round's whole batch outlives the round.
+            best_mu, best_mu_bar = mu[i].copy(), mu_bar[i].copy()
         lo = alphas[max(0, i - 1)]
         hi = alphas[min(alphas.size - 1, i + 1)]
         if hi - lo <= refine_tol or hi - lo >= width:
             break
         width = hi - lo
         alphas = np.linspace(lo, hi, _ZOOM_POINTS)
-        _, _, rates = _waterfill_grid(alphas, problem)
+        mu, mu_bar, rates = inner_waterfill(alphas, problem)
 
-    # Through inner_waterfill, so tracers that wrap it (perfbench) still see the oracle.
-    mu, mu_bar, rate = inner_waterfill(best_alpha, problem)
     return OracleSolution(
         alpha_star=best_alpha,
-        mu_star=mu,
-        mu_bar_star=mu_bar,
-        rate_star=rate,
+        mu_star=best_mu,
+        mu_bar_star=best_mu_bar,
+        rate_star=best_rate,
         alpha_grid_profile=profile,
     )
 
 
-def _waterfill_grid(
-    alphas: np.ndarray, problem: ReducedProblem
+def _waterfill_live(
+    alphas: np.ndarray, a: np.ndarray, b: np.ndarray, problem: ReducedProblem
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inner water-filling at every time split in ``alphas`` at once.
-
-    Row ``i`` of ``(mu, mu_bar, rates)`` solves the problem at
-    ``alphas[i]``.  The unit-budget solution does not depend on
-    ``alpha``, so it is computed once.  Rows where it overspends the
-    cost budget take the cost-budget solution, whose sort order
-    (``theta = 1 / (g b)``) is the same for every ``alpha``.  Rows
-    where that in turn overspends the unit budget go to
-    :func:`_waterfill_two_budgets` together.
-    """
-    a = problem.a_coeffs
-    b = problem.b_coeffs
-    mu = np.zeros((alphas.size, problem.n_pairs))
-    mu_bar = np.zeros_like(mu)
-    ok = (a > 0.0) & (b > 0.0)
-    if not ok.any():
-        return mu, mu_bar, np.zeros(alphas.size)
-
-    a_ok = a[ok]
-    b_ok = b[ok]
+    """:func:`inner_waterfill`'s ``(mu, mu_bar, rates)`` for pairs with ``a > 0`` and ``b > 0``."""
     g = 2.0 * alphas / (1.0 - alphas)
-    cost = a_ok / (g[:, None] * b_ok)
+    cost = a / (g[:, None] * b)
+    inv_a = 1.0 / a
+    ks = _ranks(a.size)
 
-    unit, _ = _waterfill_single(a_ok, np.ones((1, a_ok.size)), np.argsort(1.0 / a_ok, kind="stable"))
-    mu_ok = np.repeat(unit, alphas.size, axis=0)
+    theta = inv_a[None, :]
+    unit, _ = _waterfill_single(theta, np.sort(theta, axis=1), 1.0, inv_a, ks)
+    mu = np.repeat(unit, alphas.size, axis=0)
     over = np.flatnonzero(cost @ unit[0] > 1.0 + _FEAS_SLACK)
     if over.size:
-        mu_ok[over], _ = _waterfill_single(a_ok, cost[over], np.argsort(1.0 / b_ok, kind="stable"))
-        both = over[mu_ok[over].sum(axis=1) > 1.0 + _FEAS_SLACK]
-        if both.size:
-            mu_ok[both] = _waterfill_two_budgets(a_ok, cost[both])
+        # One order for every row, that of 1 / b, as cost / a = 1 / (g b); the
+        # rounded quotients need not sort exactly alike, and their order sets the bits.
+        cost_over = cost[over]
+        theta = cost_over / a
+        theta_s = theta[:, np.argsort(1.0 / b, kind="stable")]
+        mu_over, _ = _waterfill_single(theta, theta_s, cost_over, inv_a, ks)
+        mu[over] = mu_over
+        both = mu_over.sum(axis=1) > 1.0 + _FEAS_SLACK
+        if both.any():
+            mu[over[both]] = _waterfill_two_budgets(a, cost_over[both])
 
-    mu[:, ok] = mu_ok
-    mu_bar[:, ok] = cost * mu_ok
     weight = (1.0 - alphas) * problem.bandwidth_hz / (2.0 * problem.k_subcarriers)
-    rates = weight * np.sum(np.log2(1.0 + a_ok * mu_ok), axis=1)
-    return mu, mu_bar, rates
+    rates = weight * np.sum(np.log2(1.0 + a * mu), axis=1)
+    return mu, cost * mu, rates
 
 
-def _waterfill_single(a: np.ndarray, cost: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ranks(n: int) -> np.ndarray:
+    """``1, 2, ..., n`` as floats: the size of each prefix of a sorted row."""
+    return np.arange(1, n + 1, dtype=float)
+
+
+def _waterfill_single(
+    theta: np.ndarray, theta_s: np.ndarray, cost, inv_a: np.ndarray, ks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact water-filling under one budget ``sum cost mu <= 1``, per row.
 
     Maximizes ``sum ln(1 + a mu)`` for each row of ``cost``; the water
     level over the active set has the closed form
     ``L_k = (1 + sum theta) / k`` with ``theta = cost / a`` taken in
-    ascending order.  ``order`` sorts ``theta`` ascending, either one
-    order for every row or one row of it per row of ``cost``; ``a`` is
-    one row for every row of ``cost`` or one per row.
+    ascending order.  ``theta_s`` is each row of ``theta`` sorted
+    ascending, ``inv_a = 1 / a`` and ``ks = _ranks(n)``; ``a`` is one row
+    for every row of ``cost`` or one per row, and ``cost`` may be the
+    scalar 1 (the unit budget).
 
     Returns ``(mu, level)``, with ``mu = max(0, level / cost - 1 / a)``
-    where ``theta < level`` (the active set) and 0 elsewhere.
+    where ``theta < level`` (the active set) and 0 elsewhere; ``level``
+    is a column.
     """
-    theta = cost / a
-    rows = np.arange(theta.shape[0])[:, None]
-    theta_s = theta[rows, order]
-    ks = np.arange(1, theta.shape[1] + 1, dtype=float)
     levels = (1.0 + np.cumsum(theta_s, axis=1)) / ks
-    # One past the last rank whose level clears its theta; rank 0 always does.
-    k = theta.shape[1] - np.argmax((levels > theta_s)[:, ::-1], axis=1)
-    level = levels[rows[:, 0], k - 1]
-    mu = np.maximum(level[:, None] / cost - 1.0 / a, 0.0) * (theta < level[:, None])
+    # The last rank whose level clears its theta (rank 0 always does):
+    # ks grows along the row, so that is where the masked ks peaks.
+    last = np.argmax((levels > theta_s) * ks, axis=1)
+    level = levels[np.arange(levels.shape[0]), last][:, None]
+    mu = np.maximum(level / cost - inv_a, 0.0) * (theta < level)
     return mu, level
 
 
@@ -204,14 +232,15 @@ def _waterfill_two_budgets(a: np.ndarray, cost: np.ndarray) -> np.ndarray:
     which maps ``s`` to ``1 - s``, so every root is sought in
     ``[0, 1/2]`` by :func:`_price_ratio_root`.
     """
-    _, f, slope = _blend(a, cost, np.full(cost.shape[0], 0.5))
+    d = cost - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, f, slope = _blend(np.full(cost.shape[0], 0.5), a, cost, 1.0 / a, d, d / a, _ranks(cost.shape[1]))
+        # The swap negates f but keeps its slope, so Newton's step from 1/2
+        # lands at 1/2 - |f / slope| either way.
+        start = 0.5 - np.abs(f / slope)
     swap = (f > 0.0)[:, None]
     gains = np.where(swap, a / cost, a)
     costs = np.where(swap, 1.0 / cost, cost)
-    # The swap negates f but keeps its slope, so Newton's step from 1/2
-    # lands at 1/2 - |f / slope| either way.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        start = 0.5 - np.abs(f / slope)
     start = np.where((slope < 0.0) & (start > 0.0), start, 0.25)
     mu = _price_ratio_root(gains, costs, start)
     return np.where(swap, mu / cost, mu)
@@ -224,50 +253,67 @@ def _price_ratio_root(a: np.ndarray, cost: np.ndarray, start: np.ndarray) -> np.
     current active set is closed-form, kept inside the bracket: a step
     that leaves it, or does not halve the previous step, is replaced by
     bisection.  Each step costs one sort per row; a row stops when ``f``,
-    the Newton step or the bracket is down to rounding.
+    the Newton step or the bracket is down to rounding, and leaves the
+    batch then.  Raises ``RuntimeError`` if a row has not stopped after
+    ``_ROOT_STEPS`` steps.
     """
-    rows = cost.shape[0]
-    mu = np.empty(cost.shape)
-    s = start.copy()
-    lo = np.zeros(rows)
-    hi = np.full(rows, 0.5)
-    last_step = np.full(rows, 0.5)
-    live = np.arange(rows)
-    for _ in range(_ROOT_STEPS):
-        sl = s[live]
-        mu_l, f, slope = _blend(a[live], cost[live], sl)
-        mu[live] = mu_l
-        above = f > 0.0
-        lo_l = np.where(above, sl, lo[live])
-        hi_l = np.where(above, hi[live], sl)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    out = np.empty(cost.shape)
+    rows = np.arange(cost.shape[0])
+    ks = _ranks(cost.shape[1])
+    inv_a = 1.0 / a
+    d = cost - 1.0
+    d_a = d / a
+    s = start
+    lo = np.zeros(rows.size)
+    hi = np.full(rows.size, 0.5)
+    last_step = np.full(rows.size, 0.5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_ROOT_STEPS):
+            mu, f, slope = _blend(s, a, cost, inv_a, d, d_a, ks)
+            above = f > 0.0
+            lo = np.where(above, s, lo)
+            hi = np.where(above, hi, s)
             newton = np.where(slope < 0.0, -f / slope, np.inf)
-        take = (np.abs(newton) <= 0.5 * last_step[live]) & (lo_l < sl + newton) & (sl + newton < hi_l)
-        step = np.where(take, newton, 0.5 * (lo_l + hi_l) - sl)
+            landing = s + newton
+            size = np.abs(newton)
+            take = (size <= 0.5 * last_step) & (lo < landing) & (landing < hi)
+            step = np.where(take, newton, 0.5 * (lo + hi) - s)
+            done = (np.abs(f) <= _ROOT_RTOL) | (size <= _ROOT_RTOL * s) | (hi - lo <= _ROOT_RTOL * hi)
+            s = s + step
+            last_step = np.abs(step)
+            if done.all():
+                out[rows] = mu
+                return out
+            if done.any():
+                out[rows[done]] = mu[done]
+                live = ~done
+                rows, s, lo, hi, last_step = rows[live], s[live], lo[live], hi[live], last_step[live]
+                a, cost, inv_a, d, d_a = a[live], cost[live], inv_a[live], d[live], d_a[live]
+    raise RuntimeError(f"price-ratio root did not converge in {_ROOT_STEPS} steps")
 
-        done = np.abs(f) <= _ROOT_RTOL
-        done |= (np.abs(newton) <= _ROOT_RTOL * sl) | (hi_l - lo_l <= _ROOT_RTOL * hi_l)
-        lo[live] = lo_l
-        hi[live] = hi_l
-        s[live] = sl + step
-        last_step[live] = np.abs(step)
-        live = live[~done]
-        if not live.size:
-            break
-    return mu
 
-
-def _blend(a: np.ndarray, cost: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _blend(
+    s: np.ndarray,
+    a: np.ndarray,
+    cost: np.ndarray,
+    inv_a: np.ndarray,
+    d: np.ndarray,
+    d_a: np.ndarray,
+    ks: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single-budget solution at blend ``s`` per row, with ``f(s)`` and ``df/ds``.
 
     On the active set ``S``, ``mu = L / w - 1 / a`` with the level
-    ``L = (1 + sum_S w / a) / |S|`` and ``dw / ds = cost - 1``.
+    ``L = (1 + sum_S w / a) / |S|`` and ``dw / ds = cost - 1``.  The
+    caller passes ``inv_a = 1 / a``, ``d = cost - 1``, ``d_a = d / a`` and
+    ``ks = _ranks(n)``, which do not depend on ``s``.
     """
     w = (1.0 - s)[:, None] + s[:, None] * cost
-    mu, level = _waterfill_single(a, w, np.argsort(w / a, axis=1, kind="stable"))
-    d = cost - 1.0
+    theta = w / a
+    mu, level = _waterfill_single(theta, np.sort(theta, axis=1), w, inv_a, ks)
     f = (d * mu).sum(axis=1)
-    on = mu > 0.0
-    dlevel = (d / a * on).sum(axis=1) / np.maximum(on.sum(axis=1), 1)
-    slope = (d * (dlevel[:, None] - level[:, None] * d / w) / w * on).sum(axis=1)
+    # 1 on the active set and 0 off it; a float mask multiplies as a bool one would.
+    on = (mu > 0.0).astype(float)
+    dlevel = (d_a * on).sum(axis=1) / np.maximum(on.sum(axis=1), 1.0)
+    slope = (d * (dlevel[:, None] - level * d / w) / w * on).sum(axis=1)
     return mu, f, slope

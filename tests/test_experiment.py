@@ -208,6 +208,24 @@ class TestCli:
 
         assert main(["run", str(spec_path), "--output", str(tmp_path / "o.csv")]) == 1
 
+    @pytest.mark.parametrize(
+        "line, key, raw",
+        [
+            ("trials = abc", "trials", "abc"),
+            ("master_seed = 1e3", "master_seed", "1e3"),
+            ("sweep = antennas\nsweep_values = 2, 3.5", "sweep_values", "3.5"),
+        ],
+        ids=["trials", "master_seed", "sweep_values"],
+    )
+    def test_bad_spec_value_names_key_and_file(self, tmp_path, capsys, line, key, raw):
+        from ehrelay.cli import main
+
+        spec_path = tmp_path / "exp.txt"
+        spec_path.write_text(f"solvers = benchmark\n{line}\n")
+        assert main(["run", str(spec_path), "--output", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {spec_path}: invalid value for '{key}': {raw!r}\n"
+        assert not (tmp_path / "o.csv").exists()
+
     def test_low_convergence_fraction_is_logged(self, tmp_path, monkeypatch, caplog):
         from ehrelay import cli
 
