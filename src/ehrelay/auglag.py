@@ -437,11 +437,6 @@ class _Subproblem:
         self.clip_curv = sig_pair * a * a
 
 
-def _assemble(z: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem: ReducedProblem) -> _ReducedPoint:
-    """Eliminate ``(mu_bar, s1, s2)`` at one point ``z``; see :func:`_eliminate`."""
-    return _eliminate(z, _Subproblem(nu, sigma, problem))
-
-
 def _eliminate(z: np.ndarray, fixed: _Subproblem) -> _ReducedPoint:
     """Eliminate ``(mu_bar, s1, s2)`` at fixed ``z = (alpha, mu)``.
 

@@ -186,30 +186,36 @@ def effective_subchannels(real: ChannelRealization) -> EffectiveSubchannels:
 
 
 def scenario_from_file(path) -> Scenario:
-    """Load a :class:`Scenario` from a plain-text ``key=value`` file.
+    """Load a :class:`Scenario` from a ``key = value`` file.
 
     Lines starting with ``#`` and blank lines are ignored.  Unknown keys
-    raise ``ValueError``.
+    are rejected, and every ``ValueError`` names the file.
     """
     values = parse_key_value_file(path)
-    return scenario_from_mapping(values, source=str(path))
+    try:
+        return scenario_from_mapping(values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
-def scenario_from_mapping(values: dict[str, str], source: str = "<mapping>") -> Scenario:
+def scenario_from_mapping(values: dict[str, str]) -> Scenario:
     """Build a Scenario from string key/value pairs, rejecting unknown keys."""
-    field_types = {f.name: f.type for f in fields(Scenario)}
+    kinds = {f.name: type(f.default) for f in fields(Scenario)}
     kwargs = {}
     for key, raw in values.items():
-        if key not in field_types:
-            raise ValueError(f"{source}: unknown scenario key '{key}'")
-        kwargs[key] = _parse_scalar(key, raw, field_types[key])
+        if key not in kinds:
+            raise ValueError(f"unknown scenario key '{key}'")
+        kwargs[key] = parse_value(key, raw, kinds[key])
     return Scenario(**kwargs)
 
 
 def parse_key_value_file(path) -> dict[str, str]:
     """Parse ``key = value`` lines; '#' starts a comment."""
     values: dict[str, str] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -224,12 +230,10 @@ def parse_key_value_file(path) -> dict[str, str]:
     return values
 
 
-def _parse_scalar(key: str, raw: str, typ) -> int | float:
-    type_name = typ if isinstance(typ, str) else getattr(typ, "__name__", str(typ))
+def parse_value(key: str, raw: str, kind: type):
+    """``kind(raw)``; a ``ValueError`` names ``key`` and ``raw``."""
     try:
-        if "int" in type_name:
-            return int(raw)
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
         raise ValueError(f"invalid value for '{key}': {raw!r}") from exc
 

@@ -22,14 +22,7 @@ import numpy as np
 
 from ehrelay.auglag import optimize
 from ehrelay.channel import Scenario, effective_subchannels, generate, scenario_from_file
-from ehrelay.experiment import (
-    SOLVER_ORDER,
-    emit_csv,
-    run,
-    run_trial,
-    spec_from_file,
-    trial_rng,
-)
+from ehrelay.experiment import emit_csv, run, run_trial, spec_from_file, trial_rng, validate_solvers
 from ehrelay.system import (
     achievable_rate,
     benchmark_allocation,
@@ -111,11 +104,7 @@ def _cmd_single(args) -> int:
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     solvers = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
-    if not solvers:
-        raise ValueError("solvers must be nonempty")
-    for s in solvers:
-        if s not in SOLVER_ORDER:
-            raise ValueError(f"unknown solver '{s}'")
+    validate_solvers(solvers)
 
     real = generate(scenario)
     eff = effective_subchannels(real)

@@ -21,6 +21,7 @@ from ehrelay.channel import (
     effective_subchannels,
     generate,
     parse_key_value_file,
+    parse_value,
     scenario_from_mapping,
 )
 from ehrelay.system import achievable_rate, benchmark_allocation, optimal_energy_plan, snr_coefficients
@@ -39,10 +40,18 @@ __all__ = [
     "run_trial",
     "spec_from_file",
     "trial_rng",
+    "validate_solvers",
 ]
 
 SOLVER_ORDER = ("alpf", "oracle", "benchmark")
-SWEEP_KINDS = ("none", "phi", "p_source", "antennas", "k_subcarriers")
+# Each sweep kind: the type of its values and the Scenario fields one value sets.
+_SWEEPS = {
+    "phi": (float, ("phi",)),
+    "p_source": (float, ("p_source",)),
+    "antennas": (int, ("n_s", "n_r", "n_d")),
+    "k_subcarriers": (int, ("k_subcarriers",)),
+}
+SWEEP_KINDS = ("none", *_SWEEPS)
 
 CSV_HEADER = (
     "sweep_param,sweep_value,solver,mean_rate_bps,stderr_rate_bps,"
@@ -75,11 +84,7 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if int(self.master_seed) < 0:
             raise ValueError("master_seed must be >= 0")
-        if not self.solvers:
-            raise ValueError("solvers must be nonempty")
-        for solver in self.solvers:
-            if solver not in SOLVER_ORDER:
-                raise ValueError(f"unknown solver '{solver}'")
+        validate_solvers(self.solvers)
         for value in self.sweep_values:
             scenario_for_sweep(self.scenario, self.sweep, value)  # validates
 
@@ -118,20 +123,21 @@ class SweepResult:
         return [r for r in self.rows if r.solver == solver]
 
 
+def validate_solvers(solvers) -> None:
+    """Reject an empty solver list or a name outside :data:`SOLVER_ORDER`."""
+    if not solvers:
+        raise ValueError("solvers must be nonempty")
+    for solver in solvers:
+        if solver not in SOLVER_ORDER:
+            raise ValueError(f"unknown solver '{solver}'")
+
+
 def scenario_for_sweep(base: Scenario, sweep: str, value) -> Scenario:
     """Return ``base`` with the swept parameter replaced by ``value``."""
     if sweep == "none":
         return base
-    if sweep == "phi":
-        return replace(base, phi=float(value))
-    if sweep == "p_source":
-        return replace(base, p_source=float(value))
-    if sweep == "antennas":
-        n = int(value)
-        return replace(base, n_s=n, n_r=n, n_d=n)
-    if sweep == "k_subcarriers":
-        return replace(base, k_subcarriers=int(value))
-    raise ValueError(f"unknown sweep '{sweep}'")
+    kind, names = _SWEEPS[sweep]
+    return replace(base, **dict.fromkeys(names, kind(value)))
 
 
 def trial_rng(master_seed: int, sweep_index: int, trial_index: int) -> np.random.Generator:
@@ -240,39 +246,30 @@ def spec_from_file(path) -> ExperimentSpec:
 
     Scenario fields and experiment fields share one flat namespace;
     ``sweep_values`` and ``solvers`` are comma-separated lists.  Unknown
-    keys are rejected.
+    keys are rejected, and every ``ValueError`` names the file.
     """
     values = parse_key_value_file(path)
     exp_raw = {k: values.pop(k) for k in list(values) if k in _EXPERIMENT_KEYS}
-    scenario = scenario_from_mapping(values, source=str(path))
-
     sweep = exp_raw.get("sweep", "none")
-    sweep_values: tuple = ()
-    if "sweep_values" in exp_raw:
-        parser = int if sweep in ("antennas", "k_subcarriers") else float
-        entries = (v.strip() for v in exp_raw["sweep_values"].split(","))
-        sweep_values = tuple(_parse_value(path, "sweep_values", v, parser) for v in entries if v)
-    kwargs = {
-        "scenario": scenario,
-        "sweep": sweep,
-        "sweep_values": sweep_values,
-    }
-    if "trials" in exp_raw:
-        kwargs["trials"] = _parse_value(path, "trials", exp_raw["trials"], int)
-    if "solvers" in exp_raw:
-        kwargs["solvers"] = tuple(s.strip() for s in exp_raw["solvers"].split(",") if s.strip())
-    if "output_path" in exp_raw:
-        kwargs["output_path"] = exp_raw["output_path"]
-    if "master_seed" in exp_raw:
-        kwargs["master_seed"] = _parse_value(path, "master_seed", exp_raw["master_seed"], int)
-    return ExperimentSpec(**kwargs)
-
-
-def _parse_value(path, key: str, raw: str, parser):
+    kwargs = {"sweep": sweep}
     try:
-        return parser(raw)
+        kwargs["scenario"] = scenario_from_mapping(values)
+        if "sweep_values" in exp_raw:
+            # An unknown kind's values parse as floats, and ExperimentSpec then names the kind.
+            kind = _SWEEPS[sweep][0] if sweep in _SWEEPS else float
+            entries = (v.strip() for v in exp_raw["sweep_values"].split(","))
+            kwargs["sweep_values"] = tuple(parse_value("sweep_values", v, kind) for v in entries if v)
+        if "trials" in exp_raw:
+            kwargs["trials"] = parse_value("trials", exp_raw["trials"], int)
+        if "solvers" in exp_raw:
+            kwargs["solvers"] = tuple(s.strip() for s in exp_raw["solvers"].split(",") if s.strip())
+        if "output_path" in exp_raw:
+            kwargs["output_path"] = exp_raw["output_path"]
+        if "master_seed" in exp_raw:
+            kwargs["master_seed"] = parse_value("master_seed", exp_raw["master_seed"], int)
+        return ExperimentSpec(**kwargs)
     except ValueError as exc:
-        raise ValueError(f"{path}: invalid value for '{key}': {raw!r}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _aggregate(sweep_value, solver: str, outcomes: list[TrialOutcome]) -> SweepRow:

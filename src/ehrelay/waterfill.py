@@ -11,10 +11,11 @@ and a one-dimensional root in the price ratio ``s`` closes both, each
 step being one single-budget water level (the one-ratio idea of Palomar
 & Fonollosa, IEEE TSP 53(2), 2005).
 
-One evaluator, :func:`inner_waterfill`, solves a single ``alpha`` or a
-whole array of them as array operations.  :func:`solve` calls it once on
-a uniform grid and once per zoom round, each a finer grid around the last
-best point, and returns the best row it has seen as that call solved it.
+One evaluator, :func:`inner_waterfill`, solves a 1-D array of ``alpha``
+values as array operations.  :func:`solve` calls it once on a fixed
+199-point grid and once per 25-point zoom round around the last best
+point, stops at a 1e-6 bracket in ``alpha`` (not the rate), and returns
+the best row it has seen as that call solved it.
 
 This module reads the same :class:`~ehrelay.system.ReducedProblem` as
 the augmented Lagrangian optimizer and shares only the time-split clamp
@@ -40,8 +41,12 @@ _FEAS_SLACK = 1e-12
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 # Cap on steps per root, past which it raises; seeded stress runs stop within 30.
 _ROOT_STEPS = 200
+# Time splits of the first grid; their count is the oracle's CSV mean_iterations.
+_GRID_POINTS = 199
 # Time splits per zoom round; each round narrows the bracket twelvefold.
 _ZOOM_POINTS = 25
+# Bracket width in alpha, not in the rate, at which the zoom rounds stop.
+_REFINE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -55,10 +60,8 @@ class OracleSolution:
     alpha_grid_profile: tuple[tuple[float, float], ...]
 
 
-def inner_waterfill(
-    alpha: float | np.ndarray, problem: ReducedProblem
-) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
-    """Optimal power fractions for a fixed time split, or for each of several.
+def inner_waterfill(alpha: np.ndarray, problem: ReducedProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Optimal power fractions for each of several fixed time splits.
 
     Maximizes ``sum log2(1 + a mu)`` subject to ``sum mu <= 1`` and
     ``sum cost mu <= 1`` with ``cost_n = a_n (1 - alpha) / (2 alpha b_n)``,
@@ -66,22 +69,18 @@ def inner_waterfill(
     exactly by construction.  Subchannels with a zero coefficient on
     either hop are switched off.
 
-    ``alpha`` is a float or a 1-D array of time splits, all in ``(0, 1)``.
-    For a float, returns ``(mu, mu_bar, rate_bps)`` with 1-D ``mu`` and
-    ``mu_bar``; for an array, row ``i`` of ``(mu, mu_bar, rates)`` solves
-    the problem at ``alpha[i]``, with the same bits as a float call at
-    that value.  The rows are solved together: the unit-budget solution
-    does not depend on ``alpha``, so it is computed once.  Rows where it
-    overspends the cost budget take the cost-budget solution, whose sort
-    order (``theta = 1 / (g b)``) is the same for every ``alpha``.  Rows
-    where that in turn overspends the unit budget go to
+    ``alpha`` must be a 1-D array of time splits in ``(0, 1)``; row ``i``
+    of ``(mu, mu_bar, rates)`` solves ``alpha[i]``, with the same bits as
+    a 1-element call.  The unit-budget solution does not depend on
+    ``alpha``, so it is computed once.  Rows where it overspends the cost
+    budget take the cost-budget solution, whose sort order
+    (``theta = 1 / (g b)``) is the same for every ``alpha``.  Rows where
+    that in turn overspends the unit budget go to
     :func:`_waterfill_two_budgets` together.
     """
     alphas = np.asarray(alpha, dtype=float)
-    if alphas.ndim > 1 or not ((alphas > 0.0) & (alphas < 1.0)).all():
-        raise ValueError("alpha must be a float or a 1-D array, each in (0, 1)")
-    scalar = alphas.ndim == 0
-    alphas = alphas.reshape(-1)
+    if alphas.ndim != 1 or not ((alphas > 0.0) & (alphas < 1.0)).all():
+        raise ValueError("alpha must be a 1-D array, each in (0, 1)")
     a = problem.a_coeffs
     b = problem.b_coeffs
     ok = (a > 0.0) & (b > 0.0)
@@ -93,31 +92,25 @@ def inner_waterfill(
         rates = np.zeros(alphas.size)
         if ok.any():
             mu[:, ok], mu_bar[:, ok], rates = _waterfill_live(alphas, a[ok], b[ok], problem)
-    if scalar:
-        return mu[0], mu_bar[0], float(rates[0])
     return mu, mu_bar, rates
 
 
-def solve(problem: ReducedProblem, grid_points: int = 199, refine_tol: float = 1e-6) -> OracleSolution:
+def solve(problem: ReducedProblem) -> OracleSolution:
     """Grid search over the time split, refined by zoom rounds.
 
-    Round 0 solves ``grid_points`` uniform values of ``alpha`` in one
-    :func:`inner_waterfill` call; each later round solves ``_ZOOM_POINTS``
-    uniform values between the neighbours of the last round's best point,
-    also in one call.  Rounds stop once that bracket is narrower than
-    ``refine_tol`` or no longer shrinks, and the best row seen is
-    returned as it was solved, with no further call.
+    Round 0 solves 199 uniform values of ``alpha`` in one
+    :func:`inner_waterfill` call; each later round solves 25 uniform
+    values between the neighbours of the last round's best point, also
+    in one call.  Rounds stop once that bracket is narrower than 1e-6 or
+    no longer shrinks, and the best row seen is returned as it was
+    solved, with no further call.
 
-    ``refine_tol`` bounds the error in ``alpha``, not in the rate: where
-    the optimum sits on a kink (a budget leaving the active set), the rate
-    is steep on one side, and the returned rate can lie about 2e-7
-    relative below the optimum.
+    The 1e-6 bounds the error in ``alpha``, not in the rate: where the
+    optimum sits on a kink (a budget leaving the active set), the rate is
+    steep on one side, and the returned rate can lie about 2e-7 relative
+    below the optimum.
     """
-    if grid_points < 8:
-        raise ValueError("grid_points must be >= 8")
-    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
-        raise ValueError("refine_tol must be finite and > 0")
-    alphas = np.linspace(ALPHA_MIN, ALPHA_MAX, grid_points)
+    alphas = np.linspace(ALPHA_MIN, ALPHA_MAX, _GRID_POINTS)
     mu, mu_bar, rates = inner_waterfill(alphas, problem)
     profile = tuple(zip(alphas.tolist(), rates.tolist()))
     best_rate = -math.inf
@@ -130,7 +123,7 @@ def solve(problem: ReducedProblem, grid_points: int = 199, refine_tol: float = 1
             best_mu, best_mu_bar = mu[i].copy(), mu_bar[i].copy()
         lo = alphas[max(0, i - 1)]
         hi = alphas[min(alphas.size - 1, i + 1)]
-        if hi - lo <= refine_tol or hi - lo >= width:
+        if hi - lo <= _REFINE_TOL or hi - lo >= width:
             break
         width = hi - lo
         alphas = np.linspace(lo, hi, _ZOOM_POINTS)

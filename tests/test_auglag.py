@@ -7,19 +7,26 @@ import pytest
 from ehrelay.auglag import (
     ALPHA_MAX,
     ALPHA_MIN,
-    _assemble,
+    _eliminate,
     _newton_direction,
+    _Subproblem,
     optimize,
     solve_subproblem,
     update_multipliers,
     update_penalties,
 )
-from ehrelay.channel import Scenario, effective_subchannels, generate
+from ehrelay.channel import Scenario
 from ehrelay.experiment import trial_rng
-from ehrelay.system import ReducedProblem, achievable_rate, optimal_energy_plan, snr_coefficients
+from ehrelay.system import ReducedProblem, achievable_rate
 from ehrelay.waterfill import solve as oracle_solve
+from draws import draw_stages
 from oracles import pack_point, penalty_gradient, penalty_value
 from test_waterfill import crosscheck_problem
+
+
+def assemble(z, nu, sigma, problem):
+    """Eliminate ``(mu_bar, s1, s2)`` at one point ``z`` with a fresh subproblem."""
+    return _eliminate(z, _Subproblem(nu, sigma, problem))
 
 
 def random_state(rng, n, coeff_lo=1e-2, coeff_hi=1e3, bandwidth=1000.0):
@@ -54,7 +61,7 @@ def gradient_vs_central_differences(problem, z, nu, sigma, h=2e-5, tol=1e-5):
     the target tolerance cannot be certified at double precision and are
     skipped.
     """
-    point = _assemble(z, nu, sigma, problem)
+    point = assemble(z, nu, sigma, problem)
     grad = point.gradient
     base = max(1.0, abs(point.value))
     floor = max(1e-8, 2.0 * np.finfo(float).eps * base / (h * tol))
@@ -66,7 +73,7 @@ def gradient_vs_central_differences(problem, z, nu, sigma, h=2e-5, tol=1e-5):
         zm = z.copy()
         zp[i] += h
         zm[i] -= h
-        fd = (_assemble(zp, nu, sigma, problem).value - _assemble(zm, nu, sigma, problem).value) / (2 * h)
+        fd = (assemble(zp, nu, sigma, problem).value - assemble(zm, nu, sigma, problem).value) / (2 * h)
         worst = max(worst, abs(grad[i] - fd) / max(abs(fd), 1e-30))
     return worst
 
@@ -90,7 +97,7 @@ def reduced_states(seed, count):
     rng = np.random.default_rng(seed)
     for _ in range(count):
         problem, z, nu, sigma = random_state(rng, int(rng.integers(1, 5)), coeff_hi=1e2, bandwidth=2.0)
-        yield problem, z, nu, sigma, _assemble(z, nu, sigma, problem)
+        yield problem, z, nu, sigma, assemble(z, nu, sigma, problem)
 
 
 def violation_by_hand(point, problem):
@@ -127,7 +134,7 @@ class TestViolation:
         # With no source power every relay power is 0 and both slacks take
         # their whole budget.
         problem = ReducedProblem(np.array([1.0, 2.0]), np.array([1.0, 1.0]), 1000.0, 1)
-        point = _assemble(np.array([0.37, 0.0, 0.0]), np.zeros(4), np.ones(4), problem)
+        point = assemble(np.array([0.37, 0.0, 0.0]), np.zeros(4), np.ones(4), problem)
         assert np.array_equal(point.mu_bar, [0.0, 0.0])
         assert (point.s1, point.s2) == (1.0, 1.0)
         assert np.allclose(point.residual, 0.0)
@@ -135,7 +142,7 @@ class TestViolation:
     def test_balanced_single_pair(self):
         # 2 alpha / (1 - alpha) = 2 at alpha = 0.5, so A mu = 2 B mu_bar.
         problem = ReducedProblem(np.array([2.0]), np.array([1.0]), 1000.0, 1)
-        point = _assemble(np.array([0.5, 0.5]), np.zeros(3), np.ones(3), problem)
+        point = assemble(np.array([0.5, 0.5]), np.zeros(3), np.ones(3), problem)
         assert point.mu_bar[0] == pytest.approx(0.5)
         assert (point.s1, point.s2) == pytest.approx((0.5, 0.5))
         assert np.allclose(point.residual, 0.0)
@@ -144,14 +151,14 @@ class TestViolation:
         rng = np.random.default_rng(41)
         for _ in range(30):
             problem, z, nu, sigma = random_state(rng, int(rng.integers(1, 5)))
-            point = _assemble(z, nu, sigma, problem)
+            point = assemble(z, nu, sigma, problem)
             assert np.max(np.abs(point.residual - violation_by_hand(point, problem))) < 1e-12
 
 
 class TestPenaltyValue:
     def test_bare_objective_at_zero_violation(self):
         problem = ReducedProblem(np.array([2.0]), np.array([1.0]), 1000.0, 1)
-        point = _assemble(np.array([0.5, 0.5]), np.zeros(3), np.ones(3), problem)
+        point = assemble(np.array([0.5, 0.5]), np.zeros(3), np.ones(3), problem)
         expected = (0.5 - 1.0) * 1000.0 / 2.0 * np.log2(1.0 + 2.0 * 0.5)
         assert point.value == pytest.approx(expected)
 
@@ -160,8 +167,8 @@ class TestPenaltyValue:
         # any penalties; with zero multipliers the value is the objective.
         problem = ReducedProblem(np.array([2.0]), np.array([1.0]), 1000.0, 1)
         z = np.array([0.5, 0.5])
-        v1 = _assemble(z, np.zeros(3), np.ones(3), problem).value
-        v2 = _assemble(z, np.zeros(3), np.full(3, 1e4), problem).value
+        v1 = assemble(z, np.zeros(3), np.ones(3), problem).value
+        v2 = assemble(z, np.zeros(3), np.full(3, 1e4), problem).value
         assert v1 == pytest.approx(v2, rel=1e-12)
 
     def test_multipliers_shift_interior_constraints(self):
@@ -172,7 +179,7 @@ class TestPenaltyValue:
         nu = np.array([0.3, -0.2, 0.6])
         objective = (0.5 - 1.0) * 1000.0 / 2.0 * np.log2(1.0 + 2.0 * 0.5)
         for sigma in (np.ones(3), np.full(3, 1e4)):
-            point = _assemble(z, nu, sigma, problem)
+            point = assemble(z, nu, sigma, problem)
             assert np.allclose(point.residual, nu / sigma, rtol=1e-12, atol=0.0)
             assert point.value == pytest.approx(objective - np.sum(nu**2 / (2.0 * sigma)), rel=1e-12)
 
@@ -186,7 +193,7 @@ class TestPenaltyGradient:
     def test_slack_gradient_zero_at_feasible_zero_multiplier(self):
         # The elimination leaves the full penalty stationary in both slacks.
         problem = ReducedProblem(np.array([2.0]), np.array([1.0]), 1000.0, 1)
-        point = _assemble(np.array([0.5, 0.5]), np.zeros(3), np.ones(3), problem)
+        point = assemble(np.array([0.5, 0.5]), np.zeros(3), np.ones(3), problem)
         grad = penalty_gradient(eliminated(point), np.zeros(3), np.ones(3), problem)
         n = problem.n_pairs
         assert grad[1 + 2 * n] == 0.0  # d/ds1
@@ -196,7 +203,7 @@ class TestPenaltyGradient:
         # A = 0 removes the objective pull; zero multipliers and zero
         # violation remove the constraint pull.
         problem = ReducedProblem(np.array([0.0]), np.array([1.0]), 1000.0, 1)
-        point = _assemble(np.array([0.5, 0.3]), np.zeros(3), np.ones(3), problem)
+        point = assemble(np.array([0.5, 0.3]), np.zeros(3), np.ones(3), problem)
         assert point.gradient[1] == 0.0
 
     def test_matches_central_finite_differences(self):
@@ -256,7 +263,7 @@ class TestSubproblem:
                 zp, zm = z.copy(), z.copy()
                 zp[i] += h
                 zm[i] -= h
-                above, below = _assemble(zp, nu, sigma, problem), _assemble(zm, nu, sigma, problem)
+                above, below = assemble(zp, nu, sigma, problem), assemble(zm, nu, sigma, problem)
                 if not active_set(above) == active_set(below) == active_set(point):
                     break
                 columns.append((above.gradient - below.gradient) / (2.0 * h))
@@ -305,7 +312,7 @@ class TestSubproblem:
             a[low] *= 1e-4
             problem = ReducedProblem(a, problem.b_coeffs, problem.bandwidth_hz, problem.k_subcarriers)
             z[1 + low] = rng.choice([0.0, eps]) * rng.uniform(0.0, 1.0, low.size)
-            point = _assemble(z, nu, sigma, problem)
+            point = assemble(z, nu, sigma, problem)
             mu = z[1:]
             fixed = (mu <= eps) & (point.gradient[1:] > 0.0)
             if not fixed.any() or fixed.all():
@@ -342,7 +349,7 @@ class TestSubproblem:
             b = problem.b_coeffs.copy()
             b[rng.integers(0, n)] = 0.0
             problem = ReducedProblem(problem.a_coeffs, b, problem.bandwidth_hz, problem.k_subcarriers)
-            point = _assemble(z, nu, sigma, problem)
+            point = assemble(z, nu, sigma, problem)
             assert np.all(point.mu_bar[b == 0.0] == 0.0)
             value = penalty_value(eliminated(point), nu, sigma, problem)
             assert abs(point.value - value) <= 1e-12 * max(1.0, abs(value))
@@ -353,7 +360,7 @@ class TestSubproblem:
         rng = np.random.default_rng(44)
         for _ in range(20):
             problem, z, nu, sigma = random_state(rng, int(rng.integers(1, 5)))
-            before = penalty_value(eliminated(_assemble(z, nu, sigma, problem)), nu, sigma, problem)
+            before = penalty_value(eliminated(assemble(z, nu, sigma, problem)), nu, sigma, problem)
             point, _, _ = solve_subproblem(z, nu, sigma, problem, inner_tol=1e-8)
             after = penalty_value(eliminated(point), nu, sigma, problem)
             assert after <= before + 1e-9 * max(1.0, abs(before))
@@ -484,9 +491,7 @@ class TestOptimize:
                 n_s=n, n_r=n, n_d=n, k_subcarriers=int(rng.integers(1, 3)),
                 p_source=float(rng.choice([0.1, 1.0, 10.0])), phi=float(rng.uniform(0.2, 0.8)), seed=seed,
             )
-            real = generate(scen)
-            eff = effective_subchannels(real)
-            problem = snr_coefficients(eff.gains1, eff.gains2, optimal_energy_plan(real, scen), scen)
+            problem = draw_stages(scen).problem
             res = optimize(problem)
             assert res.rate_bps == achievable_rate(problem, res.allocation)
 
@@ -515,9 +520,7 @@ class TestOptimize:
         # split lies above 0.9.  With unit start penalties these solves took
         # 1,077-22,495 inner iterations, and seed 12 missed by 1.1e-4.
         scen = Scenario(n_s=3, n_r=3, n_d=3, k_subcarriers=4, p_source=0.0036, phi=0.83, d_sd=30.0)
-        real = generate(scen, np.random.default_rng(seed))
-        eff = effective_subchannels(real)
-        problem = snr_coefficients(eff.gains1, eff.gains2, optimal_energy_plan(real, scen), scen)
+        problem = draw_stages(scen, np.random.default_rng(seed)).problem
         res = optimize(problem)
         assert res.converged
         assert res.inner_iterations <= 1000
@@ -572,9 +575,7 @@ class TestOptimize:
             problem = crosscheck_problem(key)
         else:  # K = 2, N = 2, d_sd = 10 at relay position phi = key
             scen = Scenario(phi=key)
-            real = generate(scen, trial_rng(7, 0, 0))
-            eff = effective_subchannels(real)
-            problem = snr_coefficients(eff.gains1, eff.gains2, optimal_energy_plan(real, scen), scen)
+            problem = draw_stages(scen, trial_rng(7, 0, 0)).problem
         res = optimize(problem)
         assert res.rate_bps.hex() == rate_hex
         assert res.allocation.alpha.hex() == alpha_hex

@@ -215,3 +215,11 @@ class TestScenarioFile:
         path.write_text("phi = fast\n")
         with pytest.raises(ValueError, match="phi"):
             scenario_from_file(path)
+
+    def test_undecodable_file_named(self, tmp_path):
+        # Not UTF-8: the decoder's ValueError must name the file as well.
+        path = tmp_path / "scenario.txt"
+        path.write_bytes(b"n_s = \xff\n")
+        with pytest.raises(ValueError) as excinfo:
+            scenario_from_file(path)
+        assert str(excinfo.value).startswith(f"{path}: ")

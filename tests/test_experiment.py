@@ -8,6 +8,7 @@ import pytest
 from ehrelay.channel import Scenario
 from ehrelay.experiment import (
     CSV_HEADER,
+    SWEEP_KINDS,
     ExperimentSpec,
     SweepResult,
     SweepRow,
@@ -225,6 +226,34 @@ class TestCli:
         assert main(["run", str(spec_path), "--output", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err == f"error: {spec_path}: invalid value for '{key}': {raw!r}\n"
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, line, err",
+        [
+            ("single", "n_s = abc", "error: {path}: invalid value for 'n_s': 'abc'\n"),
+            ("run", "phi = 1.5", "error: {path}: phi must lie strictly in (0, 1)\n"),
+            ("run", "solvers = magic", "error: {path}: unknown solver 'magic'\n"),
+            (
+                "run", "sweep = distance",
+                f"error: {{path}}: sweep must be one of {SWEEP_KINDS}, got 'distance'\n",
+            ),
+            ("single", "n_s 2", "error: {path}:1: expected 'key = value', got 'n_s 2'\n"),
+        ],
+        ids=["scenario-value", "scenario-range", "solver", "sweep", "malformed-line"],
+    )
+    def test_input_errors_name_the_file(self, tmp_path, capsys, command, line, err):
+        from ehrelay.cli import main
+
+        path = tmp_path / "input.txt"
+        path.write_text(f"{line}\n")
+        if command == "single":
+            argv = ["single", "--scenario-file", str(path)]
+        else:
+            argv = ["run", str(path), "--output", str(tmp_path / "o.csv")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == err.format(path=path)
+        assert captured.out == ""
 
     def test_low_convergence_fraction_is_logged(self, tmp_path, monkeypatch, caplog):
         from ehrelay import cli

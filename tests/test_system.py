@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ehrelay import channel
-from ehrelay.channel import Scenario, effective_subchannels, generate
+from ehrelay.channel import Scenario, generate
 from ehrelay.system import (
     Allocation,
     EnergyPlan,
@@ -13,14 +13,8 @@ from ehrelay.system import (
     snr_coefficients,
 )
 from ehrelay.waterfill import solve as oracle_solve
+from draws import draw_stages
 from test_channel import channel_matrices
-
-
-def realization(scen):
-    real = generate(scen)
-    eff = effective_subchannels(real)
-    plan = optimal_energy_plan(real, scen)
-    return real, eff, plan
 
 
 class TestEnergyPlan:
@@ -37,7 +31,7 @@ class TestEnergyPlan:
 
     def test_picks_best_subcarrier(self):
         scen = Scenario(k_subcarriers=2, seed=8)
-        _, eff, plan = realization(scen)
+        _, eff, plan, _ = draw_stages(scen)
         tops = [float(np.linalg.svd(h, compute_uv=False)[0]) ** 2 for h in channel_matrices(scen)[0]]
         assert plan.chosen_subcarrier == int(np.argmax(tops))
         assert plan.harvest_coeff == pytest.approx(max(tops))
@@ -45,7 +39,7 @@ class TestEnergyPlan:
 
     def test_beats_random_search(self):
         scen = Scenario(k_subcarriers=4, seed=17)
-        _, _, plan = realization(scen)
+        plan = draw_stages(scen).plan
         h1, _ = channel_matrices(scen)
         rng = np.random.default_rng(99)
         best = 0.0
@@ -64,14 +58,13 @@ class TestRankOrder:
         from itertools import permutations
 
         scen = Scenario(k_subcarriers=1, n_s=3, n_r=3, n_d=3, seed=2)
-        _, eff, plan = realization(scen)
-        problem = snr_coefficients(eff.gains1, eff.gains2, plan, scen)
+        problem = draw_stages(scen).problem
         best = {}
         for perm in permutations(range(3)):
             prob = ReducedProblem(
                 problem.a_coeffs, problem.b_coeffs[list(perm)], scen.bandwidth_hz, scen.k_subcarriers
             )
-            best[perm] = oracle_solve(prob, grid_points=64, refine_tol=1e-5).rate_star
+            best[perm] = oracle_solve(prob).rate_star
         sorted_rate = best[(0, 1, 2)]
         assert sorted_rate >= max(best.values()) - 1e-6 * sorted_rate
 
@@ -79,8 +72,7 @@ class TestRankOrder:
 class TestAchievableRate:
     def setup_method(self):
         self.scen = Scenario(seed=13)
-        self.real, self.eff, self.plan = realization(self.scen)
-        self.problem = snr_coefficients(self.eff.gains1, self.eff.gains2, self.plan, self.scen)
+        self.real, self.eff, self.plan, self.problem = draw_stages(self.scen)
         self.n = self.problem.n_pairs
 
     def alloc(self, alpha, mu=None, mu_bar=None):
@@ -125,9 +117,7 @@ class TestAchievableRate:
         alloc = self.alloc(0.4)
         rates = []
         for p in [0.1, 1.0, 10.0]:
-            scen = replace(self.scen, p_source=p)
-            _, eff, plan = realization(scen)
-            rates.append(achievable_rate(snr_coefficients(eff.gains1, eff.gains2, plan, scen), alloc))
+            rates.append(achievable_rate(draw_stages(replace(self.scen, p_source=p)).problem, alloc))
         assert all(r >= 0 for r in rates)
         assert rates[0] <= rates[1] <= rates[2]
 
@@ -148,9 +138,7 @@ class TestAchievableRate:
         assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_rate_never_beats_reference_upper_bound(self):
-        scen = Scenario(n_s=2, n_r=2, n_d=2, k_subcarriers=2, seed=31)
-        _, eff, plan = realization(scen)
-        prob = snr_coefficients(eff.gains1, eff.gains2, plan, scen)
+        prob = draw_stages(Scenario(n_s=2, n_r=2, n_d=2, k_subcarriers=2, seed=31)).problem
         upper = oracle_solve(prob).rate_star
         rng = np.random.default_rng(6)
         n = prob.n_pairs
@@ -184,8 +172,7 @@ class TestBenchmark:
 class TestSnrCoefficients:
     def test_formulas(self):
         scen = Scenario(p_source=2.0, eta=0.5, k_subcarriers=2, noise_total_w=1e-6, seed=3)
-        _, eff, plan = realization(scen)
-        problem = snr_coefficients(eff.gains1, eff.gains2, plan, scen)
+        _, eff, plan, problem = draw_stages(scen)
         sigma_sq = 5e-7
         assert np.allclose(problem.a_coeffs, 2.0 * eff.gains1 / sigma_sq)
         assert np.allclose(problem.b_coeffs, 0.5 * 2.0 * plan.harvest_coeff * eff.gains2 / sigma_sq)
@@ -193,7 +180,7 @@ class TestSnrCoefficients:
 
     def test_tiny_gains_zeroed(self):
         scen = Scenario(seed=3)
-        _, eff, plan = realization(scen)
+        plan = draw_stages(scen).plan
         gains = np.array([1.0, 1e-20])
         problem = snr_coefficients(gains, gains, plan, scen)
         assert problem.a_coeffs[1] == 0.0

@@ -5,10 +5,10 @@ import pytest
 
 from ehrelay import waterfill
 from ehrelay.auglag import ALPHA_MAX, ALPHA_MIN
-from ehrelay.channel import effective_subchannels, generate
 from ehrelay.experiment import Scenario, trial_rng
-from ehrelay.system import Allocation, ReducedProblem, achievable_rate, optimal_energy_plan, snr_coefficients
+from ehrelay.system import Allocation, ReducedProblem, achievable_rate
 from ehrelay.waterfill import _waterfill_two_budgets, inner_waterfill, solve
+from draws import draw_stages
 from oracles import (
     golden_section_max,
     random_feasible_points,
@@ -28,9 +28,13 @@ def crosscheck_problem(trial):
     scen = Scenario(
         n_s=2, n_r=2, n_d=2, k_subcarriers=32, bandwidth_hz=1000.0, p_source=0.1, d_sd=2.0, phi=0.5
     )
-    real = generate(scen, trial_rng(2718, 0, trial))
-    eff = effective_subchannels(real)
-    return snr_coefficients(eff.gains1, eff.gains2, optimal_energy_plan(real, scen), scen)
+    return draw_stages(scen, trial_rng(2718, 0, trial)).problem
+
+
+def inner_at(alpha, problem):
+    """Row 0 of :func:`inner_waterfill` on the 1-element array ``[alpha]``."""
+    mu, mu_bar, rates = inner_waterfill(np.array([alpha]), problem)
+    return mu[0], mu_bar[0], rates[0]
 
 
 def golden_section_rate(problem, sol):
@@ -39,7 +43,7 @@ def golden_section_rate(problem, sol):
     best = int(np.argmax(rates))
     lo = float(alphas[max(0, best - 1)])
     hi = float(alphas[min(alphas.size - 1, best + 1)])
-    _, rate = golden_section_max(lambda al: inner_waterfill(al, problem)[2], lo, hi, 1e-6)
+    _, rate = golden_section_max(lambda al: inner_at(al, problem)[2], lo, hi, 1e-6)
     return max(rate, float(rates[best]))
 
 
@@ -50,7 +54,7 @@ class TestInnerWaterfill:
         for alpha in [0.05, 0.2, 0.5, 0.8]:
             g = 2.0 * alpha / (1.0 - alpha)
             cost = a_val / (g * b_val)
-            mu, mu_bar, rate = inner_waterfill(alpha, problem)
+            mu, mu_bar, rate = inner_at(alpha, problem)
             assert mu[0] == pytest.approx(min(1.0, 1.0 / cost), rel=1e-12)
             assert mu_bar[0] == pytest.approx(cost * mu[0], rel=1e-12)
             expected = (1.0 - alpha) * 1000.0 / 2.0 * np.log2(1.0 + a_val * mu[0])
@@ -61,7 +65,7 @@ class TestInnerWaterfill:
         a = rng.uniform(0.5, 30.0, 5)
         b = a * 1e6  # enormous hop-2 headroom: cost constraint never binds
         problem = ReducedProblem(a, b, 1000.0, 2)
-        mu, _, _ = inner_waterfill(0.5, problem)
+        mu, _, _ = inner_at(0.5, problem)
         reference = waterfill_bisection(a)
         assert np.max(np.abs(mu - reference)) < 1e-9
 
@@ -73,7 +77,7 @@ class TestInnerWaterfill:
         alpha = 0.3
         g = 2.0 * alpha / (1.0 - alpha)
         cost = a / (g * b)
-        mu_opt, _, rate_opt = inner_waterfill(alpha, problem)
+        mu_opt, _, rate_opt = inner_at(alpha, problem)
         # 1e5 random candidates feasible for both budgets.
         cands = random_feasible_points(rng, 3, 100_000)
         usage = cands @ cost
@@ -109,7 +113,7 @@ class TestInnerWaterfill:
             cases.append((a, b, alpha))
         for a, b, alpha in cases:
             problem = ReducedProblem(a, b, 1000.0, 2)
-            mu, mu_bar, _ = inner_waterfill(alpha, problem)
+            mu, mu_bar, _ = inner_at(alpha, problem)
             g = 2.0 * alpha / (1.0 - alpha)
             cost = a / (g * b)
             assert two_budget_kkt_residual(a, cost, mu) < 1e-8
@@ -123,7 +127,7 @@ class TestInnerWaterfill:
         for alpha in (0.05, 0.2, 0.5, 0.9999):
             a = rng.uniform(1.0, 1e3, 16)
             b = a * rng.uniform(0.5, 10.0, 16)
-            mu, _, _ = inner_waterfill(alpha, ReducedProblem(a, b, 1000.0, 2))
+            mu, _, _ = inner_at(alpha, ReducedProblem(a, b, 1000.0, 2))
             cost = a / (2.0 * alpha / (1.0 - alpha) * b)
             assert two_budget_kkt_residual(a, cost, mu) < 1e-8
             on = np.flatnonzero(mu > 0.0)
@@ -160,7 +164,7 @@ class TestInnerWaterfill:
             a[dead & (rng.random(n) < 0.5)] = 0.0
             b[dead & (a > 0.0)] = 0.0
             problem = ReducedProblem(a, b, 1000.0, 2)
-            mu, mu_bar, rate = inner_waterfill(alpha, problem)
+            mu, mu_bar, rate = inner_at(alpha, problem)
             assert np.array_equal(mu[dead], np.zeros(int(dead.sum())))
             assert np.array_equal(mu_bar[dead], np.zeros(int(dead.sum())))
             ref = two_budget_nested_bisection(a[live], a[live] / (g * b[live]))
@@ -175,7 +179,7 @@ class TestInnerWaterfill:
         # sum(mu) would miss 1 by about 8e-8.
         a = np.array([1e-4, 1e8, 1e3])
         cost = np.array([1e-6, 1e6, 1.0])
-        mu, mu_bar, _ = inner_waterfill(0.5, ReducedProblem(a, a / (2.0 * cost), 1000.0, 1))
+        mu, mu_bar, _ = inner_at(0.5, ReducedProblem(a, a / (2.0 * cost), 1000.0, 1))
         assert abs(mu.sum() - 1.0) <= 1e-11
         assert abs(mu_bar.sum() - 1.0) <= 1e-11
         assert np.max(np.abs(mu - two_budget_nested_bisection(a, cost))) <= 1e-11
@@ -189,8 +193,8 @@ class TestInnerWaterfill:
             assert mu[0] == pytest.approx(two_budget_nested_bisection(a, np.array([1.0])), rel=1e-12)
 
     def test_array_rows_match_scalar_calls(self):
-        # One call on an array solves each time split with the same bits as
-        # a call at that value alone, across every branch and with dead pairs.
+        # The rows of one call equal 1-element calls, bit for bit, across
+        # every branch and with dead pairs.
         rng = np.random.default_rng(57)
         a = rng.uniform(0.1, 1e3, 12)
         b = rng.uniform(0.1, 1e3, 12)
@@ -201,26 +205,26 @@ class TestInnerWaterfill:
         mu, mu_bar, rates = inner_waterfill(alphas, problem)
         assert mu.shape == mu_bar.shape == (61, 12)
         assert rates.shape == (61,)
-        for i, alpha in enumerate(alphas):
-            mu_i, mu_bar_i, rate_i = inner_waterfill(float(alpha), problem)
-            assert mu_i.tobytes() == mu[i].tobytes()
-            assert mu_bar_i.tobytes() == mu_bar[i].tobytes()
-            assert rate_i.hex() == rates[i].hex()
+        for i in range(alphas.size):
+            mu_i, mu_bar_i, rate_i = inner_waterfill(alphas[i : i + 1], problem)
+            assert mu_i.tobytes() == mu[i : i + 1].tobytes()
+            assert mu_bar_i.tobytes() == mu_bar[i : i + 1].tobytes()
+            assert rate_i.tobytes() == rates[i : i + 1].tobytes()
 
     def test_all_dead_channels(self):
         problem = ReducedProblem(np.array([0.0, 0.0]), np.array([1.0, 0.5]), 1000.0, 1)
-        mu, mu_bar, rate = inner_waterfill(0.4, problem)
+        mu, mu_bar, rate = inner_at(0.4, problem)
         assert rate == 0.0
         assert np.array_equal(mu, np.zeros(2))
         assert np.array_equal(mu_bar, np.zeros(2))
 
     def test_alpha_domain(self):
         problem = ReducedProblem(np.array([1.0]), np.array([1.0]), 1000.0, 1)
-        with pytest.raises(ValueError):
-            inner_waterfill(0.0, problem)
-        with pytest.raises(ValueError):
-            inner_waterfill(1.0, problem)
-        bad = (np.array([0.3, 1.0]), np.array([0.0, 0.3]), np.array([0.3, np.nan]), np.full((2, 2), 0.5))
+        # A float is rejected too: the evaluator takes a 1-D array only.
+        bad = (
+            0.5, np.array([0.0]), np.array([1.0]), np.array([0.3, 1.0]), np.array([0.0, 0.3]),
+            np.array([0.3, np.nan]), np.full((2, 2), 0.5),
+        )
         for alpha in bad:
             with pytest.raises(ValueError):
                 inner_waterfill(alpha, problem)
@@ -242,8 +246,8 @@ class TestSolve:
     def test_profile_and_feasibility(self):
         rng = np.random.default_rng(54)
         problem = ReducedProblem(rng.uniform(1, 50, 4), rng.uniform(1, 50, 4), 1000.0, 2)
-        sol = solve(problem, grid_points=99)
-        assert len(sol.alpha_grid_profile) == 99
+        sol = solve(problem)
+        assert len(sol.alpha_grid_profile) == 199
         assert sol.mu_star.sum() <= 1.0 + 1e-9
         assert sol.mu_bar_star.sum() <= 1.0 + 1e-9
         assert (sol.mu_star >= 0).all() and (sol.mu_bar_star >= 0).all()
@@ -251,18 +255,13 @@ class TestSolve:
         grid_best = max(rate for _, rate in sol.alpha_grid_profile)
         assert sol.rate_star >= grid_best - 1e-9
 
-    def test_grid_points_validated(self):
-        problem = ReducedProblem(np.array([1.0]), np.array([1.0]), 1000.0, 1)
-        with pytest.raises(ValueError):
-            solve(problem, grid_points=7)
-
     def test_profile_matches_inner_waterfill(self):
         rng = np.random.default_rng(57)
         problem = ReducedProblem(rng.uniform(0.1, 1e3, 12), rng.uniform(0.1, 1e3, 12), 1000.0, 2)
         sol = solve(problem)
         branches = set()
         for alpha, rate in sol.alpha_grid_profile:
-            mu, mu_bar, single = inner_waterfill(alpha, problem)
+            mu, mu_bar, single = inner_at(alpha, problem)
             assert rate == pytest.approx(single, rel=1e-12)
             branches.add((mu.sum() > 1.0 - 1e-9, mu_bar.sum() > 1.0 - 1e-9))
         # The grid crosses every branch: unit budget, cost budget, both.
@@ -289,17 +288,12 @@ class TestSolve:
         for (_, rate), (_, live_rate) in zip(sol.alpha_grid_profile, live.alpha_grid_profile):
             assert rate == pytest.approx(live_rate, rel=1e-12)
 
-    @pytest.mark.parametrize("refine_tol", [0.0, -1.0, float("nan"), float("inf")])
-    def test_refine_tol_validated(self, refine_tol):
-        problem = ReducedProblem(np.array([1.0]), np.array([1.0]), 1000.0, 1)
-        with pytest.raises(ValueError):
-            solve(problem, refine_tol=refine_tol)
-
-    def test_refine_tol_below_float_spacing_returns(self):
+    def test_refine_tol_below_float_spacing_returns(self, monkeypatch):
         # The bracket cannot shrink below the spacing of floats near alpha*;
         # the rounds stop once it no longer shrinks.
+        monkeypatch.setattr(waterfill, "_REFINE_TOL", 1e-300)
         problem = crosscheck_problem(0)
-        sol = solve(problem, refine_tol=1e-300)
+        sol = solve(problem)
         assert sol.rate_star >= max(rate for _, rate in sol.alpha_grid_profile)
 
     def test_zoom_matches_golden_section(self):
@@ -372,9 +366,7 @@ class TestSolve:
             problem = crosscheck_problem(key)
         else:  # K = 2, N = 2, d_sd = 10 at relay position phi = key
             scen = Scenario(phi=key)
-            real = generate(scen, trial_rng(7, 0, 0))
-            eff = effective_subchannels(real)
-            problem = snr_coefficients(eff.gains1, eff.gains2, optimal_energy_plan(real, scen), scen)
+            problem = draw_stages(scen, trial_rng(7, 0, 0)).problem
         sol = solve(problem)
         assert sol.rate_star.hex() == rate_hex
         assert sol.alpha_star.hex() == alpha_hex
@@ -446,12 +438,12 @@ class TestSolve:
 
         monkeypatch.setattr(waterfill, "inner_waterfill", counted)
         solve(crosscheck_problem(0))
-        # At most 8 calls, each on an array of time splits; none on a scalar.
+        # At most 8 calls, each on an array of time splits.
         assert 1 <= len(calls) <= 8
         assert calls == [1] * len(calls)
 
     def test_solution_is_inner_waterfill_at_alpha_star(self):
-        # solve keeps the best row of its batches; a scalar call at alpha*
+        # solve keeps the best row of its batches; a 1-element call at alpha*
         # must reproduce it bit for bit.
         rng = np.random.default_rng(60)
         problems = [crosscheck_problem(t) for t in range(3)]
@@ -462,7 +454,7 @@ class TestSolve:
             problems.append(ReducedProblem(a, b, 1000.0, 3))
         for problem in problems:
             sol = solve(problem)
-            mu, mu_bar, rate = inner_waterfill(sol.alpha_star, problem)
+            mu, mu_bar, rate = inner_at(sol.alpha_star, problem)
             assert sol.rate_star.hex() == rate.hex()
             assert mu.tobytes() == sol.mu_star.tobytes()
             assert mu_bar.tobytes() == sol.mu_bar_star.tobytes()
