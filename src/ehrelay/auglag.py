@@ -36,21 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ehrelay.system import Allocation, ReducedProblem, achievable_rate
+from ehrelay.system import ALPHA_MAX, ALPHA_MIN, Allocation, ReducedProblem, achievable_rate
 
 __all__ = [
-    "ALPHA_MAX",
-    "ALPHA_MIN",
     "AlpfResult",
     "optimize",
     "solve_subproblem",
     "update_multipliers",
     "update_penalties",
 ]
-
-# Box clamp keeping the time split away from the singular endpoints.
-ALPHA_MIN = 1e-4
-ALPHA_MAX = 1.0 - 1e-4
 
 _LN2 = float(np.log(2.0))
 _ARMIJO = 1e-4
@@ -268,12 +262,12 @@ def optimize(problem: ReducedProblem) -> AlpfResult:
 
     The run starts at ``alpha = 1/2`` with an even ``1/n`` share of each
     budget on every pair and both slacks at 0.05; these ``mu_bar`` and
-    slacks only set the first violation, and with it the first inner
-    tolerance.  The multipliers start at 0.  With ``w = bandwidth_hz /
-    (2K)`` and ``slope_n = w / ln 2 / (1 + a_n / n)``, the rate's marginal
-    per unit of hop-1 SNR on pair n at that point, pair row n's penalty
-    starts at ``max(1, 10 slope_n)`` and both budget rows' at ``max(1, 10
-    max_n slope_n a_n)``.  Each outer iteration solves the penalized
+    slacks only set the violation the first penalty test compares with.
+    The multipliers start at 0.  With ``w = bandwidth_hz / (2K)`` and
+    ``slope_n = w / ln 2 / (1 + a_n / n)``, the rate's marginal per unit
+    of hop-1 SNR on pair n at that point, pair row n's penalty starts at
+    ``max(1, 10 slope_n)`` and both budget rows' at ``max(1, 10 max_n
+    slope_n a_n)``.  Each outer iteration solves the penalized
     subproblem warm-started at the previous point, stops if max |c| is at most
     ``_EPS`` = 1e-6, and otherwise updates penalties then multipliers
     (the multiplier step uses the penalties in force during the solve).
@@ -289,7 +283,9 @@ def optimize(problem: ReducedProblem) -> AlpfResult:
     n = problem.n_pairs
     even = np.full(n, 1.0 / n)
     z = np.concatenate(([0.5], even))
-    # The start point's violation, with mu_bar = mu and g = 2 at alpha = 1/2.
+    # The start point's violation, with mu_bar = mu and g = 2 at alpha = 1/2:
+    # the first penalty test's reference.  Its budget rows of 0.05 put the
+    # first inner tolerance at the 1e-3 cap.
     pairs = problem.a_coeffs * even - 2.0 * problem.b_coeffs * even
     c_prev = np.concatenate(([even.sum() + 0.05 - 1.0] * 2, pairs))
     nu = np.zeros(n + 2)

@@ -4,13 +4,9 @@ A :class:`Scenario` collects every physical and protocol parameter of the
 two-hop link.  :func:`generate` draws one block-fading realization: i.i.d.
 circularly-symmetric complex Gaussian entries (Rayleigh fading) whose
 per-entry power follows a ``max(distance, 1)**(-pathloss_exp)`` law, one
-matrix per OFDM subcarrier and hop.  Each hop's K matrices come from a
-single ``standard_normal`` call whose stream order matches a draw per
-subcarrier, so the gains equal those of that draw bit for bit.  Each
-matrix is then decomposed by LAPACK's SVD, one call per matrix (the
-benchmark's tracer counts one ``svd`` span each), and only its
-per-subchannel power gains (squared singular values) are kept; no
-downstream code reads the singular vectors.
+matrix per OFDM subcarrier and hop.  Each matrix is decomposed by
+LAPACK's SVD, and only its per-subchannel power gains (squared singular
+values) are kept; no downstream code reads the singular vectors.
 
 Realizations are immutable after construction and generation is
 deterministic for a given seed.
@@ -89,11 +85,8 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_s", "n_r", "n_d"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be a positive antenna count")
-        if int(self.k_subcarriers) < 1:
-            raise ValueError("k_subcarriers must be >= 1")
+        for name in ("n_s", "n_r", "n_d", "k_subcarriers"):
+            require_count(name, getattr(self, name))
         for name in ("bandwidth_hz", "p_source", "d_sd", "noise_total_w"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0")
@@ -123,6 +116,16 @@ class Scenario:
     def d_rd(self) -> float:
         """Relay-destination distance."""
         return (1.0 - self.phi) * self.d_sd
+
+
+# Each Scenario field's type, read from its default; input files parse by it.
+FIELD_TYPES = {f.name: type(f.default) for f in fields(Scenario)}
+
+
+def require_count(name: str, value, least: int = 1) -> None:
+    """Reject a ``value`` that is not an integer of at least ``least``, naming ``name``."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -158,8 +161,7 @@ def generate(scenario: Scenario, rng: np.random.Generator | None = None) -> Chan
     consumes the stream exactly as one draw per subcarrier would (real
     part before imaginary part per subcarrier, all of hop 1 before
     hop 2), so the gains are those of the per-subcarrier draw, bit for
-    bit.  The SVD runs once per matrix, because the benchmark's tracer
-    counts one ``channel.svd`` span per matrix.
+    bit.
     """
     if rng is None:
         rng = np.random.default_rng(scenario.seed)
@@ -200,12 +202,11 @@ def scenario_from_file(path) -> Scenario:
 
 def scenario_from_mapping(values: dict[str, str]) -> Scenario:
     """Build a Scenario from string key/value pairs, rejecting unknown keys."""
-    kinds = {f.name: type(f.default) for f in fields(Scenario)}
     kwargs = {}
     for key, raw in values.items():
-        if key not in kinds:
+        if key not in FIELD_TYPES:
             raise ValueError(f"unknown scenario key '{key}'")
-        kwargs[key] = parse_value(key, raw, kinds[key])
+        kwargs[key] = parse_value(key, raw, FIELD_TYPES[key])
     return Scenario(**kwargs)
 
 
@@ -250,8 +251,8 @@ def _complex_gaussian(
 def _power_gains(h: np.ndarray, n_streams: int) -> np.ndarray:
     """Top ``n_streams`` squared singular values of each matrix, subcarrier-major.
 
-    One decomposition per matrix; LAPACK returns the singular values in
-    descending order.
+    One decomposition per matrix, as the benchmark's tracer counts one
+    ``channel.svd`` span each; LAPACK returns them in descending order.
     """
     gains = np.empty((h.shape[0], n_streams))
     for k, matrix in enumerate(h):

@@ -22,7 +22,9 @@ import numpy as np
 
 from ehrelay.auglag import optimize
 from ehrelay.channel import Scenario, effective_subchannels, generate, scenario_from_file
-from ehrelay.experiment import emit_csv, run, run_trial, spec_from_file, trial_rng, validate_solvers
+from ehrelay.experiment import (
+    SOLVER_ORDER, emit_csv, run, run_trial, spec_from_file, trial_rng, validate_solvers,
+)
 from ehrelay.system import (
     achievable_rate,
     benchmark_allocation,
@@ -39,15 +41,11 @@ logger = logging.getLogger(__name__)
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "single":
-            return _cmd_single(args)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
+    if args.handler is None:
         parser.print_help()
         return 1
+    try:
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -58,22 +56,23 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ehrelay",
         description="Monte Carlo rate experiments for a wireless-powered MIMO-OFDM relay.",
     )
-    sub = parser.add_subparsers(dest="command")
+    parser.set_defaults(handler=None)
+    sub = parser.add_subparsers()
 
     p_run = sub.add_parser("run", help="run a sweep experiment from a spec file")
+    p_run.set_defaults(handler=_cmd_run)
     p_run.add_argument("spec_file", help="key=value experiment spec file")
     p_run.add_argument("--output", help="CSV output path (overrides the spec file)")
 
     p_single = sub.add_parser("single", help="solve a single channel realization")
+    p_single.set_defaults(handler=_cmd_single)
     p_single.add_argument("--scenario-file", help="key=value scenario file")
     p_single.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p_single.add_argument(
-        "--solvers",
-        default="alpf,oracle,benchmark",
-        help="comma-separated subset of alpf,oracle,benchmark",
-    )
+    every = ",".join(SOLVER_ORDER)
+    p_single.add_argument("--solvers", default=every, help=f"comma-separated subset of {every}")
 
     p_self = sub.add_parser("selftest", help="run optimizer-vs-reference property checks")
+    p_self.set_defaults(handler=_cmd_selftest)
     p_self.add_argument("--trials", type=int, default=12, help="number of random instances")
     p_self.add_argument("--seed", type=int, default=2024, help="master seed")
     return parser
@@ -117,8 +116,9 @@ def _cmd_single(args) -> int:
     print(f"sorted hop-2 gains: {np.array2string(eff.gains2, precision=6)}")
 
     if "benchmark" in solvers:
-        rate = achievable_rate(problem, benchmark_allocation(problem))
-        print(f"\nbenchmark rate: {rate!r} bit/s (alpha = 0.5)")
+        alloc = benchmark_allocation(problem)
+        rate = achievable_rate(problem, alloc)
+        print(f"\nbenchmark rate: {rate!r} bit/s (alpha = {alloc.alpha!r})")
     if "oracle" in solvers:
         sol = oracle_solve(problem)
         print(f"\noracle rate: {sol.rate_star!r} bit/s at alpha = {sol.alpha_star!r}")
@@ -154,7 +154,7 @@ def _cmd_selftest(args) -> int:
             seed=int(rng.integers(0, 2**31)),
         )
         triple = (args.seed, 0, i)
-        outcome = run_trial(scenario, trial_rng(*triple), ("alpf", "oracle", "benchmark"))
+        outcome = run_trial(scenario, trial_rng(*triple), SOLVER_ORDER)
         alpf, oracle, bench = outcome["alpf"], outcome["oracle"], outcome["benchmark"]
 
         checks = {

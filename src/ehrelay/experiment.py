@@ -10,18 +10,20 @@ emitted as CSV with full-precision (round-trippable) numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from ehrelay.auglag import optimize
 from ehrelay.channel import (
+    FIELD_TYPES,
     Scenario,
     effective_subchannels,
     generate,
     parse_key_value_file,
     parse_value,
+    require_count,
     scenario_from_mapping,
 )
 from ehrelay.system import achievable_rate, benchmark_allocation, optimal_energy_plan, snr_coefficients
@@ -44,19 +46,14 @@ __all__ = [
 ]
 
 SOLVER_ORDER = ("alpf", "oracle", "benchmark")
-# Each sweep kind: the type of its values and the Scenario fields one value sets.
+# Each sweep kind and the Scenario fields one of its values sets.
 _SWEEPS = {
-    "phi": (float, ("phi",)),
-    "p_source": (float, ("p_source",)),
-    "antennas": (int, ("n_s", "n_r", "n_d")),
-    "k_subcarriers": (int, ("k_subcarriers",)),
+    "phi": ("phi",),
+    "p_source": ("p_source",),
+    "antennas": ("n_s", "n_r", "n_d"),
+    "k_subcarriers": ("k_subcarriers",),
 }
 SWEEP_KINDS = ("none", *_SWEEPS)
-
-CSV_HEADER = (
-    "sweep_param,sweep_value,solver,mean_rate_bps,stderr_rate_bps,"
-    "mean_alpha,mean_iterations,convergence_fraction"
-)
 
 _EXPERIMENT_KEYS = ("sweep", "sweep_values", "trials", "solvers", "output_path", "master_seed")
 
@@ -80,10 +77,8 @@ class ExperimentSpec:
             raise ValueError("sweep_values must be nonempty for a swept experiment")
         if self.sweep == "none" and len(self.sweep_values) > 0:
             raise ValueError("sweep_values must be empty when sweep is 'none'")
-        if int(self.trials) < 1:
-            raise ValueError("trials must be >= 1")
-        if int(self.master_seed) < 0:
-            raise ValueError("master_seed must be >= 0")
+        require_count("trials", self.trials)
+        require_count("master_seed", self.master_seed, least=0)
         validate_solvers(self.solvers)
         for value in self.sweep_values:
             scenario_for_sweep(self.scenario, self.sweep, value)  # validates
@@ -101,7 +96,7 @@ class TrialOutcome:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Aggregate of one (sweep value, solver) cell."""
+    """Aggregate of one (sweep value, solver) cell; its fields are the CSV columns."""
 
     sweep_value: float | int | None
     solver: str
@@ -110,6 +105,9 @@ class SweepRow:
     mean_alpha: float
     mean_iterations: float
     convergence_fraction: float
+
+
+CSV_HEADER = ",".join(["sweep_param", *(f.name for f in fields(SweepRow))])
 
 
 @dataclass(frozen=True)
@@ -136,8 +134,7 @@ def scenario_for_sweep(base: Scenario, sweep: str, value) -> Scenario:
     """Return ``base`` with the swept parameter replaced by ``value``."""
     if sweep == "none":
         return base
-    kind, names = _SWEEPS[sweep]
-    return replace(base, **dict.fromkeys(names, kind(value)))
+    return replace(base, **dict.fromkeys(_SWEEPS[sweep], value))
 
 
 def trial_rng(master_seed: int, sweep_index: int, trial_index: int) -> np.random.Generator:
@@ -160,8 +157,9 @@ def run_trial(scenario: Scenario, rng: np.random.Generator, solvers) -> dict[str
     outcomes: dict[str, TrialOutcome] = {}
     for solver in solvers:
         if solver == "benchmark":
-            rate = achievable_rate(problem, benchmark_allocation(problem))
-            outcomes[solver] = TrialOutcome(rate_bps=rate, alpha=0.5, iterations=0, converged=True)
+            alloc = benchmark_allocation(problem)
+            rate = achievable_rate(problem, alloc)
+            outcomes[solver] = TrialOutcome(rate_bps=rate, alpha=alloc.alpha, iterations=0, converged=True)
         elif solver == "alpf":
             res = optimize(problem)
             outcomes[solver] = TrialOutcome(
@@ -178,7 +176,7 @@ def run_trial(scenario: Scenario, rng: np.random.Generator, solvers) -> dict[str
                 iterations=len(sol.alpha_grid_profile),
                 converged=True,
             )
-        else:  # pragma: no cover - spec validation rejects this earlier
+        else:  # specs never get here; this check is for direct callers
             raise ValueError(f"unknown solver '{solver}'")
     return outcomes
 
@@ -219,21 +217,7 @@ def emit_csv(result: SweepResult, path) -> None:
         raise ValueError("cannot emit CSV for an empty result")
     lines = [CSV_HEADER]
     for row in result.rows:
-        sweep_value = "" if row.sweep_value is None else repr(row.sweep_value)
-        lines.append(
-            ",".join(
-                [
-                    result.sweep_param,
-                    sweep_value,
-                    row.solver,
-                    repr(row.mean_rate_bps),
-                    repr(row.stderr_rate_bps),
-                    repr(row.mean_alpha),
-                    repr(row.mean_iterations),
-                    repr(row.convergence_fraction),
-                ]
-            )
-        )
+        lines.append(",".join([result.sweep_param, *map(_cell, astuple(row))]))
     text = "\n".join(lines) + "\n"
     try:
         Path(path).write_text(text, newline="\n")
@@ -256,7 +240,7 @@ def spec_from_file(path) -> ExperimentSpec:
         kwargs["scenario"] = scenario_from_mapping(values)
         if "sweep_values" in exp_raw:
             # An unknown kind's values parse as floats, and ExperimentSpec then names the kind.
-            kind = _SWEEPS[sweep][0] if sweep in _SWEEPS else float
+            kind = FIELD_TYPES[_SWEEPS[sweep][0]] if sweep in _SWEEPS else float
             entries = (v.strip() for v in exp_raw["sweep_values"].split(","))
             kwargs["sweep_values"] = tuple(parse_value("sweep_values", v, kind) for v in entries if v)
         if "trials" in exp_raw:
@@ -270,6 +254,13 @@ def spec_from_file(path) -> ExperimentSpec:
         return ExperimentSpec(**kwargs)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _cell(value) -> str:
+    """CSV text of one field: empty for ``None``, a string as is, a number by ``repr``."""
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else repr(value)
 
 
 def _aggregate(sweep_value, solver: str, outcomes: list[TrialOutcome]) -> SweepRow:

@@ -8,9 +8,10 @@ sorted by gain, and that sort is the pairing: the n-th strongest hop-1
 subchannel forwards over the n-th strongest hop-2 subchannel.
 
 This module owns :class:`ReducedProblem`, the one problem type that
-every solver reads.  It provides the optimal energy-transfer
-subcarrier, the problem's SNR coefficients, the fixed benchmark
-allocation and the end-to-end achievable rate of any allocation.
+every solver reads, and the time-split box both solvers search.  It
+provides the optimal energy-transfer subcarrier, the problem's SNR
+coefficients, the fixed benchmark allocation and the end-to-end
+achievable rate of any allocation.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ehrelay.channel import ChannelRealization, Scenario
+from ehrelay.channel import ChannelRealization, Scenario, require_count
 
 __all__ = [
+    "ALPHA_MAX",
+    "ALPHA_MIN",
     "Allocation",
     "EnergyPlan",
     "ReducedProblem",
@@ -34,6 +37,10 @@ __all__ = [
 # Relative threshold below which a subchannel gain counts as zero
 # (rank-deficiency artifacts of the decomposition).
 GAIN_FLOOR_REL = 1e-14
+
+# Box clamp keeping the time split away from the singular endpoints.
+ALPHA_MIN = 1e-4
+ALPHA_MAX = 1.0 - 1e-4
 
 _SUM_SLACK = 1e-9
 _NEG_SLACK = -1e-12
@@ -65,8 +72,7 @@ class ReducedProblem:
             raise ValueError("SNR coefficients must be finite")
         if a.min() < 0 or b.min() < 0:
             raise ValueError("SNR coefficients must be nonnegative")
-        if int(self.k_subcarriers) < 1:
-            raise ValueError("k_subcarriers must be >= 1")
+        require_count("k_subcarriers", self.k_subcarriers)
         if not (np.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
             raise ValueError("bandwidth_hz must be finite and > 0")
 

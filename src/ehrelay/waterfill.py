@@ -17,11 +17,11 @@ values as array operations.  :func:`solve` calls it once on a fixed
 point, stops at a 1e-6 bracket in ``alpha`` (not the rate), and returns
 the best row it has seen as that call solved it.
 
-This module reads the same :class:`~ehrelay.system.ReducedProblem` as
-the augmented Lagrangian optimizer and shares only the time-split clamp
-``ALPHA_MIN``/``ALPHA_MAX`` with it; the solution path (sorted water
-levels and a root in the price ratio) and the rate formula are entirely
-separate, which is what makes it usable as a cross-check.
+It shares only the problem with the augmented Lagrangian optimizer:
+:class:`~ehrelay.system.ReducedProblem` and its time-split box, both
+from :mod:`ehrelay.system`.  The solution path (sorted water levels and
+a root in the price ratio) and the rate formula are its own, which is
+what makes it usable as a cross-check.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ehrelay.auglag import ALPHA_MAX, ALPHA_MIN
-from ehrelay.system import ReducedProblem
+from ehrelay.system import ALPHA_MAX, ALPHA_MIN, ReducedProblem
 
 __all__ = ["OracleSolution", "inner_waterfill", "solve"]
 

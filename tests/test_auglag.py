@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from ehrelay.auglag import (
-    ALPHA_MAX,
-    ALPHA_MIN,
     _eliminate,
     _newton_direction,
     _Subproblem,
@@ -17,7 +15,7 @@ from ehrelay.auglag import (
 )
 from ehrelay.channel import Scenario
 from ehrelay.experiment import trial_rng
-from ehrelay.system import ReducedProblem, achievable_rate
+from ehrelay.system import ALPHA_MAX, ALPHA_MIN, ReducedProblem, achievable_rate
 from ehrelay.waterfill import solve as oracle_solve
 from draws import draw_stages
 from oracles import pack_point, penalty_gradient, penalty_value
@@ -127,6 +125,25 @@ class TestReducedProblem:
     def test_non_finite_inputs_rejected(self, a, b, bandwidth):
         with pytest.raises(ValueError):
             ReducedProblem(np.array(a), np.array(b), bandwidth, 1)
+
+    @pytest.mark.parametrize(
+        "a, b, k, match",
+        [
+            ([1.0, 2.0], [1.0], 1, "equal-length"),
+            ([1.0, -2.0], [1.0, 1.0], 1, "nonnegative"),
+            ([1.0, 2.0], [1.0, 1.0], 0, "k_subcarriers"),
+            ([1.0, 2.0], [1.0, 1.0], 2.5, "k_subcarriers"),
+            ([1.0, 2.0], [1.0, 1.0], 2.0, "k_subcarriers"),
+        ],
+        ids=["unequal-lengths", "negative-a", "no-subcarriers", "fractional-k", "float-k"],
+    )
+    def test_malformed_inputs_rejected(self, a, b, k, match):
+        with pytest.raises(ValueError, match=match):
+            ReducedProblem(np.array(a), np.array(b), 1000.0, k)
+
+    def test_numpy_integer_count_accepted(self):
+        problem = ReducedProblem(np.array([1.0]), np.array([1.0]), 1000.0, np.int64(2))
+        assert problem.k_subcarriers == 2
 
 
 class TestViolation:
@@ -434,6 +451,9 @@ class TestOptimize:
         text = res.report_text()
         assert "converged: True" in text
         assert "final_violation" in text
+        assert "stalled" not in text
+        stalled = replace(res, stalled=True).report_text()
+        assert stalled == text + "\nnote: inner line search stalled at least once"
 
     def test_hop_balance_at_convergence(self):
         rng = np.random.default_rng(47)

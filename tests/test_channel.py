@@ -51,6 +51,9 @@ class TestScenarioValidation:
             ("p_source", np.inf),
             ("d_sd", np.inf),
             ("noise_total_w", np.inf),
+            ("n_s", 2.5),
+            ("n_d", 1.0),
+            ("k_subcarriers", 2.0),
         ],
     )
     def test_invalid_field_named_in_error(self, field, value):
@@ -63,6 +66,10 @@ class TestScenarioValidation:
 
     def test_n_streams_is_min(self):
         assert Scenario(n_s=3, n_r=2, n_d=4).n_streams == 2
+
+    def test_numpy_integer_counts_accepted(self):
+        scen = Scenario(n_s=np.int64(3), k_subcarriers=np.int32(4))
+        assert scen.n_streams == 2 and scen.noise_per_subchannel == pytest.approx(2.5e-7)
 
 
 class TestGenerate:
@@ -215,6 +222,13 @@ class TestScenarioFile:
         path.write_text("phi = fast\n")
         with pytest.raises(ValueError, match="phi"):
             scenario_from_file(path)
+
+    def test_duplicate_key_named_with_line(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        path.write_text("n_s = 2\nphi = 0.3\nn_s = 3\n")
+        with pytest.raises(ValueError) as excinfo:
+            scenario_from_file(path)
+        assert str(excinfo.value) == f"{path}:3: duplicate key 'n_s'"
 
     def test_undecodable_file_named(self, tmp_path):
         # Not UTF-8: the decoder's ValueError must name the file as well.

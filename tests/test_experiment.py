@@ -74,6 +74,23 @@ class TestSpecParsing:
         with pytest.raises(ValueError):
             ExperimentSpec(scenario=Scenario(), sweep="phi", sweep_values=(1.5,))
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"sweep": "antennas", "sweep_values": (2.5,)}, "n_s"),
+            ({"sweep": "k_subcarriers", "sweep_values": (1.5,)}, "k_subcarriers"),
+            ({"trials": 2.5}, "trials"),
+            ({"master_seed": 1.5}, "master_seed"),
+            ({"master_seed": -1}, "master_seed"),
+            ({"sweep": "none", "sweep_values": (0.3,)}, "sweep_values"),
+        ],
+        ids=["antennas", "k_subcarriers", "trials", "fractional-seed", "negative-seed", "values-without-sweep"],
+    )
+    def test_bad_field_named(self, kwargs, field):
+        # A fractional count is rejected, not truncated to a smaller one.
+        with pytest.raises(ValueError, match=field):
+            ExperimentSpec(scenario=Scenario(), **kwargs)
+
 
 class TestRun:
     def test_deterministic_rows(self, small_spec):
@@ -121,6 +138,12 @@ class TestRun:
 
 
 class TestCsv:
+    def test_header_names_the_row_fields(self):
+        assert CSV_HEADER == (
+            "sweep_param,sweep_value,solver,mean_rate_bps,stderr_rate_bps,"
+            "mean_alpha,mean_iterations,convergence_fraction"
+        )
+
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_csv(SweepResult(sweep_param="phi", rows=()), tmp_path / "out.csv")
@@ -194,6 +217,23 @@ class TestCli:
         assert code == 0
         assert out_path.exists()
         assert out_path.read_text().startswith(CSV_HEADER)
+
+    def test_run_writes_to_spec_output_path(self, tmp_path, capsys):
+        from ehrelay.cli import main
+
+        out_path = tmp_path / "from_spec.csv"
+        spec_path = tmp_path / "exp.txt"
+        spec_path.write_text(f"trials = 1\nsolvers = benchmark\noutput_path = {out_path}\n")
+        assert main(["run", str(spec_path)]) == 0
+        assert capsys.readouterr().out == f"wrote 1 rows to {out_path}\n"
+        assert out_path.read_text().startswith(CSV_HEADER + "\nnone,,benchmark,")
+
+    def test_no_subcommand_prints_help(self, capsys):
+        from ehrelay.cli import main
+
+        assert main([]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("usage: ehrelay [-h] {run,single,selftest} ...\n")
 
     def test_run_missing_output_is_validation_error(self, tmp_path):
         spec_path = tmp_path / "exp.txt"
@@ -278,6 +318,32 @@ class TestCli:
         assert "optimizer rate" in out
         assert "benchmark rate" in out
         assert "converged: True" in out
+
+    def test_single_runs_every_solver_by_default(self, capsys):
+        from ehrelay.cli import main
+
+        assert main(["single", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "(alpha = 0.5)" in out
+        assert "oracle rate: " in out and "oracle mu_bar: " in out
+        assert "optimizer rate: " in out and "converged: True" in out
+
+    def test_single_unconverged_exits_2(self, monkeypatch, capsys):
+        from ehrelay import auglag, cli
+
+        monkeypatch.setattr(auglag, "_MAX_OUTER_ITERS", 1)
+        assert cli.main(["single", "--seed", "3", "--solvers", "alpf"]) == 2
+        out = capsys.readouterr().out
+        assert "converged: False" in out and "outer_iterations: 1" in out
+
+    def test_selftest_failure_exits_2(self, monkeypatch, capsys):
+        from ehrelay import auglag, cli
+
+        monkeypatch.setattr(auglag, "_MAX_OUTER_ITERS", 1)
+        assert cli.main(["selftest", "--trials", "2", "--seed", "6"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1].startswith("FAIL(converged") for line in lines[:2]] == [True, True]
+        assert lines[2:] == ["selftest FAILED on 2/2 instances"]
 
     def test_failed_decomposition_is_reported(self, monkeypatch, capsys):
         # LAPACK's LinAlgError is a ValueError, so main reports it and

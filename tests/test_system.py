@@ -152,6 +152,28 @@ class TestAchievableRate:
             assert rate <= upper * (1.0 + 0.01) + 1e-9
 
 
+class TestAllocation:
+    @pytest.mark.parametrize(
+        "alpha, mu, mu_bar, match",
+        [
+            (-0.1, [0.5], [0.5], "alpha"),
+            (1.5, [0.5], [0.5], "alpha"),
+            (0.5, [0.5, 0.5], [0.5], "equal length"),
+            (0.5, [[0.5]], [[0.5]], "1-D"),
+            (0.5, [0.5, -1e-9], [0.5, 0.5], "mu has a negative entry"),
+            (0.5, [0.5, 0.5], [0.7, 0.4], "sum of mu_bar exceeds 1"),
+        ],
+        ids=["alpha-below-0", "alpha-above-1", "shape-mismatch", "not-1d", "negative-entry", "sum-above-1"],
+    )
+    def test_invalid_allocation_rejected(self, alpha, mu, mu_bar, match):
+        with pytest.raises(ValueError, match=match):
+            Allocation(alpha=alpha, mu=np.array(mu), mu_bar=np.array(mu_bar))
+
+    def test_rounding_slack_accepted(self):
+        alloc = Allocation(alpha=0.5, mu=np.array([0.5, 0.5 + 1e-10]), mu_bar=np.array([1.0, -1e-13]))
+        assert alloc.mu.sum() > 1.0 and alloc.mu_bar.min() < 0.0
+
+
 class TestBenchmark:
     def test_single_subchannel(self):
         alloc = benchmark_allocation(ReducedProblem(np.array([5.0]), np.array([3.0]), 1000.0, 1))

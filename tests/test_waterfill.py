@@ -1,12 +1,15 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ehrelay import waterfill
-from ehrelay.auglag import ALPHA_MAX, ALPHA_MIN
 from ehrelay.experiment import Scenario, trial_rng
-from ehrelay.system import Allocation, ReducedProblem, achievable_rate
+from ehrelay.system import ALPHA_MAX, ALPHA_MIN, Allocation, ReducedProblem, achievable_rate
 from ehrelay.waterfill import _waterfill_two_budgets, inner_waterfill, solve
 from draws import draw_stages
 from oracles import (
@@ -45,6 +48,16 @@ def golden_section_rate(problem, sol):
     hi = float(alphas[min(alphas.size - 1, best + 1)])
     _, rate = golden_section_max(lambda al: inner_at(al, problem)[2], lo, hi, 1e-6)
     return max(rate, float(rates[best]))
+
+
+def test_import_leaves_alpf_unloaded():
+    # The referee shares only the problem with the solver it checks, so a
+    # fresh interpreter that imports it must not load ALPF.
+    src = str(Path(waterfill.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ehrelay.waterfill; print(sorted(m for m in sys.modules if m.startswith('ehrelay')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "['ehrelay', 'ehrelay.channel', 'ehrelay.system', 'ehrelay.waterfill']\n"
 
 
 class TestInnerWaterfill:
