@@ -123,8 +123,11 @@ FIELD_TYPES = {f.name: type(f.default) for f in fields(Scenario)}
 
 
 def require_count(name: str, value, least: int = 1) -> None:
-    """Reject a ``value`` that is not an integer of at least ``least``, naming ``name``."""
-    if not isinstance(value, (int, np.integer)) or value < least:
+    """Reject a ``value`` that is not an integer of at least ``least``, naming ``name``.
+
+    A ``bool`` is an ``int`` to Python but not a count, so it is rejected too.
+    """
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 

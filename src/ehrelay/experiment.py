@@ -55,9 +55,6 @@ _SWEEPS = {
 }
 SWEEP_KINDS = ("none", *_SWEEPS)
 
-_EXPERIMENT_KEYS = ("sweep", "sweep_values", "trials", "solvers", "output_path", "master_seed")
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One reproducible experiment: scenario, sweep axis, trials, solvers."""
@@ -106,6 +103,10 @@ class SweepRow:
     mean_iterations: float
     convergence_fraction: float
 
+
+# Each experiment field a spec file may set, with its default's type; the
+# scenario's fields share the file's namespace.
+_SPEC_TYPES = {f.name: type(f.default) for f in fields(ExperimentSpec) if f.name != "scenario"}
 
 CSV_HEADER = ",".join(["sweep_param", *(f.name for f in fields(SweepRow))])
 
@@ -233,24 +234,25 @@ def spec_from_file(path) -> ExperimentSpec:
     keys are rejected, and every ``ValueError`` names the file.
     """
     values = parse_key_value_file(path)
-    exp_raw = {k: values.pop(k) for k in list(values) if k in _EXPERIMENT_KEYS}
+    exp_raw = {k: values.pop(k) for k in list(values) if k in _SPEC_TYPES}
     sweep = exp_raw.get("sweep", "none")
-    kwargs = {"sweep": sweep}
+    kwargs = {}
     try:
         kwargs["scenario"] = scenario_from_mapping(values)
-        if "sweep_values" in exp_raw:
-            # An unknown kind's values parse as floats, and ExperimentSpec then names the kind.
-            kind = FIELD_TYPES[_SWEEPS[sweep][0]] if sweep in _SWEEPS else float
-            entries = (v.strip() for v in exp_raw["sweep_values"].split(","))
-            kwargs["sweep_values"] = tuple(parse_value("sweep_values", v, kind) for v in entries if v)
-        if "trials" in exp_raw:
-            kwargs["trials"] = parse_value("trials", exp_raw["trials"], int)
-        if "solvers" in exp_raw:
-            kwargs["solvers"] = tuple(s.strip() for s in exp_raw["solvers"].split(",") if s.strip())
-        if "output_path" in exp_raw:
-            kwargs["output_path"] = exp_raw["output_path"]
-        if "master_seed" in exp_raw:
-            kwargs["master_seed"] = parse_value("master_seed", exp_raw["master_seed"], int)
+        for key, kind in _SPEC_TYPES.items():
+            if key not in exp_raw:
+                continue
+            raw = exp_raw[key]
+            if kind is tuple:
+                entries = tuple(v.strip() for v in raw.split(",") if v.strip())
+                if key == "sweep_values":
+                    # An unknown kind's values parse as floats, and ExperimentSpec then names the kind.
+                    kind = FIELD_TYPES[_SWEEPS[sweep][0]] if sweep in _SWEEPS else float
+                    entries = tuple(parse_value(key, v, kind) for v in entries)
+                kwargs[key] = entries
+            else:
+                # Strings, and the output path whose default is None, are taken as written.
+                kwargs[key] = parse_value(key, raw, kind) if kind is int else raw
         return ExperimentSpec(**kwargs)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

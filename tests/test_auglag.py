@@ -134,8 +134,9 @@ class TestReducedProblem:
             ([1.0, 2.0], [1.0, 1.0], 0, "k_subcarriers"),
             ([1.0, 2.0], [1.0, 1.0], 2.5, "k_subcarriers"),
             ([1.0, 2.0], [1.0, 1.0], 2.0, "k_subcarriers"),
+            ([1.0, 2.0], [1.0, 1.0], True, "k_subcarriers"),
         ],
-        ids=["unequal-lengths", "negative-a", "no-subcarriers", "fractional-k", "float-k"],
+        ids=["unequal-lengths", "negative-a", "no-subcarriers", "fractional-k", "float-k", "bool-k"],
     )
     def test_malformed_inputs_rejected(self, a, b, k, match):
         with pytest.raises(ValueError, match=match):

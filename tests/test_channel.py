@@ -54,6 +54,10 @@ class TestScenarioValidation:
             ("n_s", 2.5),
             ("n_d", 1.0),
             ("k_subcarriers", 2.0),
+            ("n_s", True),
+            ("n_r", True),
+            ("n_d", True),
+            ("k_subcarriers", True),
         ],
     )
     def test_invalid_field_named_in_error(self, field, value):

@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -83,13 +84,36 @@ class TestSpecParsing:
             ({"master_seed": 1.5}, "master_seed"),
             ({"master_seed": -1}, "master_seed"),
             ({"sweep": "none", "sweep_values": (0.3,)}, "sweep_values"),
+            ({"trials": True}, "trials"),
+            ({"master_seed": False}, "master_seed"),
         ],
-        ids=["antennas", "k_subcarriers", "trials", "fractional-seed", "negative-seed", "values-without-sweep"],
+        ids=[
+            "antennas", "k_subcarriers", "trials", "fractional-seed", "negative-seed", "values-without-sweep",
+            "bool-trials", "bool-seed",
+        ],
     )
     def test_bad_field_named(self, kwargs, field):
-        # A fractional count is rejected, not truncated to a smaller one.
+        # A fractional count is rejected, not truncated to a smaller one, and a bool is no count.
         with pytest.raises(ValueError, match=field):
             ExperimentSpec(scenario=Scenario(), **kwargs)
+
+    def test_every_experiment_field_is_a_spec_key(self, tmp_path):
+        # The spec keys come from ExperimentSpec's fields, so each one but
+        # the scenario (whose fields share the file) reads back as written.
+        values = {
+            "sweep": ("p_source", "p_source"),
+            "sweep_values": ("0.5, 2", (0.5, 2.0)),
+            "trials": ("4", 4),
+            "solvers": ("oracle, benchmark", ("oracle", "benchmark")),
+            "output_path": ("out/result.csv", "out/result.csv"),
+            "master_seed": ("17", 17),
+        }
+        assert set(values) == {f.name for f in fields(ExperimentSpec)} - {"scenario"}
+        path = tmp_path / "exp.txt"
+        path.write_text("".join(f"{key} = {text}\n" for key, (text, _) in values.items()))
+        spec = spec_from_file(path)
+        for key, (_, parsed) in values.items():
+            assert getattr(spec, key) == parsed
 
 
 class TestRun:
@@ -195,7 +219,7 @@ class TestCsv:
         path = tmp_path / "out.csv"
         emit_csv(run(spec), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "9e1d59ad5d75526cad89a3bedf342b66bde47dcddafb81f43a646c4418e6a85e"
+            "102ed06f0856f0f1dab49594dd052cd3e719a29fb5eb56dfd5c21ec83099d188"
         )
 
     def test_unwritable_path_raises_oserror(self, small_spec):

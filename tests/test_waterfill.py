@@ -35,9 +35,32 @@ def crosscheck_problem(trial):
 
 
 def inner_at(alpha, problem):
-    """Row 0 of :func:`inner_waterfill` on the 1-element array ``[alpha]``."""
-    mu, mu_bar, rates = inner_waterfill(np.array([alpha]), problem)
+    """``(mu, mu_bar, rate)`` of row 0 of :func:`inner_waterfill` on the 1-element array ``[alpha]``."""
+    mu, mu_bar, rates, _ = inner_waterfill(np.array([alpha]), problem)
     return mu[0], mu_bar[0], rates[0]
+
+
+def pinned_problem(draw):
+    """A crosscheck draw, or K = 2, N = 2, d_sd = 10 at relay position phi."""
+    kind, key = draw
+    if kind == "crosscheck":
+        return crosscheck_problem(key)
+    return draw_stages(Scenario(phi=key), trial_rng(7, 0, 0)).problem
+
+
+def counted_solve(monkeypatch, problem):
+    """``solve(problem)`` and the ``ndim`` of each :func:`inner_waterfill` call it made."""
+    calls = []
+    inner = waterfill.inner_waterfill
+
+    def counted(alpha, problem):
+        calls.append(np.ndim(alpha))
+        return inner(alpha, problem)
+
+    monkeypatch.setattr(waterfill, "inner_waterfill", counted)
+    sol = solve(problem)
+    monkeypatch.undo()
+    return sol, calls
 
 
 def golden_section_rate(problem, sol):
@@ -201,7 +224,7 @@ class TestInnerWaterfill:
         # One pair has both budgets tight only at cost 1, where mu = 1.
         for a_val in (1e-4, 3.0, 1e8):
             a = np.array([a_val])
-            mu = _waterfill_two_budgets(a, np.array([[1.0]]))
+            mu, _ = _waterfill_two_budgets(a, np.array([[1.0]]))
             assert mu[0, 0] == pytest.approx(1.0, rel=1e-12)
             assert mu[0] == pytest.approx(two_budget_nested_bisection(a, np.array([1.0])), rel=1e-12)
 
@@ -215,14 +238,46 @@ class TestInnerWaterfill:
         b[7] = 0.0
         problem = ReducedProblem(a, b, 1000.0, 2)
         alphas = np.linspace(ALPHA_MIN, ALPHA_MAX, 61)
-        mu, mu_bar, rates = inner_waterfill(alphas, problem)
+        mu, mu_bar, rates, slopes = inner_waterfill(alphas, problem)
         assert mu.shape == mu_bar.shape == (61, 12)
-        assert rates.shape == (61,)
+        assert rates.shape == slopes.shape == (61,)
         for i in range(alphas.size):
-            mu_i, mu_bar_i, rate_i = inner_waterfill(alphas[i : i + 1], problem)
+            mu_i, mu_bar_i, rate_i, slope_i = inner_waterfill(alphas[i : i + 1], problem)
             assert mu_i.tobytes() == mu[i : i + 1].tobytes()
             assert mu_bar_i.tobytes() == mu_bar[i : i + 1].tobytes()
             assert rate_i.tobytes() == rates[i : i + 1].tobytes()
+            assert slope_i.tobytes() == slopes[i : i + 1].tobytes()
+
+    @pytest.mark.parametrize("dead", [False, True], ids=["live", "dead-pairs"])
+    def test_slope_matches_central_differences(self, monkeypatch, dead):
+        # The slope is dR/dalpha by the envelope theorem, from the cost
+        # budget's price; central differences of the rate must agree on
+        # every branch, on two-budget rows solved in either coordinates.
+        rng = np.random.default_rng(57)
+        a = rng.uniform(0.1, 1e3, 12)
+        b = rng.uniform(0.1, 1e3, 12)
+        if dead:
+            a[3] = 0.0
+            b[7] = 0.0
+        problem = ReducedProblem(a, b, 1000.0, 2)
+        live = a[(a > 0.0) & (b > 0.0)]
+        swapped = []
+        root = waterfill._price_ratio_root
+
+        def recorded(gains, cost, start):
+            swapped.extend((gains != live).any(axis=1))
+            return root(gains, cost, start)
+
+        monkeypatch.setattr(waterfill, "_price_ratio_root", recorded)
+        alphas = np.linspace(0.01, 0.99, 99)
+        mu, mu_bar, _, slopes = inner_waterfill(alphas, problem)
+        monkeypatch.undo()
+        step = 1e-6
+        central = (inner_waterfill(alphas + step, problem)[2] - inner_waterfill(alphas - step, problem)[2]) / (2 * step)
+        assert np.all(np.abs(slopes - central) <= 1e-6 * np.abs(central))
+        branches = {(m.sum() > 1.0 - 1e-9, m_bar.sum() > 1.0 - 1e-9) for m, m_bar in zip(mu, mu_bar)}
+        assert branches == {(True, False), (False, True), (True, True)}
+        assert any(swapped) and not all(swapped)
 
     def test_all_dead_channels(self):
         problem = ReducedProblem(np.array([0.0, 0.0]), np.array([1.0, 0.5]), 1000.0, 1)
@@ -341,28 +396,28 @@ class TestSolve:
         "draw, rate_hex, alpha_hex, arrays_sha256",
         [
             (
-                ("crosscheck", 0), "0x1.c6cc73d0f5c9ap+13", "0x1.d3374afdce71fp-5",
-                "37b970918b50aeddce32a50609ab80b1fffe31eb3e942a0e59422e6fa943ce63",
+                ("crosscheck", 0), "0x1.c6cc73d0f7b66p+13", "0x1.d3377bdf17fcap-5",
+                "1019131309a79a3f64cb102b9900b306c1ecdf59cd8415b44f254c41d7ea5e08",
             ),
             (
-                ("crosscheck", 1), "0x1.c913c90656dabp+13", "0x1.26e838d525490p-4",
-                "c001922a342e01a4cb70458a38098236f16e8ace77747bc69ae12e94fbe6ec1b",
+                ("crosscheck", 1), "0x1.c913c90656e20p+13", "0x1.26e83cb5cd1e3p-4",
+                "ec0b16a3eab9e159e55469e7371e97e7085498f2f1b1ae782d73b272ba00c4c4",
             ),
             (
-                ("crosscheck", 2), "0x1.c326001aec632p+13", "0x1.021f32191f154p-4",
-                "5384d6968757f878546ada26fd210d131172a0dc54b70eac4bd0b0aeaa2929bd",
+                ("crosscheck", 2), "0x1.c326001aedb7dp+13", "0x1.021f1b776b724p-4",
+                "cd9a9420bb173ab1f25888fd9e90627187039552232357a8b8c200086d2a3df3",
             ),
             (
-                ("phi", 0.1), "0x1.1ab9b724862d2p+12", "0x1.c69c272a510cbp-3",
-                "7b5ff4ace2310bcb25981efc6c7db737f983502b1dd05264aef0b39c461682f4",
+                ("phi", 0.1), "0x1.1ab9b72486328p+12", "0x1.c69c310c14990p-3",
+                "82385186125665a01429f7a4b4fd5b69ded8281028cfdcb5803830ac18835ca4",
             ),
             (
-                ("phi", 0.5), "0x1.8d3aed5bc4ff3p+10", "0x1.362edb3a42f36p-2",
-                "d9c3ee92c387aba746ef62a3496bf2db9d3fb366a11afda4e94390c346ea6984",
+                ("phi", 0.5), "0x1.8d3aed5bc501bp+10", "0x1.362ed8cd082d5p-2",
+                "069afa2d750562f19024750c096e61398fb4bd382c282b68df1cc41cafb52ade",
             ),
             (
-                ("phi", 0.9), "0x1.f2d88b1ac8218p+11", "0x1.2b1e05a91fdbdp-4",
-                "32f0d302d5ee7f399bc39c9a8ee03234b6e1dfba4f5a2cd3b841d04a191d9d84",
+                ("phi", 0.9), "0x1.f2d88b1aec59ap+11", "0x1.2b1de85cd0dbdp-4",
+                "40dc9acde836770983ce63c44b2a9268739c75f1c4e817cfc36eda6335d66373",
             ),
         ],
         ids=["crosscheck-0", "crosscheck-1", "crosscheck-2", "phi-0.1", "phi-0.5", "phi-0.9"],
@@ -374,19 +429,33 @@ class TestSolve:
         # test, which is then a reason to re-record, not an oracle change.
         # The digest covers the bytes of mu, mu_bar and the grid profile as
         # a (grid_points, 2) array, in that order.
-        kind, key = draw
-        if kind == "crosscheck":
-            problem = crosscheck_problem(key)
-        else:  # K = 2, N = 2, d_sd = 10 at relay position phi = key
-            scen = Scenario(phi=key)
-            problem = draw_stages(scen, trial_rng(7, 0, 0)).problem
-        sol = solve(problem)
+        sol = solve(pinned_problem(draw))
         assert sol.rate_star.hex() == rate_hex
         assert sol.alpha_star.hex() == alpha_hex
         digest = hashlib.sha256()
         for array in (sol.mu_star, sol.mu_bar_star, np.array(sol.alpha_grid_profile)):
             digest.update(array.tobytes())
         assert digest.hexdigest() == arrays_sha256
+
+    @pytest.mark.parametrize(
+        "draw, rate_hex, alpha_hex",
+        [
+            (("crosscheck", 0), "0x1.c6cc73d0f5c9ap+13", "0x1.d3374afdce71fp-5"),
+            (("crosscheck", 1), "0x1.c913c90656dabp+13", "0x1.26e838d525490p-4"),
+            (("crosscheck", 2), "0x1.c326001aec632p+13", "0x1.021f32191f154p-4"),
+            (("phi", 0.1), "0x1.1ab9b724862d2p+12", "0x1.c69c272a510cbp-3"),
+            (("phi", 0.5), "0x1.8d3aed5bc4ff3p+10", "0x1.362edb3a42f36p-2"),
+            (("phi", 0.9), "0x1.f2d88b1ac8218p+11", "0x1.2b1e05a91fdbdp-4"),
+        ],
+        ids=["crosscheck-0", "crosscheck-1", "crosscheck-2", "phi-0.1", "phi-0.5", "phi-0.9"],
+    )
+    def test_solve_no_worse_than_fixed_zoom(self, draw, rate_hex, alpha_hex):
+        # The same draws as the bit-for-bit pins, solved by the fixed
+        # +-1-row zoom that the slope-placed rounds replaced: the rate may
+        # not fall below its answer, and alpha stays within the contract.
+        sol = solve(pinned_problem(draw))
+        assert sol.rate_star >= float.fromhex(rate_hex) * (1.0 - 1e-12)
+        assert abs(sol.alpha_star - float.fromhex(alpha_hex)) <= 1e-6
 
     def test_rate_matches_achievable_rate(self):
         # Two independent formulas for the same rate: the oracle's own
@@ -414,7 +483,25 @@ class TestSolve:
             dense = np.linspace(
                 max(ALPHA_MIN, sol.alpha_star - 4e-6), min(ALPHA_MAX, sol.alpha_star + 4e-6), 801
             )
-            _, _, rates = inner_waterfill(dense, problem)
+            _, _, rates, _ = inner_waterfill(dense, problem)
+            assert abs(dense[np.argmax(rates)] - sol.alpha_star) <= 1e-6
+
+    def test_decade_spanning_alpha_and_calls(self, monkeypatch):
+        # Optima on kinks and at the box edges: the slope-placed rounds keep
+        # the contract on alpha and stay within 8 calls.
+        rng = np.random.default_rng(61)
+        for _ in range(64):
+            n = int(rng.integers(1, 65))
+            a = 10.0 ** rng.uniform(-4.0, 8.0, n)
+            b = 10.0 ** rng.uniform(-4.0, 8.0, n)
+            a[rng.random(n) < 0.1] = 0.0
+            problem = ReducedProblem(a, b, 1000.0, int(rng.integers(1, 40)))
+            sol, calls = counted_solve(monkeypatch, problem)
+            assert 1 <= len(calls) <= 8
+            dense = np.linspace(
+                max(ALPHA_MIN, sol.alpha_star - 4e-6), min(ALPHA_MAX, sol.alpha_star + 4e-6), 801
+            )
+            _, _, rates, _ = inner_waterfill(dense, problem)
             assert abs(dense[np.argmax(rates)] - sol.alpha_star) <= 1e-6
 
     def test_price_ratio_roots_stop_at_rounding(self, monkeypatch):
@@ -442,18 +529,11 @@ class TestSolve:
         assert max(steps) <= 30
 
     def test_refinement_stays_batched(self, monkeypatch):
-        calls = []
-        inner = waterfill.inner_waterfill
-
-        def counted(alpha, problem):
-            calls.append(np.ndim(alpha))
-            return inner(alpha, problem)
-
-        monkeypatch.setattr(waterfill, "inner_waterfill", counted)
-        solve(crosscheck_problem(0))
-        # At most 8 calls, each on an array of time splits.
-        assert 1 <= len(calls) <= 8
-        assert calls == [1] * len(calls)
+        for trial in range(6):
+            _, calls = counted_solve(monkeypatch, crosscheck_problem(trial))
+            # At most 4 calls, each on an array of time splits.
+            assert 1 <= len(calls) <= 4
+            assert calls == [1] * len(calls)
 
     def test_solution_is_inner_waterfill_at_alpha_star(self):
         # solve keeps the best row of its batches; a 1-element call at alpha*
