@@ -57,9 +57,9 @@ def counted_solve(monkeypatch, problem):
         calls.append(np.ndim(alpha))
         return inner(alpha, problem)
 
-    monkeypatch.setattr(waterfill, "inner_waterfill", counted)
-    sol = solve(problem)
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(waterfill, "inner_waterfill", counted)
+        sol = solve(problem)
     return sol, calls
 
 
@@ -268,10 +268,10 @@ class TestInnerWaterfill:
             swapped.extend((gains != live).any(axis=1))
             return root(gains, cost, start)
 
-        monkeypatch.setattr(waterfill, "_price_ratio_root", recorded)
         alphas = np.linspace(0.01, 0.99, 99)
-        mu, mu_bar, _, slopes = inner_waterfill(alphas, problem)
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(waterfill, "_price_ratio_root", recorded)
+            mu, mu_bar, _, slopes = inner_waterfill(alphas, problem)
         step = 1e-6
         central = (inner_waterfill(alphas + step, problem)[2] - inner_waterfill(alphas - step, problem)[2]) / (2 * step)
         assert np.all(np.abs(slopes - central) <= 1e-6 * np.abs(central))
