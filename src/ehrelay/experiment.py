@@ -93,7 +93,11 @@ class TrialOutcome:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Aggregate of one (sweep value, solver) cell; its fields are the CSV columns."""
+    """Aggregate of one (sweep value, solver) cell; its fields are the CSV columns.
+
+    ``mean_iterations`` averages each trial's count: ALPF's outer
+    iterations, the oracle's Dinkelbach steps, and 0 for the benchmark.
+    """
 
     sweep_value: float | int | None
     solver: str
@@ -174,7 +178,7 @@ def run_trial(scenario: Scenario, rng: np.random.Generator, solvers) -> dict[str
             outcomes[solver] = TrialOutcome(
                 rate_bps=sol.rate_star,
                 alpha=sol.alpha_star,
-                iterations=len(sol.alpha_grid_profile),
+                iterations=sol.iterations,
                 converged=True,
             )
         else:  # specs never get here; this check is for direct callers

@@ -9,25 +9,36 @@ binds, the solution is the closed-form water level over channels sorted
 by ``cost / a``.  When both bind, their prices are ``lam (1 - s, s)``
 and a one-dimensional root in the price ratio ``s`` closes both, each
 step being one single-budget water level (the one-ratio idea of Palomar
-& Fonollosa, IEEE TSP 53(2), 2005).
+& Fonollosa, IEEE TSP 53(2), 2005).  :func:`inner_waterfill` solves a
+1-D array of ``alpha`` values this way, as array operations.
 
-One evaluator, :func:`inner_waterfill`, solves a 1-D array of ``alpha``
-values as array operations, and gives each row's slope ``dR/dalpha``
-from the cost budget's price by the envelope theorem.  :func:`solve`
-calls it once on a fixed 199-point grid and once per 25-point zoom round
-across the slope's root, stops at a 1e-6 interval in ``alpha`` (not the
-rate), and returns the best row it has seen as that call solved it.
+:func:`solve` finds the best time split without searching over it.  As
+``1 - alpha = 2 / (2 + g)``, the rate is
+``W / ln 2 * 2 sum ln(1 + a mu) / (2 + g)`` with ``W = bandwidth / (2K)``,
+and the relay budget reads ``sum c mu <= g`` with ``c = a / b``.  For a
+given ``mu`` the best ``g`` is the least that budget allows, so dropping
+the time-split box leaves the relaxation
+
+    max 2 sum ln(1 + a mu) / (2 + sum c mu)  over  sum mu <= 1, mu >= 0,
+
+a concave function over a positive affine one, which Dinkelbach's method
+solves in a few closed-form steps (W. Dinkelbach, Management Science
+13(7), 1967).  No feasible ``(g, mu)`` rates above it, so where its
+``g* = sum c mu*`` lies inside the box, ``alpha* = g* / (2 + g*)`` is the
+optimum.  Where it lies outside, the optimum is the box edge nearer
+``g*``: the per-``g`` optimum ``C(g)`` is a partial maximum of a concave
+function over a convex set, hence concave, so the rate
+``2 C(g) / (2 + g)`` is unimodal in ``g``.
 
 It shares only the problem with the augmented Lagrangian optimizer:
 :class:`~ehrelay.system.ReducedProblem` and its time-split box, both
-from :mod:`ehrelay.system`.  The solution path (sorted water levels and
-a root in the price ratio) and the rate formula are its own, which is
-what makes it usable as a cross-check.
+from :mod:`ehrelay.system`.  The solution path (sorted water levels, a
+root in the price ratio and Dinkelbach's steps) and the rate formula
+are its own, which is what makes it usable as a cross-check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,38 +48,28 @@ from ehrelay.system import ALPHA_MAX, ALPHA_MIN, ReducedProblem
 __all__ = ["OracleSolution", "inner_waterfill", "solve"]
 
 _FEAS_SLACK = 1e-12
-# Rounding level at which the price-ratio root stops: relative step or bracket, absolute f.
+# Rounding level at which the roots and Dinkelbach's steps stop: relative step or bracket, absolute f.
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
-# Cap on steps per root, past which it raises; seeded stress runs stop within 30.
+# Cap on steps per price-ratio root, past which it raises; seeded stress runs stop within 30.
 _ROOT_STEPS = 200
-# Time splits of the first grid; their count is the oracle's CSV mean_iterations.
-_GRID_POINTS = 199
-# Time splits per zoom round: a uniform round narrows the slope's sign-change
-# interval 24-fold, a round across the interpolated root to about a twelfth
-# of three times the root's error estimate.
-_ZOOM_POINTS = 25
-# Sign-change interval width in alpha, not in the rate, at which the zoom rounds stop.
-_REFINE_TOL = 1e-6
-# Half-width of a round, in multiples of the root's error estimate.
-_SPREAD = 3.0
-# A slope jumping this many times faster than beside it marks a kink of the rate.
-_KINK = 4.0
+# Cap on steps per unit-price root after its first, past which it raises.
+_PRICE_STEPS = 100
+# Cap on Dinkelbach steps per solve, past which it raises.
+_DINKELBACH_STEPS = 100
 
 
 @dataclass(frozen=True)
 class OracleSolution:
-    """Best allocation found by grid search plus zoom rounds."""
+    """The optimal allocation, and the Dinkelbach steps that placed its time split."""
 
     alpha_star: float
     mu_star: np.ndarray
     mu_bar_star: np.ndarray
     rate_star: float
-    alpha_grid_profile: tuple[tuple[float, float], ...]
+    iterations: int
 
 
-def inner_waterfill(
-    alpha: np.ndarray, problem: ReducedProblem
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def inner_waterfill(alpha: np.ndarray, problem: ReducedProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Optimal power fractions for each of several fixed time splits.
 
     Maximizes ``sum log2(1 + a mu)`` subject to ``sum mu <= 1`` and
@@ -78,21 +79,13 @@ def inner_waterfill(
     either hop are switched off.
 
     ``alpha`` must be a 1-D array of time splits in ``(0, 1)``; row ``i``
-    of ``(mu, mu_bar, rates, slopes)`` solves ``alpha[i]``, with the same
-    bits as a 1-element call.  The unit-budget solution does not depend on
+    of ``(mu, mu_bar, rates)`` solves ``alpha[i]``, with the same bits as
+    a 1-element call.  The unit-budget solution does not depend on
     ``alpha``, so it is computed once.  Rows where it overspends the cost
     budget take the cost-budget solution, whose sort order
     (``theta = 1 / (g b)``) is the same for every ``alpha``.  Rows where
     that in turn overspends the unit budget go to
     :func:`_waterfill_two_budgets` together.
-
-    Only the cost budget moves with ``alpha``, as
-    ``d cost / d alpha = -cost / (alpha (1 - alpha))``, so by the envelope
-    theorem the slope of the rate is
-    ``W / ln 2 * (p2 sum cost mu / alpha - sum ln(1 + a mu))`` with
-    ``W = bandwidth / (2K)`` and ``p2`` the cost budget's price for
-    ``sum ln(1 + a mu)``: 0 on unit-budget rows, ``1 / level`` on
-    cost-budget rows.
     """
     alphas = np.asarray(alpha, dtype=float)
     if alphas.ndim != 1 or not ((alphas > 0.0) & (alphas < 1.0)).all():
@@ -105,103 +98,104 @@ def inner_waterfill(
     mu = np.zeros((alphas.size, a.size))
     mu_bar = np.zeros_like(mu)
     rates = np.zeros(alphas.size)
-    slopes = np.zeros(alphas.size)
     if ok.any():
-        mu[:, ok], mu_bar[:, ok], rates, slopes = _waterfill_live(alphas, a[ok], b[ok], problem)
-    return mu, mu_bar, rates, slopes
+        mu[:, ok], mu_bar[:, ok], rates = _waterfill_live(alphas, a[ok], b[ok], problem)
+    return mu, mu_bar, rates
 
 
 def solve(problem: ReducedProblem) -> OracleSolution:
-    """Grid search over the time split, refined by zoom rounds placed by the slope.
+    """The optimal time split and allocation, in one :func:`inner_waterfill` call.
 
-    Round 0 solves 199 uniform values of ``alpha`` in one
-    :func:`inner_waterfill` call.  The slope of the rate changes sign
-    next to the best row seen; each later round solves 25 values, in one
-    call, across the root of the slope that :func:`_slope_root`
-    interpolates inside that sign-change interval, spanning three times
-    its error estimate and at least 2.5e-7 on each side.  A round that
-    misses the root leaves the rest of the interval; an interval that
-    shrank less than twelvefold in the last round, or that ends a round's
-    rows, gets 25 uniform values instead.  At a box edge where the slope
-    points out, there is no sign change and the edge row stands.  Rounds
-    stop once the interval is narrower than 1e-6 (1.6e-9 at a kink) or no
-    longer shrinks, and the best row seen is returned as it was solved,
-    with no further call.
-
-    The 1e-6 bounds the error in ``alpha``, not in the rate.  Where the
-    curvature is large (small ``alpha*``) or the optimum sits on a kink
-    (both budgets leaving the active set at one ``alpha``), the returned
-    rate can lie a few 1e-9 relative below the optimum.
+    :func:`_dinkelbach` solves the relaxation over the live pairs
+    (``a > 0`` and ``b > 0``) for ``g*``; ``alpha* = g* / (2 + g*)``,
+    clipped to ``[ALPHA_MIN, ALPHA_MAX]``, is exact by the module's
+    argument.  The returned allocation and rate are row 0 of
+    :func:`inner_waterfill` at ``alpha*``.  A problem with no live pair
+    has rate 0, at ``ALPHA_MIN`` after 0 steps.
     """
-    alphas = np.linspace(ALPHA_MIN, ALPHA_MAX, _GRID_POINTS)
-    mu, mu_bar, rates, slopes = inner_waterfill(alphas, problem)
-    profile = tuple(zip(alphas.tolist(), rates.tolist()))
-    x, r, s = alphas, rates, slopes
-    best_rate = -math.inf
-    width = math.inf
-    while True:
-        i = int(np.argmax(rates))
-        if rates[i] > best_rate:
-            best_alpha, best_rate = float(alphas[i]), float(rates[i])
-            # Copies, so that no round's whole batch outlives the round.
-            best_mu, best_mu_bar = mu[i].copy(), mu_bar[i].copy()
-        # (x, r, s): the grid, or the last round's rows between the ends of the interval it zoomed.
-        k = int(np.argmax(r))
-        j = k if s[k] > 0.0 else k - 1
-        if s[k] == 0.0 or not 0 <= j < x.size - 1:
-            break
-        lo, hi = x[j], x[j + 1]
-        centre, spread, kink = lo, math.inf, False
-        if s[j] > 0.0 >= s[j + 1] and 0 < j < x.size - 2:
-            centre, spread, kink = _slope_root(x, r, s, j)
-        # The rate falls off a kink linearly, not quadratically, in alpha, so a
-        # kink's rounds go on until a middle row lands on the tangents' meeting point.
-        if hi - lo >= width or hi - lo <= (_REFINE_TOL / _ZOOM_POINTS**2 if kink else _REFINE_TOL):
-            break
-        half = max(_SPREAD * spread, 0.25 * _REFINE_TOL) if hi - lo <= width / 12.0 else math.inf
-        width = hi - lo
-        alphas = np.linspace(max(lo, centre - half), min(hi, centre + half), _ZOOM_POINTS)
-        mu, mu_bar, rates, slopes = inner_waterfill(alphas, problem)
-        inside = (alphas > lo) & (alphas < hi)
-        x, r, s = (np.r_[u[j], v[inside], u[j + 1]] for u, v in ((x, alphas), (r, rates), (s, slopes)))
-
-    return OracleSolution(
-        alpha_star=best_alpha,
-        mu_star=best_mu,
-        mu_bar_star=best_mu_bar,
-        rate_star=best_rate,
-        alpha_grid_profile=profile,
-    )
+    a = problem.a_coeffs
+    b = problem.b_coeffs
+    ok = (a > 0.0) & (b > 0.0)
+    alpha, steps = ALPHA_MIN, 0
+    if ok.any():
+        g, steps = _dinkelbach(a[ok], a[ok] / b[ok])
+        alpha = min(max(g / (2.0 + g), ALPHA_MIN), ALPHA_MAX)
+    mu, mu_bar, rates = inner_waterfill(np.array([alpha]), problem)
+    return OracleSolution(alpha, mu[0], mu_bar[0], float(rates[0]), steps)
 
 
-def _slope_root(x: np.ndarray, r: np.ndarray, s: np.ndarray, j: int) -> tuple[float, float, bool]:
-    """Root of the slope ``s`` between rows ``j`` and ``j + 1``, with an error estimate.
+def _dinkelbach(a: np.ndarray, c: np.ndarray) -> tuple[float, int]:
+    """``g* = sum c mu*`` of the relaxation in the module docstring, and the steps taken.
 
-    ``x`` is increasing, ``s[j] > 0 >= s[j + 1]``, and rows ``j - 1`` and
-    ``j + 2`` exist.  Where the slope falls across the interval over
-    ``_KINK`` times as fast as it changes beside it, the rate has a kink
-    there: the root is where the rate's tangents at the two rows meet,
-    off by at most what the slope's change beside the interval bends
-    them.  Elsewhere the secant root is moved by the mean of the
-    curvature terms of the two three-row fits, and the larger term is the
-    error estimate.  Returns ``(root, error, kink)``.
+    Each step maximizes ``2 sum ln(1 + a mu) - lam (2 + sum c mu)`` over
+    ``sum mu <= 1``, which is the penalized water-filling
+    ``mu_n = max(0, 1 / (lam c_n / 2 + p) - 1 / a_n)`` with ``p`` the unit
+    budget's price from :func:`_unit_price`, and then sets ``lam`` to the
+    ratio at that ``mu``.  From ``lam = 0`` the ratios rise to the
+    optimum, superlinearly; the steps stop once the ratio no longer rises
+    beyond rounding, and that step's ``mu`` is optimal.  Raises
+    ``RuntimeError`` after ``_DINKELBACH_STEPS`` steps.
     """
-    lo, hi = x[j], x[j + 1]
-    xs = x[j - 1 : j + 3]
-    # The slope's secants beside, across and beside the interval.
-    d = np.diff(s[j - 1 : j + 3]) / np.diff(xs)
-    beside = max(abs(d[0]), abs(d[2]))
-    if _KINK * beside < -d[1]:
-        return lo + (s[j + 1] - (r[j + 1] - r[j]) / (hi - lo)) / d[1], beside * (lo - hi) / d[1], True
-    secant = lo - s[j] / d[1]
-    shifts = np.diff(d) / (xs[2:] - xs[:2]) * (secant - lo) * (secant - hi) / -d[1]
-    return secant + shifts.mean(), abs(shifts).max(), False
+    inv_a = 1.0 / a
+    # At lam = 0 the best single channel's price bounds the root from below.
+    lam, price = 0.0, float(np.max(a / (1.0 + a)))
+    for steps in range(1, _DINKELBACH_STEPS + 1):
+        x = 0.5 * lam * c
+        price = _unit_price(x, a, inv_a, price)
+        mu = np.maximum(1.0 / (x + price) - inv_a, 0.0)
+        g = float(c @ mu)
+        ratio = 2.0 * float(np.log1p(a * mu).sum()) / (2.0 + g)
+        if ratio <= lam * (1.0 + _ROOT_RTOL):
+            return g, steps
+        lam = ratio
+    raise RuntimeError(f"Dinkelbach's method did not converge in {_DINKELBACH_STEPS} steps")
+
+
+def _unit_price(x: np.ndarray, a: np.ndarray, inv_a: np.ndarray, p: float) -> float:
+    """The least price ``p >= 0`` at which ``sum max(0, 1 / (x + p) - 1 / a) <= 1``.
+
+    ``x >= 0`` and ``inv_a = 1 / a``; the start ``p`` may lie on either
+    side of the price sought, as long as some channel is on there when
+    ``x`` has a zero.  The first :func:`_price_step` lands at or below
+    that price, and from there the steps rise to it; a step that does not
+    rise beyond rounding ends the root.  Raises ``RuntimeError`` after
+    ``_PRICE_STEPS`` steps.
+    """
+    p = _price_step(x, a, inv_a, p)
+    for _ in range(_PRICE_STEPS):
+        nxt = _price_step(x, a, inv_a, p)
+        if nxt <= p * (1.0 + _ROOT_RTOL):
+            return p
+        p = nxt
+    raise RuntimeError(f"unit-price root did not converge in {_PRICE_STEPS} steps")
+
+
+def _price_step(x: np.ndarray, a: np.ndarray, inv_a: np.ndarray, p: float) -> float:
+    """One Newton step of :func:`_unit_price` from ``p``, kept at or above 0.
+
+    On the set ``S`` of channels on at ``p`` (``x + p < a``) the budget is
+    tight where ``F(q) = 1 / sum_S 1 / (x + q)`` equals
+    ``1 / (1 + sum_S 1 / a)``.  ``F`` is concave and rising (a harmonic
+    sum of affine functions), so its Newton step lands at or below that
+    root from either side.  That root lies at or below the price sought:
+    above it, ``S`` holds only channels that are on at that price, and
+    below it, every channel of ``S`` that is off there adds a term at most
+    0.  From below, the step rises.  With no channel on, ``p`` lies above
+    the price sought and the step goes to 0.
+    """
+    on = x + p < a
+    y = on / (x + p)
+    u = float(y.sum())
+    if u == 0.0:
+        return 0.0
+    t = 1.0 + float(inv_a @ on)
+    return max(0.0, p + u * (u - t) / (t * float(y @ y)))
 
 
 def _waterfill_live(
     alphas: np.ndarray, a: np.ndarray, b: np.ndarray, problem: ReducedProblem
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`inner_waterfill`'s ``(mu, mu_bar, rates, slopes)`` for pairs with ``a > 0`` and ``b > 0``."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`inner_waterfill`'s ``(mu, mu_bar, rates)`` for pairs with ``a > 0`` and ``b > 0``."""
     g = 2.0 * alphas / (1.0 - alphas)
     cost = a / (g[:, None] * b)
     inv_a = 1.0 / a
@@ -210,7 +204,6 @@ def _waterfill_live(
     theta = inv_a[None, :]
     unit, _ = _waterfill_single(theta, np.sort(theta, axis=1), 1.0, inv_a, ks)
     mu = np.repeat(unit, alphas.size, axis=0)
-    price = np.zeros(alphas.size)  # the cost budget's, for sum ln(1 + a mu)
     over = np.flatnonzero(cost @ unit[0] > 1.0 + _FEAS_SLACK)
     if over.size:
         # One order for every row, that of 1 / b, as cost / a = 1 / (g b); the
@@ -218,20 +211,15 @@ def _waterfill_live(
         cost_over = cost[over]
         theta = cost_over / a
         theta_s = theta[:, np.argsort(1.0 / b, kind="stable")]
-        mu_over, level = _waterfill_single(theta, theta_s, cost_over, inv_a, ks)
+        mu_over, _ = _waterfill_single(theta, theta_s, cost_over, inv_a, ks)
         mu[over] = mu_over
-        price[over] = 1.0 / level[:, 0]
         both = mu_over.sum(axis=1) > 1.0 + _FEAS_SLACK
         if both.any():
-            mu[over[both]], price[over[both]] = _waterfill_two_budgets(a, cost_over[both])
+            mu[over[both]] = _waterfill_two_budgets(a, cost_over[both])
 
     logs = np.sum(np.log2(1.0 + a * mu), axis=1)
     rates = (1.0 - alphas) * problem.bandwidth_hz / (2.0 * problem.k_subcarriers) * logs
-    mu_bar = cost * mu
-    slopes = problem.bandwidth_hz / (2.0 * problem.k_subcarriers) * (
-        price * mu_bar.sum(axis=1) / (alphas * math.log(2.0)) - logs
-    )
-    return mu, mu_bar, rates, slopes
+    return mu, cost * mu, rates
 
 
 def _ranks(n: int) -> np.ndarray:
@@ -265,7 +253,7 @@ def _waterfill_single(
     return mu, level
 
 
-def _waterfill_two_budgets(a: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _waterfill_two_budgets(a: np.ndarray, cost: np.ndarray) -> np.ndarray:
     """Water-filling with both budgets tight, for each row of ``cost``.
 
     With both budgets tight their prices are ``(p1, p2) = lam (1 - s, s)``
@@ -290,13 +278,10 @@ def _waterfill_two_budgets(a: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray,
     (``nu = cost mu`` with gains ``a / cost`` and costs ``1 / cost``),
     which maps ``s`` to ``1 - s``, so every root is sought in
     ``[0, 1/2]`` by :func:`_price_ratio_root`.
-
-    Returns ``(mu, p2)`` with ``p2`` the cost budget's price: ``s / L``
-    at the root's level ``L``, or ``(1 - s) / L`` on swapped rows.
     """
     d = cost - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, _, f, slope = _blend(np.full(cost.shape[0], 0.5), a, cost, 1.0 / a, d, d / a, _ranks(cost.shape[1]))
+        _, f, slope = _blend(np.full(cost.shape[0], 0.5), a, cost, 1.0 / a, d, d / a, _ranks(cost.shape[1]))
         # The swap negates f but keeps its slope, so Newton's step from 1/2
         # lands at 1/2 - |f / slope| either way.
         start = 0.5 - np.abs(f / slope)
@@ -304,13 +289,11 @@ def _waterfill_two_budgets(a: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray,
     gains = np.where(swap, a / cost, a)
     costs = np.where(swap, 1.0 / cost, cost)
     start = np.where((slope < 0.0) & (start > 0.0), start, 0.25)
-    mu, s, level = _price_ratio_root(gains, costs, start)
-    return np.where(swap, mu / cost, mu), np.where(swap[:, 0], 1.0 - s, s) / level
+    mu = _price_ratio_root(gains, costs, start)
+    return np.where(swap, mu / cost, mu)
 
 
-def _price_ratio_root(
-    a: np.ndarray, cost: np.ndarray, start: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _price_ratio_root(a: np.ndarray, cost: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Solution at the root of ``f`` in ``[0, 1/2]``, for each row of ``a`` and ``cost``.
 
     Takes Newton steps on ``f`` from ``start``, whose derivative over the
@@ -319,12 +302,9 @@ def _price_ratio_root(
     bisection.  Each step costs one sort per row; a row stops when ``f``,
     the Newton step or the bracket is down to rounding, and leaves the
     batch then.  Raises ``RuntimeError`` if a row has not stopped after
-    ``_ROOT_STEPS`` steps.  Returns ``(mu, s, L)``: each row's solution
-    with the blend and water level it was solved at.
+    ``_ROOT_STEPS`` steps.
     """
     out = np.empty(cost.shape)
-    out_s = np.empty(cost.shape[0])
-    out_level = np.empty(cost.shape[0])
     rows = np.arange(cost.shape[0])
     ks = _ranks(cost.shape[1])
     inv_a = 1.0 / a
@@ -336,7 +316,7 @@ def _price_ratio_root(
     last_step = np.full(rows.size, 0.5)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_ROOT_STEPS):
-            mu, level, f, slope = _blend(s, a, cost, inv_a, d, d_a, ks)
+            mu, f, slope = _blend(s, a, cost, inv_a, d, d_a, ks)
             above = f > 0.0
             lo = np.where(above, s, lo)
             hi = np.where(above, hi, s)
@@ -347,9 +327,9 @@ def _price_ratio_root(
             step = np.where(take, newton, 0.5 * (lo + hi) - s)
             done = (np.abs(f) <= _ROOT_RTOL) | (size <= _ROOT_RTOL * s) | (hi - lo <= _ROOT_RTOL * hi)
             if done.any():
-                out[rows[done]], out_s[rows[done]], out_level[rows[done]] = mu[done], s[done], level[done, 0]
+                out[rows[done]] = mu[done]
                 if done.all():
-                    return out, out_s, out_level
+                    return out
             s = s + step
             last_step = np.abs(step)
             if done.any():
@@ -367,8 +347,8 @@ def _blend(
     d: np.ndarray,
     d_a: np.ndarray,
     ks: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Single-budget solution and level at blend ``s`` per row, with ``f(s)`` and ``df/ds``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Single-budget solution at blend ``s`` per row, with ``f(s)`` and ``df/ds``.
 
     On the active set ``S``, ``mu = L / w - 1 / a`` with the level
     ``L = (1 + sum_S w / a) / |S|`` and ``dw / ds = cost - 1``.  The
@@ -383,4 +363,4 @@ def _blend(
     on = (mu > 0.0).astype(float)
     dlevel = (d_a * on).sum(axis=1) / np.maximum(on.sum(axis=1), 1.0)
     slope = (d * (dlevel[:, None] - level * d / w) / w * on).sum(axis=1)
-    return mu, level, f, slope
+    return mu, f, slope

@@ -219,7 +219,7 @@ class TestCsv:
         path = tmp_path / "out.csv"
         emit_csv(run(spec), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "102ed06f0856f0f1dab49594dd052cd3e719a29fb5eb56dfd5c21ec83099d188"
+            "7b4980e0a29eae34dc2d7eead85ec7f0ecbe5c8e685896e6f6566e0881329fbe"
         )
 
     def test_unwritable_path_raises_oserror(self, small_spec):
