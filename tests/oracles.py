@@ -5,10 +5,10 @@ eigenvalues come from characteristic polynomial roots (Faddeev-LeVerrier)
 rather than an SVD, water levels from plain bisection, two-budget
 water-filling from nested bisection on the two prices, the best time
 split from scalar golden-section search.  The augmented Lagrangian
-penalty, its gradient and the constraint residuals are written over the
-full primal vector ``[alpha, mu (n), mu_bar (n), s1, s2]``, residuals by
-plain subtraction, where the solver eliminates ``(mu_bar, s1, s2)`` and
-derives its residuals from stationarity.
+penalty of the balanced form, its gradient and the two constraint
+residuals are written over the full primal vector
+``[alpha, mu (n), s1, s2]``, residuals by plain subtraction, where the
+solver eliminates the slacks in closed form.
 """
 
 from __future__ import annotations
@@ -182,35 +182,35 @@ def golden_section_max(fun, lo: float, hi: float, tol: float) -> tuple[float, fl
     return x2, f2
 
 
-def pack_point(alpha: float, mu, mu_bar, s1: float, s2: float) -> np.ndarray:
+def pack_point(alpha: float, mu, s1: float, s2: float) -> np.ndarray:
     """Flatten the primal variables into a single vector."""
     mu = np.asarray(mu, dtype=float)
-    mu_bar = np.asarray(mu_bar, dtype=float)
-    return np.concatenate([[float(alpha)], mu, mu_bar, [float(s1), float(s2)]])
+    return np.concatenate([[float(alpha)], mu, [float(s1), float(s2)]])
 
 
 def unpack_point(x: np.ndarray, n_pairs: int):
     """Inverse of :func:`pack_point`."""
     alpha = float(x[0])
     mu = x[1 : 1 + n_pairs]
-    mu_bar = x[1 + n_pairs : 1 + 2 * n_pairs]
-    s1 = float(x[1 + 2 * n_pairs])
-    s2 = float(x[2 + 2 * n_pairs])
-    return alpha, mu, mu_bar, s1, s2
+    s1 = float(x[1 + n_pairs])
+    s2 = float(x[2 + n_pairs])
+    return alpha, mu, s1, s2
+
+
+def relay_ratio(alpha: float, problem) -> np.ndarray:
+    """Relay power per unit of source power that balances each pair's hops."""
+    return problem.a_coeffs * (1.0 - alpha) / (2.0 * alpha * problem.b_coeffs)
 
 
 def violation(x: np.ndarray, problem) -> np.ndarray:
-    """Constraint residuals ``[budget1, budget2, pair balances...]``.
+    """Constraint residuals ``[budget1, budget2]`` of the balanced form.
 
-    Budget residuals are ``sum + slack - 1``; each pair residual is the
-    hop-1 SNR minus the hop-2 SNR of that pair.
+    Each is ``sum + slack - 1``, budget 2 over the balanced relay powers
+    ``mu_bar = a mu (1 - alpha) / (2 alpha b)``.
     """
-    alpha, mu, mu_bar, s1, s2 = unpack_point(x, problem.n_pairs)
-    g = 2.0 * alpha / (1.0 - alpha)
-    c1 = mu.sum() + s1 - 1.0
-    c2 = mu_bar.sum() + s2 - 1.0
-    pairs = problem.a_coeffs * mu - g * problem.b_coeffs * mu_bar
-    return np.concatenate([[c1, c2], pairs])
+    alpha, mu, s1, s2 = unpack_point(x, problem.n_pairs)
+    mu_bar = relay_ratio(alpha, problem) * mu
+    return np.array([mu.sum() + s1 - 1.0, mu_bar.sum() + s2 - 1.0])
 
 
 def penalty_value(x: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem) -> float:
@@ -222,7 +222,7 @@ def penalty_value(x: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem) -> 
     Raises:
         ValueError: at ``alpha >= 1`` where the time-split factor blows up.
     """
-    alpha, mu, _, _, _ = unpack_point(x, problem.n_pairs)
+    alpha, mu, _, _ = unpack_point(x, problem.n_pairs)
     if alpha >= 1.0:
         raise ValueError("alpha must be < 1")
     c = violation(x, problem)
@@ -235,28 +235,24 @@ def penalty_gradient(x: np.ndarray, nu: np.ndarray, sigma: np.ndarray, problem) 
     """Analytic gradient of :func:`penalty_value` w.r.t. the primal vector.
 
     The ``alpha`` component collects both the objective prefactor and the
-    chain term of the time-split factor, whose derivative is
-    ``2 / (1 - alpha)^2``.
+    chain term of budget 2, whose relay powers fall with ``alpha`` as
+    ``d/dalpha [(1 - alpha) / alpha] = -1 / alpha^2``.
     """
     n = problem.n_pairs
-    alpha, mu, mu_bar, _, _ = unpack_point(x, n)
+    alpha, mu, _, _ = unpack_point(x, n)
     if alpha >= 1.0:
         raise ValueError("alpha must be < 1")
     a = problem.a_coeffs
     b = problem.b_coeffs
-    g = 2.0 * alpha / (1.0 - alpha)
     c = violation(x, problem)
-    price = -nu + sigma * c  # d(penalty terms)/dc, per constraint
-    p1, p2 = price[0], price[1]
-    p_pair = price[2:]
+    p1, p2 = -nu + sigma * c  # d(penalty terms)/dc, per constraint
 
     scale = problem.bandwidth_hz / (2.0 * problem.k_subcarriers)
     grad = np.zeros_like(x)
-    grad[0] = scale * float(np.sum(np.log2(1.0 + a * mu))) + float(
-        np.sum(p_pair * (-2.0 / (1.0 - alpha) ** 2 * b * mu_bar))
-    )
-    grad[1 : 1 + n] = (alpha - 1.0) * scale / math.log(2.0) * a / (1.0 + a * mu) + p1 + p_pair * a
-    grad[1 + n : 1 + 2 * n] = p2 - p_pair * g * b
-    grad[1 + 2 * n] = p1
-    grad[2 + 2 * n] = p2
+    ratio = relay_ratio(alpha, problem)
+    d_ratio = -a / (2.0 * b * alpha**2)  # d/dalpha of the balancing relay ratio
+    grad[0] = scale * float(np.sum(np.log2(1.0 + a * mu))) + p2 * float(np.sum(d_ratio * mu))
+    grad[1 : 1 + n] = (alpha - 1.0) * scale / math.log(2.0) * a / (1.0 + a * mu) + p1 + p2 * ratio
+    grad[1 + n] = p1
+    grad[2 + n] = p2
     return grad

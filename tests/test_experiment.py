@@ -219,7 +219,7 @@ class TestCsv:
         path = tmp_path / "out.csv"
         emit_csv(run(spec), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "7b4980e0a29eae34dc2d7eead85ec7f0ecbe5c8e685896e6f6566e0881329fbe"
+            "a3ffe30e62710faa111a17cdbabb99ca3dadec20a5e293d5bbabb30e7036d012"
         )
 
     def test_unwritable_path_raises_oserror(self, small_spec):

@@ -579,3 +579,39 @@ class TestSolve:
         monkeypatch.setattr(waterfill, "_DINKELBACH_STEPS", 1)
         with pytest.raises(RuntimeError, match="Dinkelbach"):
             solve(crosscheck_problem(0))
+
+
+class TestPremise:
+    """The fact both solvers rest on: the rate is unimodal in the time split.
+
+    With ``g = 2 alpha / (1 - alpha)``, the best rate at a fixed split is
+    ``W 2 C(g) / ((2 + g) ln 2)``, where ``C(g)``, the best
+    ``sum ln(1 + a mu)`` with the relay budget read as ``g``, is concave:
+    a partial maximum of a concave function over a convex set.  A concave
+    function over a positive affine one has no local maximum but the
+    global one.  The tolerances sit far above the 1e-12 by which
+    ``inner_waterfill`` may overspend a budget.
+    """
+
+    def test_per_split_optimum_is_concave_in_g(self):
+        alpha = np.geomspace(ALPHA_MIN, ALPHA_MAX, 400)
+        g = 2.0 * alpha / (1.0 - alpha)
+        lam = (g[2:] - g[1:-1]) / (g[2:] - g[:-2])
+        for problem in decade_problems(71, 64):
+            _, _, rates = inner_waterfill(alpha, problem)
+            w = problem.bandwidth_hz / (2.0 * problem.k_subcarriers)
+            c = rates * (2.0 + g) * np.log(2.0) / (2.0 * w)
+            chord = lam * c[:-2] + (1.0 - lam) * c[2:]
+            assert np.all(c[1:-1] >= chord - 1e-10 * c.max())
+
+    def test_rate_has_one_local_maximum_in_alpha(self):
+        # Log-spaced towards both ends of the box.
+        alpha = np.concatenate(
+            (np.geomspace(ALPHA_MIN, 0.5, 200), 1.0 - np.geomspace(0.5, 1.0 - ALPHA_MAX, 200)[1:])
+        )
+        for problem in decade_problems(72, 64):
+            _, _, rates = inner_waterfill(alpha, problem)
+            peak = int(np.argmax(rates))
+            tol = 1e-10 * rates[peak]
+            assert np.all(np.diff(rates[: peak + 1]) >= -tol)
+            assert np.all(np.diff(rates[peak:]) <= tol)
