@@ -14,28 +14,20 @@ selftest check failed).
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from ehrelay.auglag import optimize
-from ehrelay.channel import Scenario, effective_subchannels, generate, scenario_from_file
+from ehrelay.channel import Scenario, require_count, scenario_from_file
 from ehrelay.experiment import (
-    SOLVER_ORDER, emit_csv, run, run_trial, spec_from_file, trial_rng, validate_solvers,
+    SOLVER_ORDER, draw, emit_csv, run, run_trial, spec_from_file, trial_rng, validate_solvers,
 )
-from ehrelay.system import (
-    achievable_rate,
-    benchmark_allocation,
-    optimal_energy_plan,
-    snr_coefficients,
-)
+from ehrelay.system import achievable_rate, benchmark_allocation
 from ehrelay.waterfill import solve as oracle_solve
 
 MAX_NONCONVERGED_FRACTION = 0.05
-
-logger = logging.getLogger(__name__)
 
 
 def main(argv=None) -> int:
@@ -91,8 +83,9 @@ def _cmd_run(args) -> int:
         fractions = [row.convergence_fraction for row in result.rows_for("alpf")]
         worst = min(fractions)
         if 1.0 - worst > MAX_NONCONVERGED_FRACTION:
-            logger.warning(
-                "optimizer convergence fraction %.3f below %.2f", worst, 1.0 - MAX_NONCONVERGED_FRACTION
+            print(
+                f"optimizer convergence fraction {worst:.3f} below {1.0 - MAX_NONCONVERGED_FRACTION:.2f}",
+                file=sys.stderr,
             )
             return 2
     return 0
@@ -105,10 +98,7 @@ def _cmd_single(args) -> int:
     solvers = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
     validate_solvers(solvers)
 
-    real = generate(scenario)
-    eff = effective_subchannels(real)
-    plan = optimal_energy_plan(real, scenario)
-    problem = snr_coefficients(eff.gains1, eff.gains2, plan, scenario)
+    _, eff, plan, problem = draw(scenario)
 
     print(f"scenario: {scenario}")
     print(f"energy beam subcarrier: {plan.chosen_subcarrier}, harvest gain {plan.harvest_coeff!r}")
@@ -136,8 +126,7 @@ def _cmd_single(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    require_count("--trials", args.trials)
     rng = np.random.default_rng(args.seed)
     failures = []
     for i in range(args.trials):
@@ -160,7 +149,6 @@ def _cmd_selftest(args) -> int:
         checks = {
             "converged": alpf.converged,
             "rate>=benchmark": alpf.rate_bps >= bench.rate_bps - 1e-9,
-            "oracle>=rate-1%": oracle.rate_bps >= alpf.rate_bps * (1.0 - 0.01) - 1e-9,
             "rate-within-1%-of-oracle": abs(alpf.rate_bps - oracle.rate_bps)
             <= 0.01 * max(oracle.rate_bps, 1e-12),
         }

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from ehrelay.auglag import optimize
 from ehrelay.channel import (
     FIELD_TYPES,
+    ChannelRealization,
+    EffectiveSubchannels,
     Scenario,
     effective_subchannels,
     generate,
@@ -26,17 +29,21 @@ from ehrelay.channel import (
     require_count,
     scenario_from_mapping,
 )
-from ehrelay.system import achievable_rate, benchmark_allocation, optimal_energy_plan, snr_coefficients
+from ehrelay.system import (
+    EnergyPlan, ReducedProblem, achievable_rate, benchmark_allocation, optimal_energy_plan, snr_coefficients,
+)
 from ehrelay.waterfill import solve as oracle_solve
 
 __all__ = [
     "CSV_HEADER",
     "SOLVER_ORDER",
     "SWEEP_KINDS",
+    "Draw",
     "ExperimentSpec",
     "SweepResult",
     "SweepRow",
     "TrialOutcome",
+    "draw",
     "emit_csv",
     "run",
     "run_trial",
@@ -152,12 +159,31 @@ def trial_rng(master_seed: int, sweep_index: int, trial_index: int) -> np.random
     return np.random.default_rng(np.random.SeedSequence([master_seed, sweep_index, trial_index]))
 
 
-def run_trial(scenario: Scenario, rng: np.random.Generator, solvers) -> dict[str, TrialOutcome]:
-    """Draw one channel and run the requested solvers on it."""
+class Draw(NamedTuple):
+    """Every stage's output for one channel draw, ending in its reduced problem."""
+
+    real: ChannelRealization
+    eff: EffectiveSubchannels
+    plan: EnergyPlan
+    problem: ReducedProblem
+
+
+def draw(scenario: Scenario, rng: np.random.Generator | None = None) -> Draw:
+    """Draw one channel of ``scenario`` and take it to its reduced problem.
+
+    ``rng`` is passed to :func:`generate` as is.  The stages are looked
+    up as this module's globals at each call, so a wrapper set on one of
+    them here sees every draw.
+    """
     real = generate(scenario, rng)
     eff = effective_subchannels(real)
     plan = optimal_energy_plan(real, scenario)
-    problem = snr_coefficients(eff.gains1, eff.gains2, plan, scenario)
+    return Draw(real, eff, plan, snr_coefficients(eff.gains1, eff.gains2, plan, scenario))
+
+
+def run_trial(scenario: Scenario, rng: np.random.Generator, solvers) -> dict[str, TrialOutcome]:
+    """Draw one channel and run the requested solvers on it."""
+    problem = draw(scenario, rng).problem
 
     outcomes: dict[str, TrialOutcome] = {}
     for solver in solvers:

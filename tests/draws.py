@@ -1,41 +1,16 @@
-"""One channel draw taken from a scenario to its reduced problem, as ``run_trial`` takes it.
+"""The seeded stress scenarios that the solver tests share, each with its problem.
 
-The test modules draw their problems here, so that a change to the
-pipeline's stages edits one test site; each stage's own unit tests call
-it directly.
+Every problem is drawn by ``experiment.draw``, the one path from a
+scenario to its problem.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from ehrelay.channel import (
-    ChannelRealization,
-    EffectiveSubchannels,
-    Scenario,
-    effective_subchannels,
-    generate,
-)
-from ehrelay.experiment import trial_rng
-from ehrelay.system import EnergyPlan, ReducedProblem, optimal_energy_plan, snr_coefficients
-
-
-class Draw(NamedTuple):
-    real: ChannelRealization
-    eff: EffectiveSubchannels
-    plan: EnergyPlan
-    problem: ReducedProblem
-
-
-def draw_stages(scen: Scenario, rng: np.random.Generator | None = None) -> Draw:
-    """Every stage's output for one draw of ``scen``; ``rng`` as in ``generate``."""
-    real = generate(scen, rng)
-    eff = effective_subchannels(real)
-    plan = optimal_energy_plan(real, scen)
-    return Draw(real, eff, plan, snr_coefficients(eff.gains1, eff.gains2, plan, scen))
-
+from ehrelay.channel import Scenario
+from ehrelay.experiment import draw, trial_rng
+from ehrelay.system import ReducedProblem
 
 STRESS_SEEDS = {"broad": 12345, "corner": 777}
 
@@ -65,4 +40,4 @@ def stress_scenario(kind: str, index: int) -> tuple[Scenario, ReducedProblem]:
     scen = Scenario(
         n_s=n_s, n_r=n_r, n_d=n_d, k_subcarriers=k, p_source=p_source, d_sd=d_sd, phi=phi, eta=eta
     )
-    return scen, draw_stages(scen, trial_rng(99, 0, index)).problem
+    return scen, draw(scen, trial_rng(99, 0, index)).problem

@@ -14,10 +14,9 @@ import pytest
 
 from ehrelay.auglag import optimize
 from ehrelay.channel import Scenario, svd
-from ehrelay.experiment import ExperimentSpec, emit_csv, run, trial_rng
+from ehrelay.experiment import ExperimentSpec, draw, emit_csv, run, trial_rng
 from ehrelay.system import ReducedProblem, achievable_rate, benchmark_allocation
 from ehrelay.waterfill import solve as oracle_solve
-from draws import draw_stages
 from test_auglag import gradient_vs_central_differences, random_state
 
 PHI_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
@@ -52,7 +51,7 @@ def comparison_batch():
             n_s=n, n_r=n, n_d=n, k_subcarriers=k, p_source=p,
             phi=float(rng.uniform(0.1, 0.9)),
         )
-        problem = draw_stages(scen, trial_rng(31337, 0, trial)).problem
+        problem = draw(scen, trial_rng(31337, 0, trial)).problem
         res = optimize(problem)
         sol = oracle_solve(problem)
         bench_rate = achievable_rate(problem, benchmark_allocation(problem))

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ehrelay import experiment
 from ehrelay.auglag import (
     _eliminate,
     _newton_direction,
@@ -17,7 +18,7 @@ from ehrelay.channel import Scenario
 from ehrelay.experiment import trial_rng
 from ehrelay.system import ALPHA_MAX, ALPHA_MIN, ReducedProblem, achievable_rate
 from ehrelay.waterfill import solve as oracle_solve
-from draws import draw_stages, stress_scenario
+from draws import stress_scenario
 from oracles import pack_point, penalty_gradient, penalty_value
 from test_waterfill import crosscheck_problem
 
@@ -364,6 +365,35 @@ class TestSubproblem:
                 seen["both bind"] += 1
         assert min(seen.values()) >= 10, seen
 
+    def test_newton_direction_holds_alpha_at_upper_bound(self):
+        # Within eps of ALPHA_MAX with its gradient pushing outward, alpha
+        # steps exactly to ALPHA_MAX and drops out of the Hessian, so the
+        # free mu take the Newton step of the dense mu block alone.  Hop-1
+        # coefficients 1e3 times larger keep the relay budget binding near
+        # alpha = 1, where it pulls alpha up.  Blocks too ill-conditioned
+        # for the dense solve to hold 10 digits are skipped.
+        eps = 1e-3
+        rng = np.random.default_rng(53)
+        checked = 0
+        for _ in range(400):
+            problem, z, nu, sigma = random_state(rng, int(rng.integers(1, 5)), coeff_hi=1e2, bandwidth=2.0)
+            problem = ReducedProblem(1e3 * problem.a_coeffs, problem.b_coeffs, 2.0, problem.k_subcarriers)
+            z[0] = ALPHA_MAX - eps * rng.uniform()
+            point = assemble(z, nu, sigma, problem)
+            if point.gradient[0] >= 0.0:
+                continue
+            step = _newton_direction(z, point, eps)
+            assert step[0] == ALPHA_MAX - z[0]
+            fixed = (z[1:] <= eps) & (point.gradient[1:] > 0.0)
+            assert np.array_equal(step[1:][fixed], -z[1:][fixed])
+            hess = dense_hessian(point)[1:, 1:][np.ix_(~fixed, ~fixed)]
+            if np.linalg.cond(hess) > 1e6:
+                continue
+            dense = -np.linalg.solve(hess, point.gradient[1:][~fixed])
+            assert np.max(np.abs(step[1:][~fixed] - dense)) <= 1e-10 * np.max(np.abs(dense))
+            checked += 1
+        assert checked >= 50
+
     def test_never_increases_penalty(self):
         rng = np.random.default_rng(44)
         for _ in range(20):
@@ -502,7 +532,7 @@ class TestOptimize:
                 n_s=n, n_r=n, n_d=n, k_subcarriers=int(rng.integers(1, 3)),
                 p_source=float(rng.choice([0.1, 1.0, 10.0])), phi=float(rng.uniform(0.2, 0.8)), seed=seed,
             )
-            problem = draw_stages(scen).problem
+            problem = experiment.draw(scen).problem
             res = optimize(problem)
             assert res.rate_bps == achievable_rate(problem, res.allocation)
 
@@ -531,7 +561,7 @@ class TestOptimize:
         # split lies above 0.9.  With unit start penalties these solves took
         # 1,077-22,495 inner iterations, and seed 12 missed by 1.1e-4.
         scen = Scenario(n_s=3, n_r=3, n_d=3, k_subcarriers=4, p_source=0.0036, phi=0.83, d_sd=30.0)
-        problem = draw_stages(scen, np.random.default_rng(seed)).problem
+        problem = experiment.draw(scen, np.random.default_rng(seed)).problem
         res = optimize(problem)
         assert res.converged
         assert res.inner_iterations <= 1000
@@ -586,7 +616,7 @@ class TestOptimize:
             problem = crosscheck_problem(key)
         else:  # K = 2, N = 2, d_sd = 10 at relay position phi = key
             scen = Scenario(phi=key)
-            problem = draw_stages(scen, trial_rng(7, 0, 0)).problem
+            problem = experiment.draw(scen, trial_rng(7, 0, 0)).problem
         res = optimize(problem)
         assert res.rate_bps.hex() == rate_hex
         assert res.allocation.alpha.hex() == alpha_hex

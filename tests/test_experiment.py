@@ -1,11 +1,11 @@
 import hashlib
-import logging
 import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from ehrelay import auglag, channel, cli
 from ehrelay.channel import Scenario
 from ehrelay.experiment import (
     CSV_HEADER,
@@ -19,6 +19,7 @@ from ehrelay.experiment import (
     spec_from_file,
     trial_rng,
 )
+from test_waterfill import modules_loaded_by
 
 SPEC_TEXT = """
 # small deterministic experiment
@@ -147,6 +148,10 @@ class TestRun:
             rel = abs(out["alpf"].rate_bps - out["oracle"].rate_bps) / out["oracle"].rate_bps
             assert rel <= 0.01
 
+    def test_unknown_solver_rejected(self):
+        with pytest.raises(ValueError, match="unknown solver 'magic'"):
+            run_trial(Scenario(), trial_rng(0, 0, 0), ("magic",))
+
     def test_appending_sweep_values_preserves_trials(self):
         base = ExperimentSpec(
             scenario=Scenario(), sweep="phi", sweep_values=(0.3,), trials=2,
@@ -235,43 +240,33 @@ class TestCli:
             "sweep = none\ntrials = 2\nsolvers = benchmark\nmaster_seed = 4\n"
         )
         out_path = tmp_path / "result.csv"
-        from ehrelay.cli import main
-
-        code = main(["run", str(spec_path), "--output", str(out_path)])
+        code = cli.main(["run", str(spec_path), "--output", str(out_path)])
         assert code == 0
         assert out_path.exists()
         assert out_path.read_text().startswith(CSV_HEADER)
 
     def test_run_writes_to_spec_output_path(self, tmp_path, capsys):
-        from ehrelay.cli import main
-
         out_path = tmp_path / "from_spec.csv"
         spec_path = tmp_path / "exp.txt"
         spec_path.write_text(f"trials = 1\nsolvers = benchmark\noutput_path = {out_path}\n")
-        assert main(["run", str(spec_path)]) == 0
+        assert cli.main(["run", str(spec_path)]) == 0
         assert capsys.readouterr().out == f"wrote 1 rows to {out_path}\n"
         assert out_path.read_text().startswith(CSV_HEADER + "\nnone,,benchmark,")
 
     def test_no_subcommand_prints_help(self, capsys):
-        from ehrelay.cli import main
-
-        assert main([]) == 1
+        assert cli.main([]) == 1
         out = capsys.readouterr().out
         assert out.startswith("usage: ehrelay [-h] {run,single,selftest} ...\n")
 
     def test_run_missing_output_is_validation_error(self, tmp_path):
         spec_path = tmp_path / "exp.txt"
         spec_path.write_text("sweep = none\ntrials = 1\nsolvers = benchmark\n")
-        from ehrelay.cli import main
-
-        assert main(["run", str(spec_path)]) == 1
+        assert cli.main(["run", str(spec_path)]) == 1
 
     def test_run_bad_spec_is_validation_error(self, tmp_path):
         spec_path = tmp_path / "exp.txt"
         spec_path.write_text("unknown_field = 3\n")
-        from ehrelay.cli import main
-
-        assert main(["run", str(spec_path), "--output", str(tmp_path / "o.csv")]) == 1
+        assert cli.main(["run", str(spec_path), "--output", str(tmp_path / "o.csv")]) == 1
 
     @pytest.mark.parametrize(
         "line, key, raw",
@@ -283,11 +278,9 @@ class TestCli:
         ids=["trials", "master_seed", "sweep_values"],
     )
     def test_bad_spec_value_names_key_and_file(self, tmp_path, capsys, line, key, raw):
-        from ehrelay.cli import main
-
         spec_path = tmp_path / "exp.txt"
         spec_path.write_text(f"solvers = benchmark\n{line}\n")
-        assert main(["run", str(spec_path), "--output", str(tmp_path / "o.csv")]) == 1
+        assert cli.main(["run", str(spec_path), "--output", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err == f"error: {spec_path}: invalid value for '{key}': {raw!r}\n"
         assert not (tmp_path / "o.csv").exists()
 
@@ -306,37 +299,32 @@ class TestCli:
         ids=["scenario-value", "scenario-range", "solver", "sweep", "malformed-line"],
     )
     def test_input_errors_name_the_file(self, tmp_path, capsys, command, line, err):
-        from ehrelay.cli import main
-
         path = tmp_path / "input.txt"
         path.write_text(f"{line}\n")
         if command == "single":
             argv = ["single", "--scenario-file", str(path)]
         else:
             argv = ["run", str(path), "--output", str(tmp_path / "o.csv")]
-        assert main(argv) == 1
+        assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == err.format(path=path)
         assert captured.out == ""
 
-    def test_low_convergence_fraction_is_logged(self, tmp_path, monkeypatch, caplog):
-        from ehrelay import cli
-
+    def test_low_convergence_fraction_is_logged(self, tmp_path, monkeypatch, capsys):
         row = SweepRow(None, "alpf", 1.0, 0.0, 0.5, 3.0, 0.5)
         monkeypatch.setattr(cli, "run", lambda spec: SweepResult("none", (row,)))
         spec_path = tmp_path / "exp.txt"
         spec_path.write_text("sweep = none\ntrials = 2\nsolvers = alpf\n")
-        with caplog.at_level(logging.WARNING, logger="ehrelay.cli"):
-            code = cli.main(["run", str(spec_path), "--output", str(tmp_path / "o.csv")])
-        assert code == 2
-        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
-            ("ehrelay.cli", logging.WARNING, "optimizer convergence fraction 0.500 below 0.95")
-        ]
+        assert cli.main(["run", str(spec_path), "--output", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == "optimizer convergence fraction 0.500 below 0.95\n"
+
+    def test_import_leaves_logging_unloaded(self):
+        # Every CLI message goes to stderr by print; logging would cost
+        # each process its import time.
+        assert "logging" not in modules_loaded_by("ehrelay.cli")
 
     def test_single_subcommand(self, capsys):
-        from ehrelay.cli import main
-
-        code = main(["single", "--seed", "3", "--solvers", "alpf,benchmark"])
+        code = cli.main(["single", "--seed", "3", "--solvers", "alpf,benchmark"])
         out = capsys.readouterr().out
         assert code == 0
         assert "optimizer rate" in out
@@ -344,25 +332,19 @@ class TestCli:
         assert "converged: True" in out
 
     def test_single_runs_every_solver_by_default(self, capsys):
-        from ehrelay.cli import main
-
-        assert main(["single", "--seed", "3"]) == 0
+        assert cli.main(["single", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "(alpha = 0.5)" in out
         assert "oracle rate: " in out and "oracle mu_bar: " in out
         assert "optimizer rate: " in out and "converged: True" in out
 
     def test_single_unconverged_exits_2(self, monkeypatch, capsys):
-        from ehrelay import auglag, cli
-
         monkeypatch.setattr(auglag, "_MAX_OUTER_ITERS", 1)
         assert cli.main(["single", "--seed", "3", "--solvers", "alpf"]) == 2
         out = capsys.readouterr().out
         assert "converged: False" in out and "outer_iterations: 1" in out
 
     def test_selftest_failure_exits_2(self, monkeypatch, capsys):
-        from ehrelay import auglag, cli
-
         monkeypatch.setattr(auglag, "_MAX_OUTER_ITERS", 1)
         assert cli.main(["selftest", "--trials", "2", "--seed", "6"]) == 2
         lines = capsys.readouterr().out.splitlines()
@@ -372,8 +354,6 @@ class TestCli:
     def test_failed_decomposition_is_reported(self, monkeypatch, capsys):
         # LAPACK's LinAlgError is a ValueError, so main reports it and
         # returns 1 instead of ending in a traceback.
-        from ehrelay import channel, cli
-
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
@@ -382,9 +362,7 @@ class TestCli:
         assert capsys.readouterr().err == "error: SVD did not converge\n"
 
     def test_selftest_subcommand(self, capsys):
-        from ehrelay.cli import main
-
-        code = main(["selftest", "--trials", "3", "--seed", "6"])
+        code = cli.main(["selftest", "--trials", "3", "--seed", "6"])
         out = capsys.readouterr().out
         assert code == 0
         assert "selftest passed" in out
@@ -404,18 +382,14 @@ class TestCli:
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_selftest_without_trials_is_validation_error(self, trials, capsys):
-        from ehrelay.cli import main
-
-        assert main(["selftest", "--trials", trials]) == 1
+        assert cli.main(["selftest", "--trials", trials]) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: --trials must be >= 1, got {trials}\n"
+        assert captured.err == f"error: --trials must be an integer >= 1, got {trials}\n"
         assert "selftest passed" not in captured.out
 
     @pytest.mark.parametrize("solvers", ["", ",,", " , "])
     def test_single_without_solvers_is_validation_error(self, solvers, capsys):
-        from ehrelay.cli import main
-
-        assert main(["single", "--solvers", solvers]) == 1
+        assert cli.main(["single", "--solvers", solvers]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: solvers must be nonempty\n"
         assert captured.out == ""

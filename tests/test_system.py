@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 
 from ehrelay import channel
-from ehrelay.channel import Scenario, generate
+from ehrelay.channel import Scenario
+from ehrelay.experiment import draw
 from ehrelay.system import (
     Allocation,
     EnergyPlan,
     ReducedProblem,
     achievable_rate,
     benchmark_allocation,
-    optimal_energy_plan,
     snr_coefficients,
 )
 from ehrelay.waterfill import solve as oracle_solve
-from draws import draw_stages
 from test_channel import channel_matrices
 
 
@@ -24,14 +23,13 @@ class TestEnergyPlan:
         diagonal = np.diag([2.0, 1.0]).astype(complex)[None]
         monkeypatch.setattr(channel, "_complex_gaussian", lambda *_: diagonal)
         scen = Scenario(n_s=2, n_r=2, n_d=2, k_subcarriers=1)
-        real = generate(scen)
-        plan = optimal_energy_plan(real, scen)
+        plan = draw(scen).plan
         assert plan.chosen_subcarrier == 0
         assert plan.harvest_coeff == pytest.approx(4.0)
 
     def test_picks_best_subcarrier(self):
         scen = Scenario(k_subcarriers=2, seed=8)
-        _, eff, plan, _ = draw_stages(scen)
+        _, eff, plan, _ = draw(scen)
         tops = [float(np.linalg.svd(h, compute_uv=False)[0]) ** 2 for h in channel_matrices(scen)[0]]
         assert plan.chosen_subcarrier == int(np.argmax(tops))
         assert plan.harvest_coeff == pytest.approx(max(tops))
@@ -39,7 +37,7 @@ class TestEnergyPlan:
 
     def test_beats_random_search(self):
         scen = Scenario(k_subcarriers=4, seed=17)
-        plan = draw_stages(scen).plan
+        plan = draw(scen).plan
         h1, _ = channel_matrices(scen)
         rng = np.random.default_rng(99)
         best = 0.0
@@ -58,7 +56,7 @@ class TestRankOrder:
         from itertools import permutations
 
         scen = Scenario(k_subcarriers=1, n_s=3, n_r=3, n_d=3, seed=2)
-        problem = draw_stages(scen).problem
+        problem = draw(scen).problem
         best = {}
         for perm in permutations(range(3)):
             prob = ReducedProblem(
@@ -72,7 +70,7 @@ class TestRankOrder:
 class TestAchievableRate:
     def setup_method(self):
         self.scen = Scenario(seed=13)
-        self.real, self.eff, self.plan, self.problem = draw_stages(self.scen)
+        self.problem = draw(self.scen).problem
         self.n = self.problem.n_pairs
 
     def alloc(self, alpha, mu=None, mu_bar=None):
@@ -117,7 +115,7 @@ class TestAchievableRate:
         alloc = self.alloc(0.4)
         rates = []
         for p in [0.1, 1.0, 10.0]:
-            rates.append(achievable_rate(draw_stages(replace(self.scen, p_source=p)).problem, alloc))
+            rates.append(achievable_rate(draw(replace(self.scen, p_source=p)).problem, alloc))
         assert all(r >= 0 for r in rates)
         assert rates[0] <= rates[1] <= rates[2]
 
@@ -130,15 +128,14 @@ class TestAchievableRate:
         base = achievable_rate(self.problem, alloc)
         c = 37.0
         scen2 = replace(self.scen, noise_total_w=self.scen.noise_total_w * c, p_source=self.scen.p_source * c)
-        # Same channels, rescaled powers: hop-1 SNR has p/noise unchanged
-        # and the relay power inherits the p_source factor, cancelling the
-        # hop-2 noise factor.
-        plan2 = optimal_energy_plan(self.real, scen2)
-        scaled = achievable_rate(snr_coefficients(self.eff.gains1, self.eff.gains2, plan2, scen2), alloc)
+        # Same seed, so same channels, with rescaled powers: hop-1 SNR has
+        # p/noise unchanged and the relay power inherits the p_source
+        # factor, cancelling the hop-2 noise factor.
+        scaled = achievable_rate(draw(scen2).problem, alloc)
         assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_rate_never_beats_reference_upper_bound(self):
-        prob = draw_stages(Scenario(n_s=2, n_r=2, n_d=2, k_subcarriers=2, seed=31)).problem
+        prob = draw(Scenario(n_s=2, n_r=2, n_d=2, k_subcarriers=2, seed=31)).problem
         upper = oracle_solve(prob).rate_star
         rng = np.random.default_rng(6)
         n = prob.n_pairs
@@ -194,7 +191,7 @@ class TestBenchmark:
 class TestSnrCoefficients:
     def test_formulas(self):
         scen = Scenario(p_source=2.0, eta=0.5, k_subcarriers=2, noise_total_w=1e-6, seed=3)
-        _, eff, plan, problem = draw_stages(scen)
+        _, eff, plan, problem = draw(scen)
         sigma_sq = 5e-7
         assert np.allclose(problem.a_coeffs, 2.0 * eff.gains1 / sigma_sq)
         assert np.allclose(problem.b_coeffs, 0.5 * 2.0 * plan.harvest_coeff * eff.gains2 / sigma_sq)
@@ -202,7 +199,7 @@ class TestSnrCoefficients:
 
     def test_tiny_gains_zeroed(self):
         scen = Scenario(seed=3)
-        plan = draw_stages(scen).plan
+        plan = draw(scen).plan
         gains = np.array([1.0, 1e-20])
         problem = snr_coefficients(gains, gains, plan, scen)
         assert problem.a_coeffs[1] == 0.0

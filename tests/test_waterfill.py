@@ -8,11 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ehrelay import waterfill
+from ehrelay import experiment, waterfill
 from ehrelay.experiment import Scenario, trial_rng
 from ehrelay.system import ALPHA_MAX, ALPHA_MIN, Allocation, ReducedProblem, achievable_rate
 from ehrelay.waterfill import _waterfill_two_budgets, inner_waterfill, solve
-from draws import draw_stages
 from oracles import (
     golden_section_max,
     random_feasible_points,
@@ -32,7 +31,7 @@ def crosscheck_problem(trial):
     scen = Scenario(
         n_s=2, n_r=2, n_d=2, k_subcarriers=32, bandwidth_hz=1000.0, p_source=0.1, d_sd=2.0, phi=0.5
     )
-    return draw_stages(scen, trial_rng(2718, 0, trial)).problem
+    return experiment.draw(scen, trial_rng(2718, 0, trial)).problem
 
 
 def inner_at(alpha, problem):
@@ -46,7 +45,7 @@ def pinned_problem(draw):
     kind, key = draw
     if kind == "crosscheck":
         return crosscheck_problem(key)
-    return draw_stages(Scenario(phi=key), trial_rng(7, 0, 0)).problem
+    return experiment.draw(Scenario(phi=key), trial_rng(7, 0, 0)).problem
 
 
 def counted_solve(monkeypatch, problem):
@@ -77,14 +76,20 @@ def decade_problems(seed, count):
     return problems
 
 
+def modules_loaded_by(module):
+    """Sorted names of the modules a fresh interpreter holds once it has imported ``module``."""
+    src = str(Path(waterfill.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys, {module}; print(*sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
 def test_import_leaves_alpf_unloaded():
     # The referee shares only the problem with the solver it checks, so a
     # fresh interpreter that imports it must not load ALPF.
-    src = str(Path(waterfill.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, ehrelay.waterfill; print(sorted(m for m in sys.modules if m.startswith('ehrelay')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "['ehrelay', 'ehrelay.channel', 'ehrelay.system', 'ehrelay.waterfill']\n"
+    loaded = [m for m in modules_loaded_by("ehrelay.waterfill") if m.startswith("ehrelay")]
+    assert loaded == ["ehrelay", "ehrelay.channel", "ehrelay.system", "ehrelay.waterfill"]
 
 
 class TestInnerWaterfill:
@@ -343,7 +348,7 @@ class TestSolve:
         assert sol.rate_star == pytest.approx(live.rate_star, rel=1e-12)
         assert np.array_equal(sol.mu_star[~dead], live.mu_star)
 
-    def test_zoom_matches_golden_section(self):
+    def test_matches_golden_section(self):
         rng = np.random.default_rng(57)
         three_branch = ReducedProblem(rng.uniform(0.1, 1e3, 12), rng.uniform(0.1, 1e3, 12), 1000.0, 2)
         problems = [crosscheck_problem(t) for t in range(6)] + [three_branch]
@@ -430,9 +435,10 @@ class TestSolve:
         ids=["crosscheck-0", "crosscheck-1", "crosscheck-2", "phi-0.1", "phi-0.5", "phi-0.9"],
     )
     def test_solve_no_worse_than_fixed_zoom(self, draw, rate_hex, alpha_hex):
-        # The same draws as the bit-for-bit pins, solved by the fixed
-        # +-1-row zoom that the slope-placed rounds replaced: the rate may
-        # not fall below its answer, and alpha stays within the contract.
+        # The same draws as the bit-for-bit pins.  The figures are those an
+        # earlier solve found on them by a grid over alpha and a fixed
+        # +-1-row zoom, before it took alpha* from Dinkelbach's method: the
+        # rate may not fall below them, and alpha stays within the contract.
         sol = solve(pinned_problem(draw))
         assert sol.rate_star >= float.fromhex(rate_hex) * (1.0 - 1e-12)
         assert abs(sol.alpha_star - float.fromhex(alpha_hex)) <= 1e-6
@@ -543,15 +549,15 @@ class TestSolve:
             solve(crosscheck_problem(t))
         assert max(steps) <= 30
 
-    def test_refinement_stays_batched(self, monkeypatch):
+    def test_one_inner_waterfill_call(self, monkeypatch):
         for trial in range(6):
             _, calls = counted_solve(monkeypatch, crosscheck_problem(trial))
-            # One call, on an array of time splits.
+            # One call, on the 1-element array [alpha*].
             assert calls == [1]
 
     def test_solution_is_inner_waterfill_at_alpha_star(self):
-        # solve keeps the best row of its batches; a 1-element call at alpha*
-        # must reproduce it bit for bit.
+        # solve returns row 0 of its one inner_waterfill call at alpha*; the
+        # same 1-element call made here must reproduce it bit for bit.
         rng = np.random.default_rng(60)
         problems = [crosscheck_problem(t) for t in range(3)]
         for _ in range(6):
