@@ -313,7 +313,7 @@ def optimize(problem: ReducedProblem) -> AlpfResult:
     ``ALPHA_MIN`` after 0 iterations.
     """
     a = problem.a_coeffs
-    live = (a > 0.0) & (problem.b_coeffs > 0.0)
+    live = problem.live
     if not live.any():
         idle = Allocation(alpha=ALPHA_MIN, mu=np.zeros(problem.n_pairs), mu_bar=np.zeros(problem.n_pairs))
         return AlpfResult(idle, 0.0, True, 0, 0, 0.0, np.zeros(2), np.ones(2), False)

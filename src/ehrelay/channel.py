@@ -8,7 +8,7 @@ matrix per OFDM subcarrier and hop.  Each matrix is decomposed by
 LAPACK's SVD, and only its per-subchannel power gains (squared singular
 values) are kept; no downstream code reads the singular vectors.
 
-Realizations are immutable after construction and generation is
+A draw is two plain arrays of gains, one per hop, and it is
 deterministic for a given seed.
 """
 
@@ -16,14 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import svd
 
 __all__ = [
-    "ChannelRealization",
-    "EffectiveSubchannels",
     "Scenario",
     "effective_subchannels",
     "generate",
@@ -47,7 +44,7 @@ class Scenario:
         pathloss_exp: Path loss exponent, finite and >= 0.
         noise_total_w: Total receiver noise power over the whole band, W.
             Each subchannel sees ``noise_total_w / k_subcarriers``.
-        seed: Seed for the default random generator.
+        seed: Seed for the default random generator, an integer >= 0.
 
     Path loss: a hop of length ``d`` (in reference distances) has power
     gain ``max(d, 1)**(-pathloss_exp)``, so a hop no longer than the
@@ -96,6 +93,7 @@ class Scenario:
             raise ValueError("phi must lie strictly in (0, 1)")
         if not 0.0 <= self.pathloss_exp < np.inf:
             raise ValueError("pathloss_exp must be finite and >= 0: path loss never amplifies")
+        require_count("seed", self.seed, least=0)
 
     @property
     def noise_per_subchannel(self) -> float:
@@ -131,29 +129,13 @@ def require_count(name: str, value, least: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One block-fading draw of both hops, decomposed per subcarrier.
+def generate(scenario: Scenario, rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one channel realization: the hop-1 and hop-2 gains ``(gains1, gains2)``.
 
-    ``gains1``/``gains2`` hold the ``K * n_streams`` squared singular
-    values in subcarrier-major order, strongest layer first within each
+    Each holds the ``K * n_streams`` squared singular values in
+    subcarrier-major order, strongest layer first within each
     subcarrier: entry ``k * n_streams`` is the top gain of subcarrier
     ``k``.
-    """
-
-    gains1: np.ndarray
-    gains2: np.ndarray
-
-
-class EffectiveSubchannels(NamedTuple):
-    """Both hops' subchannel gains, each sorted in descending order."""
-
-    gains1: np.ndarray
-    gains2: np.ndarray
-
-
-def generate(scenario: Scenario, rng: np.random.Generator | None = None) -> ChannelRealization:
-    """Draw one channel realization.
 
     Entries of hop-1 matrices are i.i.d. CN(0, max(d_SR, 1)**-pathloss_exp)
     and hop-2 entries use d_RD in the same way.  When ``rng`` is omitted a
@@ -174,20 +156,17 @@ def generate(scenario: Scenario, rng: np.random.Generator | None = None) -> Chan
     h1 = _complex_gaussian(rng, k, scenario.n_r, scenario.n_s, var1)
     h2 = _complex_gaussian(rng, k, scenario.n_d, scenario.n_r, var2)
     n = scenario.n_streams
-    return ChannelRealization(gains1=_power_gains(h1, n), gains2=_power_gains(h2, n))
+    return _power_gains(h1, n), _power_gains(h2, n)
 
 
-def effective_subchannels(real: ChannelRealization) -> EffectiveSubchannels:
-    """Sort both hops' flattened gains in descending order.
+def effective_subchannels(gains1: np.ndarray, gains2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both hops' flattened gains, each sorted in descending order.
 
     The sort is the pairing: index ``n`` pairs the n-th strongest hop-1
     subchannel with the n-th strongest hop-2 subchannel, the rank-ordered
     pairing that maximizes the rate.
     """
-    return EffectiveSubchannels(
-        gains1=real.gains1[np.argsort(-real.gains1, kind="stable")],
-        gains2=real.gains2[np.argsort(-real.gains2, kind="stable")],
-    )
+    return gains1[np.argsort(-gains1, kind="stable")], gains2[np.argsort(-gains2, kind="stable")]
 
 
 def scenario_from_file(path) -> Scenario:

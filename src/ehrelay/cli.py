@@ -98,12 +98,12 @@ def _cmd_single(args) -> int:
     solvers = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
     validate_solvers(solvers)
 
-    _, eff, plan, problem = draw(scenario)
+    gains1, gains2, subcarrier, harvest_coeff, problem = draw(scenario)
 
     print(f"scenario: {scenario}")
-    print(f"energy beam subcarrier: {plan.chosen_subcarrier}, harvest gain {plan.harvest_coeff!r}")
-    print(f"sorted hop-1 gains: {np.array2string(eff.gains1, precision=6)}")
-    print(f"sorted hop-2 gains: {np.array2string(eff.gains2, precision=6)}")
+    print(f"energy beam subcarrier: {subcarrier}, harvest gain {harvest_coeff!r}")
+    print(f"sorted hop-1 gains: {np.array2string(gains1, precision=6)}")
+    print(f"sorted hop-2 gains: {np.array2string(gains2, precision=6)}")
 
     if "benchmark" in solvers:
         alloc = benchmark_allocation(problem)

@@ -19,8 +19,6 @@ import numpy as np
 from ehrelay.auglag import optimize
 from ehrelay.channel import (
     FIELD_TYPES,
-    ChannelRealization,
-    EffectiveSubchannels,
     Scenario,
     effective_subchannels,
     generate,
@@ -30,7 +28,7 @@ from ehrelay.channel import (
     scenario_from_mapping,
 )
 from ehrelay.system import (
-    EnergyPlan, ReducedProblem, achievable_rate, benchmark_allocation, optimal_energy_plan, snr_coefficients,
+    ReducedProblem, achievable_rate, benchmark_allocation, optimal_energy_plan, snr_coefficients,
 )
 from ehrelay.waterfill import solve as oracle_solve
 
@@ -160,25 +158,32 @@ def trial_rng(master_seed: int, sweep_index: int, trial_index: int) -> np.random
 
 
 class Draw(NamedTuple):
-    """Every stage's output for one channel draw, ending in its reduced problem."""
+    """One channel draw, from its sorted gains to its reduced problem.
 
-    real: ChannelRealization
-    eff: EffectiveSubchannels
-    plan: EnergyPlan
+    ``gains1``/``gains2`` are each hop's gains sorted in descending order,
+    so index ``n`` is a pair.  Phase one's energy beam runs on hop-1
+    subcarrier ``subcarrier``, whose top gain is ``harvest_coeff``.
+    """
+
+    gains1: np.ndarray
+    gains2: np.ndarray
+    subcarrier: int
+    harvest_coeff: float
     problem: ReducedProblem
 
 
 def draw(scenario: Scenario, rng: np.random.Generator | None = None) -> Draw:
     """Draw one channel of ``scenario`` and take it to its reduced problem.
 
-    ``rng`` is passed to :func:`generate` as is.  The stages are looked
-    up as this module's globals at each call, so a wrapper set on one of
-    them here sees every draw.
+    ``rng`` is passed to :func:`generate` as is.  The four stages pass
+    each other plain arrays and are looked up as this module's globals at
+    each call, so a wrapper set on one of them here sees every draw.
     """
-    real = generate(scenario, rng)
-    eff = effective_subchannels(real)
-    plan = optimal_energy_plan(real, scenario)
-    return Draw(real, eff, plan, snr_coefficients(eff.gains1, eff.gains2, plan, scenario))
+    gains1, gains2 = generate(scenario, rng)
+    sorted1, sorted2 = effective_subchannels(gains1, gains2)
+    subcarrier, harvest_coeff = optimal_energy_plan(gains1, scenario)
+    problem = snr_coefficients(sorted1, sorted2, harvest_coeff, scenario)
+    return Draw(sorted1, sorted2, subcarrier, harvest_coeff, problem)
 
 
 def run_trial(scenario: Scenario, rng: np.random.Generator, solvers) -> dict[str, TrialOutcome]:

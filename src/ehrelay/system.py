@@ -20,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ehrelay.channel import ChannelRealization, Scenario, require_count
+from ehrelay.channel import Scenario, require_count
 
 __all__ = [
     "ALPHA_MAX",
     "ALPHA_MIN",
     "Allocation",
-    "EnergyPlan",
     "ReducedProblem",
     "achievable_rate",
     "benchmark_allocation",
@@ -80,6 +79,11 @@ class ReducedProblem:
     def n_pairs(self) -> int:
         return int(self.a_coeffs.size)
 
+    @property
+    def live(self) -> np.ndarray:
+        """Mask of the pairs that can carry rate: ``a > 0`` and ``b > 0``."""
+        return (self.a_coeffs > 0.0) & (self.b_coeffs > 0.0)
+
 
 @dataclass(frozen=True)
 class Allocation:
@@ -110,30 +114,20 @@ class Allocation:
                 raise ValueError(f"sum of {name} exceeds 1: {vec.sum()}")
 
 
-@dataclass(frozen=True)
-class EnergyPlan:
-    """Energy-transfer pattern of phase one.
+def optimal_energy_plan(gains1: np.ndarray, scenario: Scenario) -> tuple[int, float]:
+    """The energy-transfer subcarrier of phase one and its harvest coefficient.
 
     The whole source budget is beamformed onto a single subcarrier along
-    the strongest hop-1 direction.  ``harvest_coeff`` is that direction's
-    squared singular value, i.e. the power gain seen by the harvester.
+    the strongest hop-1 direction, so the best choice is the subcarrier
+    with the largest top squared singular value in ``gains1``
+    (:func:`~ehrelay.channel.generate`'s order).  The beam runs along the
+    matching right singular vector, which nothing downstream needs, and
+    the harvest coefficient is that direction's power gain.  Ties go to
+    the lowest subcarrier.
     """
-
-    chosen_subcarrier: int
-    harvest_coeff: float
-
-
-def optimal_energy_plan(real: ChannelRealization, scenario: Scenario) -> EnergyPlan:
-    """Pick the subcarrier that maximizes harvested power.
-
-    The best choice is the hop-1 subcarrier with the largest top squared
-    singular value (the beam runs along the matching right singular
-    vector, which nothing downstream needs).  Ties go to the lowest
-    subcarrier.
-    """
-    tops = real.gains1[:: scenario.n_streams]
+    tops = gains1[:: scenario.n_streams]
     best_k = int(np.argmax(tops))
-    return EnergyPlan(chosen_subcarrier=best_k, harvest_coeff=float(tops[best_k]))
+    return best_k, float(tops[best_k])
 
 
 def achievable_rate(problem: ReducedProblem, alloc: Allocation) -> float:
@@ -176,7 +170,7 @@ def benchmark_allocation(problem: ReducedProblem) -> Allocation:
 def snr_coefficients(
     gains1,
     gains2,
-    plan: EnergyPlan,
+    harvest_coeff: float,
     scenario: Scenario,
 ) -> ReducedProblem:
     """The reduced problem of paired subchannel gains.
@@ -193,7 +187,7 @@ def snr_coefficients(
     g2 = _floor_gains(np.asarray(gains2, dtype=float))
     sigma_sq = scenario.noise_per_subchannel
     a = scenario.p_source * g1 / sigma_sq
-    b = scenario.eta * scenario.p_source * plan.harvest_coeff * g2 / sigma_sq
+    b = scenario.eta * scenario.p_source * harvest_coeff * g2 / sigma_sq
     return ReducedProblem(a, b, scenario.bandwidth_hz, scenario.k_subcarriers)
 
 

@@ -92,7 +92,7 @@ def inner_waterfill(alpha: np.ndarray, problem: ReducedProblem) -> tuple[np.ndar
         raise ValueError("alpha must be a 1-D array, each in (0, 1)")
     a = problem.a_coeffs
     b = problem.b_coeffs
-    ok = (a > 0.0) & (b > 0.0)
+    ok = problem.live
     if ok.all():
         return _waterfill_live(alphas, a, b, problem)
     mu = np.zeros((alphas.size, a.size))
@@ -115,7 +115,7 @@ def solve(problem: ReducedProblem) -> OracleSolution:
     """
     a = problem.a_coeffs
     b = problem.b_coeffs
-    ok = (a > 0.0) & (b > 0.0)
+    ok = problem.live
     alpha, steps = ALPHA_MIN, 0
     if ok.any():
         g, steps = _dinkelbach(a[ok], a[ok] / b[ok])

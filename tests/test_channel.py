@@ -58,6 +58,9 @@ class TestScenarioValidation:
             ("n_r", True),
             ("n_d", True),
             ("k_subcarriers", True),
+            ("seed", -1),
+            ("seed", True),
+            ("seed", 2.5),
         ],
     )
     def test_invalid_field_named_in_error(self, field, value):
@@ -88,8 +91,8 @@ class TestGenerate:
             rng = np.random.default_rng(100)
             powers = []
             for _ in range(12500):
-                real = generate(scen, rng)
-                powers.append(real.gains1.sum() / 4.0)
+                gains1, _ = generate(scen, rng)
+                powers.append(gains1.sum() / 4.0)
             mean_power = float(np.mean(powers))  # 50k entries
             assert abs(mean_power - expected) / expected < 0.02, d_sd
 
@@ -98,20 +101,18 @@ class TestGenerate:
         rng = np.random.default_rng(101)
         p1, p2 = [], []
         for _ in range(5000):
-            real = generate(scen, rng)
-            p1.append(real.gains1.mean())
-            p2.append(real.gains2.mean())
+            gains1, gains2 = generate(scen, rng)
+            p1.append(gains1.mean())
+            p2.append(gains2.mean())
         assert abs(np.mean(p1) - np.mean(p2)) / np.mean(p1) < 0.05
 
     def test_deterministic_for_seed(self):
         scen = Scenario(seed=77)
-        r1 = generate(scen)
-        r2 = generate(scen)
-        assert np.array_equal(r1.gains1, r2.gains1)
-        assert np.array_equal(r1.gains2, r2.gains2)
+        first = generate(scen)
+        for gains, again in zip(first, generate(scen)):
+            assert np.array_equal(gains, again)
         # The gains are those of the matrices redrawn from the same seed.
-        h1, h2 = channel_matrices(scen)
-        for gains, hop in ((r1.gains1, h1), (r1.gains2, h2)):
+        for gains, hop in zip(first, channel_matrices(scen)):
             redrawn = np.concatenate([np.linalg.svd(h, compute_uv=False) ** 2 for h in hop])
             assert np.array_equal(gains, redrawn)
 
@@ -130,54 +131,47 @@ class TestGenerate:
             phi=float(meta.uniform(0.05, 0.95)),
             seed=case,
         )
-        real = generate(scen)
         n = scen.n_streams
-        h1, h2 = channel_matrices(scen)
-        for gains, hop in ((real.gains1, h1), (real.gains2, h2)):
+        for gains, hop in zip(generate(scen), channel_matrices(scen)):
             redrawn = np.concatenate([np.linalg.svd(h, compute_uv=False)[:n] ** 2 for h in hop])
             assert gains.tobytes() == redrawn.tobytes()
 
     def test_gain_counts_with_unequal_antennas(self):
         scen = Scenario(n_s=3, n_r=2, n_d=4, k_subcarriers=3)
-        real = generate(scen)
         n = scen.n_streams
-        assert real.gains1.size == 3 * n
-        assert real.gains2.size == 3 * n
         # Subcarrier-major, strongest layer first within each subcarrier.
-        for gains in (real.gains1, real.gains2):
+        for gains in generate(scen):
+            assert gains.size == 3 * n
             assert (np.diff(gains.reshape(3, n), axis=1) <= 0).all()
 
     def test_subcarrier_gain_sum_matches_frobenius(self):
         # With n_d >= n_r and n_s >= n_r the hop-1 matrix keeps all its
         # singular values, so the gains must add up to its squared norm.
         scen = Scenario(n_s=3, n_r=2, n_d=3, k_subcarriers=2)
-        real = generate(scen)
+        gains1, _ = generate(scen)
         h1, _ = channel_matrices(scen)
         for k in range(2):
-            total = real.gains1[2 * k : 2 * k + 2].sum()
+            total = gains1[2 * k : 2 * k + 2].sum()
             assert abs(total - np.linalg.norm(h1[k]) ** 2) < 1e-9 * max(total, 1.0)
 
 
 class TestEffectiveSubchannels:
     def test_sorted_descending(self):
         scen = Scenario(k_subcarriers=3, seed=5)
-        real = generate(scen)
-        eff = effective_subchannels(real)
-        assert (np.diff(eff.gains1) <= 0).all()
-        assert (np.diff(eff.gains2) <= 0).all()
-        # A permutation of the unsorted gains, nothing lost or added.
-        assert np.array_equal(np.sort(eff.gains1), np.sort(real.gains1))
-        assert np.array_equal(np.sort(eff.gains2), np.sort(real.gains2))
+        gains = generate(scen)
+        for raw, ranked in zip(gains, effective_subchannels(*gains)):
+            assert (np.diff(ranked) <= 0).all()
+            # A permutation of the unsorted gains, nothing lost or added.
+            assert np.array_equal(np.sort(ranked), np.sort(raw))
 
     def test_matches_charpoly_eigenvalues(self):
         scen = Scenario(n_s=2, n_r=2, n_d=2, k_subcarriers=2, seed=9)
-        real = generate(scen)
-        eff = effective_subchannels(real)
+        ranked1, _ = effective_subchannels(*generate(scen))
         expected = []
         for h in channel_matrices(scen)[0]:
             expected.extend(charpoly_eigenvalues(h.conj().T @ h))
         expected = np.sort(np.array(expected))[::-1]
-        assert np.max(np.abs(np.sort(eff.gains1)[::-1] - expected)) < 1e-9 * max(expected[0], 1.0)
+        assert np.max(np.abs(ranked1 - expected)) < 1e-9 * max(expected[0], 1.0)
 
     def test_rank_one_channel_single_nonzero_gain(self, monkeypatch):
         # Feed rank-one matrices through generate's own gains path, one
@@ -187,10 +181,9 @@ class TestEffectiveSubchannels:
         b = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
         rank_one = iter(((a @ b.conj().T)[None], (b @ a.conj().T)[None]))
         monkeypatch.setattr(channel, "_complex_gaussian", lambda *_: next(rank_one))
-        real = generate(Scenario(n_s=2, n_r=2, n_d=2, k_subcarriers=1, seed=3))
-        assert real.gains1.size == real.gains2.size == 2
-        eff = effective_subchannels(real)
-        for gains in (eff.gains1, eff.gains2):
+        gains1, gains2 = generate(Scenario(n_s=2, n_r=2, n_d=2, k_subcarriers=1, seed=3))
+        assert gains1.size == gains2.size == 2
+        for gains in effective_subchannels(gains1, gains2):
             assert gains[0] > 0
             assert gains[1] <= 1e-12 * gains[0]
 

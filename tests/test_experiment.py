@@ -295,8 +295,9 @@ class TestCli:
                 f"error: {{path}}: sweep must be one of {SWEEP_KINDS}, got 'distance'\n",
             ),
             ("single", "n_s 2", "error: {path}:1: expected 'key = value', got 'n_s 2'\n"),
+            ("run", "seed = -2", "error: {path}: seed must be an integer >= 0, got -2\n"),
         ],
-        ids=["scenario-value", "scenario-range", "solver", "sweep", "malformed-line"],
+        ids=["scenario-value", "scenario-range", "solver", "sweep", "malformed-line", "scenario-seed"],
     )
     def test_input_errors_name_the_file(self, tmp_path, capsys, command, line, err):
         path = tmp_path / "input.txt"
@@ -330,6 +331,22 @@ class TestCli:
         assert "optimizer rate" in out
         assert "benchmark rate" in out
         assert "converged: True" in out
+
+    def test_single_stdout_pinned(self, capsys):
+        # Every line single prints, from the draw's gains and energy beam
+        # to each solver's report.  Recorded with numpy 2.4 on OpenBLAS
+        # 0.3; another BLAS may order its dot products differently and
+        # move the last bits, which is then a reason to re-record.
+        assert cli.main(["single", "--seed", "3"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "5f2a9f63639d49c38abd0f110512a78316594fe016bec396a0f2a605fb313550"
+        )
+
+    def test_single_negative_seed_is_validation_error(self, capsys):
+        assert cli.main(["single", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be an integer >= 0, got -1\n"
+        assert captured.out == ""
 
     def test_single_runs_every_solver_by_default(self, capsys):
         assert cli.main(["single", "--seed", "3"]) == 0

@@ -1,12 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ehrelay import channel
-from ehrelay.channel import Scenario
+from ehrelay.channel import Scenario, generate
 from ehrelay.experiment import draw
 from ehrelay.system import (
     Allocation,
-    EnergyPlan,
     ReducedProblem,
     achievable_rate,
     benchmark_allocation,
@@ -23,21 +24,28 @@ class TestEnergyPlan:
         diagonal = np.diag([2.0, 1.0]).astype(complex)[None]
         monkeypatch.setattr(channel, "_complex_gaussian", lambda *_: diagonal)
         scen = Scenario(n_s=2, n_r=2, n_d=2, k_subcarriers=1)
-        plan = draw(scen).plan
-        assert plan.chosen_subcarrier == 0
-        assert plan.harvest_coeff == pytest.approx(4.0)
+        drawn = draw(scen)
+        assert drawn.subcarrier == 0
+        assert drawn.harvest_coeff == pytest.approx(4.0)
 
     def test_picks_best_subcarrier(self):
-        scen = Scenario(k_subcarriers=2, seed=8)
-        _, eff, plan, _ = draw(scen)
-        tops = [float(np.linalg.svd(h, compute_uv=False)[0]) ** 2 for h in channel_matrices(scen)[0]]
-        assert plan.chosen_subcarrier == int(np.argmax(tops))
-        assert plan.harvest_coeff == pytest.approx(max(tops))
-        assert plan.harvest_coeff == pytest.approx(eff.gains1[0])
+        # Unequal antenna counts with n_streams 1, 2 and 3, and K up to 8:
+        # the subcarrier is the largest hop-1 gain's flat index in
+        # generate's order divided by n_streams, a stride that one K = 2,
+        # N = 2 draw cannot check.
+        for (n_s, n_r, n_d), k in itertools.product([(1, 3, 2), (3, 2, 4), (4, 3, 5)], range(1, 9)):
+            scen = Scenario(n_s=n_s, n_r=n_r, n_d=n_d, k_subcarriers=k, seed=8 + k)
+            drawn = draw(scen)
+            gains1, _ = generate(scen)
+            assert drawn.harvest_coeff == gains1.max() == drawn.gains1[0]
+            assert drawn.subcarrier == int(np.argmax(gains1)) // scen.n_streams
+            tops = [float(np.linalg.svd(h, compute_uv=False)[0]) ** 2 for h in channel_matrices(scen)[0]]
+            assert drawn.subcarrier == int(np.argmax(tops))
+            assert drawn.harvest_coeff == pytest.approx(max(tops))
 
     def test_beats_random_search(self):
         scen = Scenario(k_subcarriers=4, seed=17)
-        plan = draw(scen).plan
+        harvest_coeff = draw(scen).harvest_coeff
         h1, _ = channel_matrices(scen)
         rng = np.random.default_rng(99)
         best = 0.0
@@ -46,7 +54,7 @@ class TestEnergyPlan:
             x = rng.standard_normal((scen.n_s, 1)) + 1j * rng.standard_normal((scen.n_s, 1))
             x /= np.linalg.norm(x)
             best = max(best, float(np.linalg.norm(h1[k] @ x) ** 2))
-        assert plan.harvest_coeff >= best - 1e-9
+        assert harvest_coeff >= best - 1e-9
 
 
 class TestRankOrder:
@@ -94,7 +102,7 @@ class TestAchievableRate:
         # Ample harvest: hop 1 limits the pair to 250 * log2(2).  Scarce
         # harvest: hop 2 does.
         for harvest, hop2_limits in ((1e6, False), (1e-7, True)):
-            problem = snr_coefficients(gains1, gains2, EnergyPlan(0, harvest), scen)
+            problem = snr_coefficients(gains1, gains2, harvest, scen)
             p_relay = 2.0 * alpha * scen.eta * scen.p_source * harvest / (1.0 - alpha)
             snr2 = p_relay * gains2[0] / sigma_sq
             assert (snr2 < 1.0) == hop2_limits
@@ -191,16 +199,15 @@ class TestBenchmark:
 class TestSnrCoefficients:
     def test_formulas(self):
         scen = Scenario(p_source=2.0, eta=0.5, k_subcarriers=2, noise_total_w=1e-6, seed=3)
-        _, eff, plan, problem = draw(scen)
+        gains1, gains2, _, harvest_coeff, problem = draw(scen)
         sigma_sq = 5e-7
-        assert np.allclose(problem.a_coeffs, 2.0 * eff.gains1 / sigma_sq)
-        assert np.allclose(problem.b_coeffs, 0.5 * 2.0 * plan.harvest_coeff * eff.gains2 / sigma_sq)
+        assert np.allclose(problem.a_coeffs, 2.0 * gains1 / sigma_sq)
+        assert np.allclose(problem.b_coeffs, 0.5 * 2.0 * harvest_coeff * gains2 / sigma_sq)
         assert (problem.bandwidth_hz, problem.k_subcarriers) == (scen.bandwidth_hz, 2)
 
     def test_tiny_gains_zeroed(self):
         scen = Scenario(seed=3)
-        plan = draw(scen).plan
         gains = np.array([1.0, 1e-20])
-        problem = snr_coefficients(gains, gains, plan, scen)
+        problem = snr_coefficients(gains, gains, draw(scen).harvest_coeff, scen)
         assert problem.a_coeffs[1] == 0.0
         assert problem.b_coeffs[1] == 0.0
