@@ -1,10 +1,9 @@
-"""Command line interface.
+"""Command line interface: ``ehrelay run``, ``single`` and ``selftest``.
 
-Subcommands:
-
-* ``run SPECFILE``      - execute a sweep experiment and write CSV.
-* ``single``            - one channel realization, full allocation report.
-* ``selftest``          - optimizer-versus-reference property checks.
+``main`` looks the command name up in ``_COMMANDS``, which gives each
+command's help line, handler and arguments, and builds only that command's
+parser.  The top-level parser is built only for help and errors: no
+arguments, ``-h``, or a first argument that names no command.
 
 Exit codes: 0 on success, 1 on validation errors, 2 when the optimizer
 failed to converge on more than the allowed fraction of trials (or a
@@ -31,42 +30,34 @@ MAX_NONCONVERGED_FRACTION = 0.05
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.handler is None:
-        parser.print_help()
-        return 1
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in _COMMANDS:
+        parser = _top_parser()
+        if not argv:
+            parser.print_help()
+            return 1
+        top = parser.parse_args(argv)  # exits on -h or a name that is not a command
+        argv = [top.command, *top.args]
+    _, handler, arguments = _COMMANDS[argv[0]]
+    parser = argparse.ArgumentParser(prog=f"ehrelay {argv[0]}")
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
     try:
-        return args.handler(args)
+        return handler(parser.parse_args(argv[1:]))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _top_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ehrelay",
         description="Monte Carlo rate experiments for a wireless-powered MIMO-OFDM relay.",
+        epilog="commands:\n" + "\n".join(f"  {name:<10}{_COMMANDS[name][0]}" for name in _COMMANDS),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.set_defaults(handler=None)
-    sub = parser.add_subparsers()
-
-    p_run = sub.add_parser("run", help="run a sweep experiment from a spec file")
-    p_run.set_defaults(handler=_cmd_run)
-    p_run.add_argument("spec_file", help="key=value experiment spec file")
-    p_run.add_argument("--output", help="CSV output path (overrides the spec file)")
-
-    p_single = sub.add_parser("single", help="solve a single channel realization")
-    p_single.set_defaults(handler=_cmd_single)
-    p_single.add_argument("--scenario-file", help="key=value scenario file")
-    p_single.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    every = ",".join(SOLVER_ORDER)
-    p_single.add_argument("--solvers", default=every, help=f"comma-separated subset of {every}")
-
-    p_self = sub.add_parser("selftest", help="run optimizer-vs-reference property checks")
-    p_self.set_defaults(handler=_cmd_selftest)
-    p_self.add_argument("--trials", type=int, default=12, help="number of random instances")
-    p_self.add_argument("--seed", type=int, default=2024, help="master seed")
+    parser.add_argument("command", choices=_COMMANDS, metavar="{" + ",".join(_COMMANDS) + "}")
+    parser.add_argument("args", nargs=argparse.REMAINDER, help="its arguments; see ehrelay COMMAND -h")
     return parser
 
 
@@ -127,6 +118,7 @@ def _cmd_single(args) -> int:
 
 def _cmd_selftest(args) -> int:
     require_count("--trials", args.trials)
+    require_count("--seed", args.seed, least=0)
     rng = np.random.default_rng(args.seed)
     failures = []
     for i in range(args.trials):
@@ -168,6 +160,24 @@ def _cmd_selftest(args) -> int:
     print(f"selftest passed on all {args.trials} instances")
     return 0
 
+
+_SOLVERS = ",".join(SOLVER_ORDER)
+# name -> (help line, handler, arguments); each argument is (flag, add_argument keywords).
+_COMMANDS = {
+    "run": ("run a sweep experiment from a spec file", _cmd_run, (
+        ("spec_file", {"help": "key=value experiment spec file"}),
+        ("--output", {"help": "CSV output path (overrides the spec file)"}),
+    )),
+    "single": ("solve a single channel realization", _cmd_single, (
+        ("--scenario-file", {"help": "key=value scenario file"}),
+        ("--seed", {"type": int, "help": "override the scenario seed"}),
+        ("--solvers", {"default": _SOLVERS, "help": f"comma-separated subset of {_SOLVERS}"}),
+    )),
+    "selftest": ("run optimizer-vs-reference property checks", _cmd_selftest, (
+        ("--trials", {"type": int, "default": 12, "help": "number of random instances"}),
+        ("--seed", {"type": int, "default": 2024, "help": "master seed"}),
+    )),
+}
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -19,7 +19,7 @@ from ehrelay.experiment import (
     spec_from_file,
     trial_rng,
 )
-from test_waterfill import modules_loaded_by
+from test_waterfill import fresh_python, modules_loaded_by
 
 SPEC_TEXT = """
 # small deterministic experiment
@@ -258,6 +258,58 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("usage: ehrelay [-h] {run,single,selftest} ...\n")
 
+    def test_unknown_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_run_help_prints_its_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ehrelay run [-h] [--output OUTPUT] spec_file\n")
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name, line in [
+            ("run", "run a sweep experiment from a spec file"),
+            ("single", "solve a single channel realization"),
+            ("selftest", "run optimizer-vs-reference property checks"),
+        ]:
+            assert re.search(rf"^ +{name} +{line}$", out, re.MULTILINE), name
+
+    def test_run_builds_one_parser(self, tmp_path, monkeypatch):
+        # A run pays for its own command's parser, not for the others'.
+        built = []
+        init = cli.argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting_init)
+        spec_path = tmp_path / "exp.txt"
+        spec_path.write_text("trials = 1\nsolvers = benchmark\n")
+        assert cli.main(["run", str(spec_path), "--output", str(tmp_path / "o.csv")]) == 0
+        assert built == ["ehrelay run"]
+
+    def test_entry_point_in_fresh_interpreter(self, tmp_path):
+        # ``python -m ehrelay.cli`` reads sys.argv, as the console script does.
+        spec_path = tmp_path / "exp.txt"
+        spec_path.write_text(SPEC_TEXT)
+        child = fresh_python("-m", "ehrelay.cli", "run", str(spec_path), "--output", str(tmp_path / "child.csv"))
+        assert child.returncode == 0, child.stderr
+        assert cli.main(["run", str(spec_path), "--output", str(tmp_path / "main.csv")]) == 0
+        assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+        bare = fresh_python("-m", "ehrelay.cli")
+        assert bare.returncode == 1
+        assert bare.stdout.startswith("usage: ehrelay [-h] {run,single,selftest} ...\n")
+
     def test_run_missing_output_is_validation_error(self, tmp_path):
         spec_path = tmp_path / "exp.txt"
         spec_path.write_text("sweep = none\ntrials = 1\nsolvers = benchmark\n")
@@ -403,6 +455,12 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"error: --trials must be an integer >= 1, got {trials}\n"
         assert "selftest passed" not in captured.out
+
+    def test_selftest_negative_seed_is_validation_error(self, capsys):
+        assert cli.main(["selftest", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be an integer >= 0, got -1\n"
+        assert not any(line.startswith("[") for line in captured.out.splitlines())
 
     @pytest.mark.parametrize("solvers", ["", ",,", " , "])
     def test_single_without_solvers_is_validation_error(self, solvers, capsys):

@@ -76,13 +76,17 @@ def decade_problems(seed, count):
     return problems
 
 
-def modules_loaded_by(module):
-    """Sorted names of the modules a fresh interpreter holds once it has imported ``module``."""
+def fresh_python(*args, check=False):
+    """``python ARGS`` in a fresh interpreter with ``src`` on its path, run to completion."""
     src = str(Path(waterfill.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=check)
+
+
+def modules_loaded_by(module):
+    """Sorted names of the modules a fresh interpreter holds once it has imported ``module``."""
     code = f"import sys, {module}; print(*sorted(sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return out.stdout.split()
+    return fresh_python("-c", code, check=True).stdout.split()
 
 
 def test_import_leaves_alpf_unloaded():
