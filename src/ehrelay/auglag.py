@@ -147,7 +147,8 @@ def solve_subproblem(
     (halving from trial step 1.0) along the projection arc.  The slacks
     are restored by exact partial minimization at every trial point, so
     the returned point never has a larger penalty value than the
-    projected start.
+    projected start.  A trial point is priced by its value alone; only
+    the accepted one gets its gradient and Hessian.
     Terminates when the projected-gradient norm drops below
     ``inner_tol``, when any further descent falls below double-precision
     resolution of the penalty value, or after ``_MAX_INNER_ITERS``
@@ -185,8 +186,8 @@ def solve_subproblem(
                 # as accurately as the arithmetic allows.
                 at_value_floor = True
                 break
-            point_new = _eliminate(z_new, fixed)
-            if point_new.value <= point.value + _ARMIJO * decrease:
+            priced = _penalty(z_new, fixed)
+            if priced[0] <= point.value + _ARMIJO * decrease:
                 accepted = True
                 break
             t *= 0.5
@@ -194,7 +195,7 @@ def solve_subproblem(
             stalled = not at_value_floor
             break
         iterations += 1
-        z, point = z_new, point_new
+        z, point = z_new, _eliminate(z_new, fixed, priced)
     return point, iterations, stalled
 
 
@@ -453,48 +454,66 @@ def _budget_row(usage: float, nu: float, sigma: float) -> tuple[float, float, fl
     return 0.0, c, -nu + sigma * c, sigma
 
 
-def _eliminate(z: np.ndarray, fixed: _Subproblem) -> _ReducedPoint:
+def _penalty(z: np.ndarray, fixed: _Subproblem) -> tuple:
+    """Penalty value at ``z = (alpha, mu)`` with the slacks eliminated.
+
+    Returns the value, then the intermediates it shares with the gradient
+    and Hessian: ``ratio``, budget 2's usage, both ``_budget_row``s,
+    ``1 + a mu`` and ``sum log2(1 + a mu)``.  The line search prices its
+    trial points with this alone and completes only the accepted one by
+    :func:`_eliminate`.
+    """
+    alpha = float(z[0])
+    mu = z[1:]
+    nu1, nu2 = fixed.nu
+    sig1, sig2 = fixed.sigma
+
+    ratio = fixed.half_ratio * ((1.0 - alpha) / alpha)
+    usage2 = float(ratio @ mu)
+    row1 = _budget_row(float(mu.sum()), nu1, sig1)
+    row2 = _budget_row(usage2, nu2, sig2)
+    c1, c2 = row1[1], row2[1]
+
+    one_amu = 1.0 + fixed.a * mu
+    log_sum = np.log2(one_amu).sum()
+    value = (
+        (alpha - 1.0) * fixed.scale * log_sum
+        + (-nu1 * c1 + 0.5 * sig1 * c1 * c1)
+        + (-nu2 * c2 + 0.5 * sig2 * c2 * c2)
+    )
+    return value, ratio, usage2, row1, row2, one_amu, log_sum
+
+
+def _eliminate(z: np.ndarray, fixed: _Subproblem, priced: tuple | None = None) -> _ReducedPoint:
     """Eliminate the slacks ``(s1, s2)`` at fixed ``z = (alpha, mu)``.
 
     Residuals, prices, the penalty value, its gradient and its Hessian
-    all fall out of the same intermediates.  Budget 2 reads ``alpha``
-    through ``r``, whose log-derivative is ``-u`` with
+    all fall out of the intermediates of :func:`_penalty`, which the
+    caller passes as ``priced`` when it has them.  Budget 2 reads
+    ``alpha`` through ``r``, whose log-derivative is ``-u`` with
     ``u = 1 / (alpha (1 - alpha))``; while it binds with price ``p2``
     and usage ``m = sum r mu`` it adds ``-u (sigma2 m + p2) r`` to the
     objective's ``(alpha, mu)`` cross term and
     ``u^2 m (sigma2 m + 2 (1 - alpha) p2)`` to the ``alpha`` curvature.
     """
+    value, ratio, usage2, row1, row2, one_amu, log_sum = _penalty(z, fixed) if priced is None else priced
+    s1, c1, p1, h_budget1 = row1
+    s2, c2, p2, h_damp = row2
     alpha = float(z[0])
     mu = z[1:]
     a = fixed.a
-    nu1, nu2 = fixed.nu
-    sig1, sig2 = fixed.sigma
-    scale = fixed.scale
-
-    ratio = fixed.half_ratio * ((1.0 - alpha) / alpha)
-    usage2 = float(ratio @ mu)
-    s1, c1, p1, h_budget1 = _budget_row(float(mu.sum()), nu1, sig1)
-    s2, c2, p2, h_damp = _budget_row(usage2, nu2, sig2)
-
-    one_amu = 1.0 + a * mu
-    log_sum = np.log2(one_amu).sum()
-    value = (
-        (alpha - 1.0) * scale * log_sum
-        + (-nu1 * c1 + 0.5 * sig1 * c1 * c1)
-        + (-nu2 * c2 + 0.5 * sig2 * c2 * c2)
-    )
 
     obj_slope = fixed.obj_coeff / one_amu
     u = 1.0 / (alpha * (1.0 - alpha))
     grad = np.empty(mu.size + 1)
-    grad[0] = scale * log_sum - p2 * u * usage2
+    grad[0] = fixed.scale * log_sum - p2 * u * usage2
     grad[1:] = (alpha - 1.0) * obj_slope + p1 + p2 * ratio
 
     h_diag = (1.0 - alpha) * obj_slope * a / one_amu
     h_cross = obj_slope
     h_alpha = 0.0
     if h_damp > 0.0:
-        pull = sig2 * usage2 + p2
+        pull = fixed.sigma[1] * usage2 + p2
         h_cross = h_cross - u * pull * ratio
         h_alpha = u * u * usage2 * (pull + (1.0 - 2.0 * alpha) * p2)
     return _ReducedPoint(

@@ -1,20 +1,21 @@
 """Command line interface: ``ehrelay run``, ``single`` and ``selftest``.
 
-``main`` looks the command name up in ``_COMMANDS``, which gives each
-command's help line, handler and arguments, and builds only that command's
-parser.  The top-level parser is built only for help and errors: no
-arguments, ``-h``, or a first argument that names no command.
+``main`` reads argv against the command's ``(flag, options)`` entries in
+``_COMMANDS``, with the usage and error wording of Python's standard option
+parser: positionals in order, each option as ``--flag VALUE`` or
+``--flag=VALUE`` (no prefix abbreviations), and ``-h``.
 
-Exit codes: 0 on success, 1 on validation errors, 2 when the optimizer
-failed to converge on more than the allowed fraction of trials (or a
-selftest check failed).
+Exit codes: 0 on success, 1 on validation errors, 2 on a usage error, on
+failed convergence in more than the allowed fraction of trials, or on a
+failed selftest check.
 """
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,43 +28,83 @@ from ehrelay.system import achievable_rate, benchmark_allocation
 from ehrelay.waterfill import solve as oracle_solve
 
 MAX_NONCONVERGED_FRACTION = 0.05
+# A word read as an option: a dash, not alone and not starting a negative number.
+_OPTION = re.compile(r"-(?!\d+$|\d*\.\d+$).")
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if not argv or argv[0] not in _COMMANDS:
-        parser = _top_parser()
-        if not argv:
-            parser.print_help()
+    name = argv[0] if argv else None
+    if name not in _COMMANDS:
+        if name not in (None, "-h", "--help"):
+            _usage_error(None, f"argument {_CHOICES}: invalid choice: {name!r} (choose from {_NAMES})")
+        print(_help(None))
+        if name is None:
             return 1
-        top = parser.parse_args(argv)  # exits on -h or a name that is not a command
-        argv = [top.command, *top.args]
-    _, handler, arguments = _COMMANDS[argv[0]]
-    parser = argparse.ArgumentParser(prog=f"ehrelay {argv[0]}")
-    for flag, options in arguments:
-        parser.add_argument(flag, **options)
+        raise SystemExit(0)
     try:
-        return handler(parser.parse_args(argv[1:]))
+        return _COMMANDS[name][1](_parse(name, iter(argv[1:])))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
-def _top_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ehrelay",
-        description="Monte Carlo rate experiments for a wireless-powered MIMO-OFDM relay.",
-        epilog="commands:\n" + "\n".join(f"  {name:<10}{_COMMANDS[name][0]}" for name in _COMMANDS),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("command", choices=_COMMANDS, metavar="{" + ",".join(_COMMANDS) + "}")
-    parser.add_argument("args", nargs=argparse.REMAINDER, help="its arguments; see ehrelay COMMAND -h")
-    return parser
+def _parse(name: str, words) -> SimpleNamespace:
+    """Read the ``words`` iterator against command ``name``'s ``(flag, options)`` entries."""
+    options = {flag: opts for flag, opts in _COMMANDS[name][2] if flag.startswith("-")}
+    positionals = [flag for flag, _ in _COMMANDS[name][2] if flag not in options]
+    values = {flag: opts.get("default") for flag, opts in options.items()}
+    given, extra = [], []
+    for word in words:
+        if not _OPTION.match(word):
+            (given if len(given) < len(positionals) else extra).append(word)
+        elif word in ("-h", "--help"):
+            print(_help(name))
+            raise SystemExit(0)
+        elif (flag := word.partition("=")[0]) not in options:
+            extra.append(word)
+        else:
+            value = word[len(flag) + 1:] if "=" in word else next(words, None)
+            if value is None or "=" not in word and _OPTION.match(value):
+                _usage_error(name, f"argument {flag}: expected one argument")
+            kind = options[flag].get("type", str)
+            try:
+                values[flag] = kind(value)
+            except ValueError:
+                _usage_error(name, f"argument {flag}: invalid {kind.__name__} value: {value!r}")
+    if len(given) < len(positionals):
+        _usage_error(name, "the following arguments are required: " + ", ".join(positionals[len(given):]))
+    if extra:
+        _usage_error(name, "unrecognized arguments: " + " ".join(extra))
+    values.update(zip(positionals, given))
+    return SimpleNamespace(**{flag.lstrip("-").replace("-", "_"): value for flag, value in values.items()})
+
+
+def _help(name: str | None) -> str:
+    """Help for command ``name``, or for ``ehrelay`` when None; its first line is the usage."""
+    if name is None:
+        usage = f"ehrelay [-h] {_CHOICES} ..."
+        heading = "Monte Carlo rate experiments for a wireless-powered MIMO-OFDM relay.\n\ncommands (each takes -h):"
+        rows = [(command, entry[0]) for command, entry in _COMMANDS.items()]
+    else:
+        rows = [(flag if flag[0] != "-" else f"{flag} {flag[2:].replace('-', '_').upper()}", opts["help"])
+                for flag, opts in _COMMANDS[name][2]]
+        words = [f"[{left}]" for left, _ in rows if left[0] == "-"] + [left for left, _ in rows if left[0] != "-"]
+        usage, heading = " ".join([f"ehrelay {name} [-h]", *words]), "arguments:"
+    rows.append(("-h, --help", "show this help message and exit"))
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join([f"usage: {usage}", "", heading, *(f"  {left:<{width}}{right}" for left, right in rows)])
+
+
+def _usage_error(name: str | None, message: str):
+    usage = _help(name).partition("\n")[0]
+    print(f"{usage}\n{'ehrelay' if name is None else f'ehrelay {name}'}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _cmd_run(args) -> int:
     spec = spec_from_file(args.spec_file)
-    output = args.output or spec.output_path
+    output = spec.output_path if args.output is None else args.output
     if output is None:
         raise ValueError("no output path: pass --output or set output_path in the spec file")
     result = run(spec)
@@ -71,13 +112,10 @@ def _cmd_run(args) -> int:
     print(f"wrote {len(result.rows)} rows to {output}")
 
     if "alpf" in spec.solvers:
-        fractions = [row.convergence_fraction for row in result.rows_for("alpf")]
-        worst = min(fractions)
+        worst = min(row.convergence_fraction for row in result.rows_for("alpf"))
         if 1.0 - worst > MAX_NONCONVERGED_FRACTION:
-            print(
-                f"optimizer convergence fraction {worst:.3f} below {1.0 - MAX_NONCONVERGED_FRACTION:.2f}",
-                file=sys.stderr,
-            )
+            print(f"optimizer convergence fraction {worst:.3f} below {1.0 - MAX_NONCONVERGED_FRACTION:.2f}",
+                  file=sys.stderr)
             return 2
     return 0
 
@@ -162,7 +200,7 @@ def _cmd_selftest(args) -> int:
 
 
 _SOLVERS = ",".join(SOLVER_ORDER)
-# name -> (help line, handler, arguments); each argument is (flag, add_argument keywords).
+# name -> (help line, handler, arguments); each argument is (flag, {help, type?, default?}).
 _COMMANDS = {
     "run": ("run a sweep experiment from a spec file", _cmd_run, (
         ("spec_file", {"help": "key=value experiment spec file"}),
@@ -178,6 +216,8 @@ _COMMANDS = {
         ("--seed", {"type": int, "default": 2024, "help": "master seed"}),
     )),
 }
+_CHOICES = "{" + ",".join(_COMMANDS) + "}"
+_NAMES = ", ".join(map(repr, _COMMANDS))
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,5 +1,5 @@
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,8 @@ from ehrelay import experiment
 from ehrelay.auglag import (
     _eliminate,
     _newton_direction,
+    _penalty,
+    _ReducedPoint,
     _Subproblem,
     optimize,
     solve_subproblem,
@@ -214,6 +216,20 @@ class TestPenaltyValue:
         for problem, _, nu, sigma, point in reduced_states(54, 100):
             value = penalty_value(eliminated(point), nu, sigma, problem)
             assert abs(point.value - value) <= 1e-12 * max(1.0, abs(value))
+
+    def test_value_only_path_matches_elimination(self):
+        # The line search prices each trial point by _penalty alone and
+        # completes only the accepted one from the same intermediates:
+        # every field must carry the bits of a fresh elimination.
+        rng = np.random.default_rng(61)
+        for _ in range(60):
+            problem, z, nu, sigma = random_state(rng, int(rng.integers(1, 6)))
+            fixed = _Subproblem(nu, sigma, problem)
+            assert _penalty(z, fixed)[0] == _eliminate(z, fixed).value
+            point, _, _ = solve_subproblem(z, nu, sigma, problem, 1e-6)
+            fresh = _eliminate(point.z, fixed)
+            for field in fields(_ReducedPoint):
+                assert np.array_equal(getattr(point, field.name), getattr(fresh, field.name)), field.name
 
 
 class TestPenaltyGradient:

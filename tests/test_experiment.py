@@ -282,20 +282,66 @@ class TestCli:
         ]:
             assert re.search(rf"^ +{name} +{line}$", out, re.MULTILINE), name
 
-    def test_run_builds_one_parser(self, tmp_path, monkeypatch):
-        # A run pays for its own command's parser, not for the others'.
-        built = []
-        init = cli.argparse.ArgumentParser.__init__
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["run", "-h"], ["single", "-h"], ["selftest", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: {' '.join(['ehrelay', *argv[:-1]])} [-h]")
+        assert captured.err == ""
 
-        def counting_init(parser, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            init(parser, *args, **kwargs)
+    @pytest.mark.parametrize(
+        "argv, prog, message",
+        [
+            (
+                "bogus", "ehrelay",
+                "argument {run,single,selftest}: invalid choice: 'bogus' (choose from 'run', 'single', 'selftest')",
+            ),
+            ("run", "ehrelay run", "the following arguments are required: spec_file"),
+            ("run a b", "ehrelay run", "unrecognized arguments: b"),
+            ("run a --foo", "ehrelay run", "unrecognized arguments: --foo"),
+            ("run a --output", "ehrelay run", "argument --output: expected one argument"),
+            ("single --seed x", "ehrelay single", "argument --seed: invalid int value: 'x'"),
+            ("selftest --trials 2.5", "ehrelay selftest", "argument --trials: invalid int value: '2.5'"),
+        ],
+    )
+    def test_usage_errors_exit_2(self, capsys, argv, prog, message):
+        # The wording is argparse's: usage line first, the error last, on stderr.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv.split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage: {prog} [-h]")
+        assert captured.err.splitlines()[-1] == f"{prog}: error: {message}"
+        assert captured.out == ""
 
-        monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting_init)
+    def test_option_forms(self, capsys):
+        # --flag VALUE and --flag=VALUE read alike; a prefix names no option.
+        assert cli.main(["single", "--seed", "3", "--solvers", "benchmark"]) == 0
+        separate = capsys.readouterr().out
+        assert cli.main(["single", "--seed=3", "--solvers=benchmark"]) == 0
+        assert capsys.readouterr().out == separate
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["single", "--se", "3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("\nehrelay single: error: unrecognized arguments: --se 3\n")
+
+    def test_run_leaves_argparse_unloaded(self, tmp_path):
+        # main reads argv from the _COMMANDS table: argparse, and the
+        # gettext and locale imports its messages pull in, would cost each
+        # ``ehrelay run`` a few ms.  -X importtime lists every module the
+        # interpreter imports, from its start.
         spec_path = tmp_path / "exp.txt"
-        spec_path.write_text("trials = 1\nsolvers = benchmark\n")
-        assert cli.main(["run", str(spec_path), "--output", str(tmp_path / "o.csv")]) == 0
-        assert built == ["ehrelay run"]
+        spec_path.write_text("trials = 2\nsolvers = benchmark\n")
+        command = ["run", str(spec_path), "--output"]
+        child = fresh_python("-X", "importtime", "-m", "ehrelay.cli", *command, str(tmp_path / "child.csv"))
+        assert child.returncode == 0, child.stderr
+        imported = {line.rpartition("|")[2].strip() for line in child.stderr.splitlines()}
+        assert {"numpy", "ehrelay.experiment"} <= imported
+        assert not imported & {"argparse", "gettext", "locale"}
+        assert cli.main([*command, str(tmp_path / "main.csv")]) == 0
+        assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
 
     def test_entry_point_in_fresh_interpreter(self, tmp_path):
         # ``python -m ehrelay.cli`` reads sys.argv, as the console script does.
@@ -309,6 +355,16 @@ class TestCli:
         bare = fresh_python("-m", "ehrelay.cli")
         assert bare.returncode == 1
         assert bare.stdout.startswith("usage: ehrelay [-h] {run,single,selftest} ...\n")
+
+    @pytest.mark.parametrize("output", [["--output", ""], ["--output="]], ids=["separate", "joined"])
+    def test_run_empty_output_is_validation_error(self, tmp_path, capsys, output):
+        # Only a missing --output falls back to the spec's output_path.
+        out_path = tmp_path / "from_spec.csv"
+        spec_path = tmp_path / "exp.txt"
+        spec_path.write_text(f"trials = 1\nsolvers = benchmark\noutput_path = {out_path}\n")
+        assert cli.main(["run", str(spec_path), *output]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write CSV to '': ")
+        assert not out_path.exists()
 
     def test_run_missing_output_is_validation_error(self, tmp_path):
         spec_path = tmp_path / "exp.txt"
