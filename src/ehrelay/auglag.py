@@ -93,21 +93,6 @@ class AlpfResult:
     final_sigma: np.ndarray
     stalled: bool
 
-    def report_text(self) -> str:
-        lines = [
-            f"converged: {self.converged}",
-            f"outer_iterations: {self.outer_iterations}",
-            f"inner_iterations: {self.inner_iterations}",
-            f"final_violation: {self.final_violation!r}",
-            f"rate_bps: {self.rate_bps!r}",
-            f"alpha: {self.allocation.alpha!r}",
-            "final_penalties: " + " ".join(repr(float(s)) for s in self.final_sigma),
-            "final_multipliers: " + " ".join(repr(float(v)) for v in self.final_nu),
-        ]
-        if self.stalled:
-            lines.append("note: inner line search stalled at least once")
-        return "\n".join(lines)
-
 
 def update_multipliers(nu: np.ndarray, sigma: np.ndarray, violation_new: np.ndarray) -> np.ndarray:
     """Multiplier step: each ``nu`` moves by ``-sigma * c`` of its constraint."""

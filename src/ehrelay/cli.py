@@ -6,26 +6,24 @@ parser: positionals in order, each option as ``--flag VALUE`` or
 ``--flag=VALUE`` (no prefix abbreviations), and ``-h``.
 
 Exit codes: 0 on success, 1 on validation errors, 2 on a usage error, on
-failed convergence in more than the allowed fraction of trials, or on a
-failed selftest check.
+failed convergence in more than the allowed fraction of ``run``'s trials,
+on an unconverged solve in ``single``, or on a failed selftest check.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from ehrelay.auglag import optimize
 from ehrelay.channel import Scenario, require_count, scenario_from_file
 from ehrelay.experiment import (
-    SOLVER_ORDER, draw, emit_csv, run, run_trial, spec_from_file, trial_rng, validate_solvers,
+    SOLVER_ORDER, SOLVERS, draw, emit_csv, run, run_trial, spec_from_file, trial_rng, validate_solvers,
 )
-from ehrelay.system import achievable_rate, benchmark_allocation
-from ehrelay.waterfill import solve as oracle_solve
 
 MAX_NONCONVERGED_FRACTION = 0.05
 # A word read as an option: a dash, not alone and not starting a negative number.
@@ -107,16 +105,19 @@ def _cmd_run(args) -> int:
     output = spec.output_path if args.output is None else args.output
     if output is None:
         raise ValueError("no output path: pass --output or set output_path in the spec file")
+    # Checked before the sweep, so that a path that cannot be written costs no solves.
+    if not output or not Path(output).parent.is_dir():
+        raise OSError(f"cannot write CSV to '{output}': no such file or directory")
     result = run(spec)
     emit_csv(result, output)
     print(f"wrote {len(result.rows)} rows to {output}")
 
-    if "alpf" in spec.solvers:
-        worst = min(row.convergence_fraction for row in result.rows_for("alpf"))
-        if 1.0 - worst > MAX_NONCONVERGED_FRACTION:
-            print(f"optimizer convergence fraction {worst:.3f} below {1.0 - MAX_NONCONVERGED_FRACTION:.2f}",
-                  file=sys.stderr)
-            return 2
+    # Only ALPF can fail to converge; every other solver reports 1.0.
+    worst = min(row.convergence_fraction for row in result.rows)
+    if 1.0 - worst > MAX_NONCONVERGED_FRACTION:
+        print(f"optimizer convergence fraction {worst:.3f} below {1.0 - MAX_NONCONVERGED_FRACTION:.2f}",
+              file=sys.stderr)
+        return 2
     return 0
 
 
@@ -134,24 +135,29 @@ def _cmd_single(args) -> int:
     print(f"sorted hop-1 gains: {np.array2string(gains1, precision=6)}")
     print(f"sorted hop-2 gains: {np.array2string(gains2, precision=6)}")
 
-    if "benchmark" in solvers:
-        alloc = benchmark_allocation(problem)
-        rate = achievable_rate(problem, alloc)
-        print(f"\nbenchmark rate: {rate!r} bit/s (alpha = {alloc.alpha!r})")
-    if "oracle" in solvers:
-        sol = oracle_solve(problem)
-        print(f"\noracle rate: {sol.rate_star!r} bit/s at alpha = {sol.alpha_star!r}")
-        print(f"oracle mu: {np.array2string(sol.mu_star, precision=6)}")
-        print(f"oracle mu_bar: {np.array2string(sol.mu_bar_star, precision=6)}")
-    if "alpf" in solvers:
-        res = optimize(problem)
-        print(f"\noptimizer rate: {res.rate_bps!r} bit/s")
-        print(f"optimizer mu: {np.array2string(res.allocation.mu, precision=6)}")
-        print(f"optimizer mu_bar: {np.array2string(res.allocation.mu_bar, precision=6)}")
-        print(res.report_text())
-        if not res.converged:
-            return 2
-    return 0
+    converged = True
+    for name in SOLVER_ORDER:
+        if name in solvers:
+            outcome, result = SOLVERS[name](problem)
+            print(f"\n{name} rate: {outcome.rate_bps!r} bit/s at alpha = {outcome.alpha!r}")
+            print("\n".join(_field_lines(result)))
+            converged = converged and outcome.converged
+    return 0 if converged else 2
+
+
+def _field_lines(result, prefix: str = ""):
+    """``name: value`` for each field of dataclass ``result``, and of each dataclass in it.
+
+    Arrays print through ``np.array2string`` at 6 digits, everything else by ``repr``.
+    """
+    for field in fields(result):
+        value = getattr(result, field.name)
+        if is_dataclass(value):
+            yield from _field_lines(value, f"{prefix}{field.name}.")
+        elif isinstance(value, np.ndarray):
+            yield f"{prefix}{field.name}: {np.array2string(value, precision=6)}"
+        else:
+            yield f"{prefix}{field.name}: {value!r}"
 
 
 def _cmd_selftest(args) -> int:

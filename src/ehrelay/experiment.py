@@ -1,7 +1,9 @@
 """Monte Carlo sweeps over relay position, power and antenna counts.
 
 An :class:`ExperimentSpec` pins one scenario, one sweep axis, a trial
-count, the set of solvers to run and a master seed.  Trials are seeded
+count, the set of solvers to run and a master seed.  :data:`SOLVERS`
+maps each solver's name to the function that runs it on a drawn problem;
+its order is the order of the CSV rows.  Trials are seeded
 by mixing ``(master_seed, sweep_index, trial_index)`` through
 ``numpy.random.SeedSequence``, so results are reproducible and adding
 sweep points does not perturb existing trials.  Aggregated results are
@@ -34,6 +36,7 @@ from ehrelay.waterfill import solve as oracle_solve
 
 __all__ = [
     "CSV_HEADER",
+    "SOLVERS",
     "SOLVER_ORDER",
     "SWEEP_KINDS",
     "Draw",
@@ -50,7 +53,6 @@ __all__ = [
     "validate_solvers",
 ]
 
-SOLVER_ORDER = ("alpf", "oracle", "benchmark")
 # Each sweep kind and the Scenario fields one of its values sets.
 _SWEEPS = {
     "phi": ("phi",),
@@ -96,6 +98,28 @@ class TrialOutcome:
     converged: bool
 
 
+def _alpf(problem: ReducedProblem) -> tuple[TrialOutcome, object]:
+    res = optimize(problem)
+    return TrialOutcome(res.rate_bps, res.allocation.alpha, res.outer_iterations, res.converged), res
+
+
+def _oracle(problem: ReducedProblem) -> tuple[TrialOutcome, object]:
+    sol = oracle_solve(problem)
+    return TrialOutcome(sol.rate_star, sol.alpha_star, sol.iterations, True), sol
+
+
+def _benchmark(problem: ReducedProblem) -> tuple[TrialOutcome, object]:
+    alloc = benchmark_allocation(problem)
+    return TrialOutcome(achievable_rate(problem, alloc), alloc.alpha, 0, True), alloc
+
+
+# Each solver, in CSV row order: problem -> (its TrialOutcome, the solver's own
+# result).  The functions look the solvers up as this module's globals at each
+# call, so a wrapper set on one of them here sees every solve.
+SOLVERS = {"alpf": _alpf, "oracle": _oracle, "benchmark": _benchmark}
+SOLVER_ORDER = tuple(SOLVERS)
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """Aggregate of one (sweep value, solver) cell; its fields are the CSV columns.
@@ -127,16 +151,13 @@ class SweepResult:
     sweep_param: str
     rows: tuple[SweepRow, ...]
 
-    def rows_for(self, solver: str) -> list[SweepRow]:
-        return [r for r in self.rows if r.solver == solver]
-
 
 def validate_solvers(solvers) -> None:
-    """Reject an empty solver list or a name outside :data:`SOLVER_ORDER`."""
+    """Reject an empty solver list or a name outside :data:`SOLVERS`."""
     if not solvers:
         raise ValueError("solvers must be nonempty")
     for solver in solvers:
-        if solver not in SOLVER_ORDER:
+        if solver not in SOLVERS:
             raise ValueError(f"unknown solver '{solver}'")
 
 
@@ -187,34 +208,10 @@ def draw(scenario: Scenario, rng: np.random.Generator | None = None) -> Draw:
 
 
 def run_trial(scenario: Scenario, rng: np.random.Generator, solvers) -> dict[str, TrialOutcome]:
-    """Draw one channel and run the requested solvers on it."""
+    """Draw one channel and run the requested solvers on it, in the order given."""
+    validate_solvers(solvers)
     problem = draw(scenario, rng).problem
-
-    outcomes: dict[str, TrialOutcome] = {}
-    for solver in solvers:
-        if solver == "benchmark":
-            alloc = benchmark_allocation(problem)
-            rate = achievable_rate(problem, alloc)
-            outcomes[solver] = TrialOutcome(rate_bps=rate, alpha=alloc.alpha, iterations=0, converged=True)
-        elif solver == "alpf":
-            res = optimize(problem)
-            outcomes[solver] = TrialOutcome(
-                rate_bps=res.rate_bps,
-                alpha=res.allocation.alpha,
-                iterations=res.outer_iterations,
-                converged=res.converged,
-            )
-        elif solver == "oracle":
-            sol = oracle_solve(problem)
-            outcomes[solver] = TrialOutcome(
-                rate_bps=sol.rate_star,
-                alpha=sol.alpha_star,
-                iterations=sol.iterations,
-                converged=True,
-            )
-        else:  # specs never get here; this check is for direct callers
-            raise ValueError(f"unknown solver '{solver}'")
-    return outcomes
+    return {s: SOLVERS[s](problem)[0] for s in solvers}
 
 
 def run(spec: ExperimentSpec) -> SweepResult:

@@ -485,12 +485,7 @@ class TestOptimize:
         assert res.allocation.mu.sum() <= 1.0 + 1e-9
         assert res.allocation.mu_bar.sum() <= 1.0 + 1e-9
         assert res.outer_iterations <= 100
-        text = res.report_text()
-        assert "converged: True" in text
-        assert "final_violation" in text
-        assert "stalled" not in text
-        stalled = replace(res, stalled=True).report_text()
-        assert stalled == text + "\nnote: inner line search stalled at least once"
+        assert not res.stalled
 
     def test_hop_balance_at_convergence(self):
         rng = np.random.default_rng(47)

@@ -5,20 +5,26 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ehrelay import auglag, channel, cli
+from ehrelay import auglag, channel, cli, experiment
+from ehrelay.auglag import AlpfResult
 from ehrelay.channel import Scenario
 from ehrelay.experiment import (
     CSV_HEADER,
+    SOLVER_ORDER,
+    SOLVERS,
     SWEEP_KINDS,
     ExperimentSpec,
     SweepResult,
     SweepRow,
+    draw,
     emit_csv,
     run,
     run_trial,
     spec_from_file,
     trial_rng,
 )
+from ehrelay.system import Allocation
+from ehrelay.waterfill import OracleSolution
 from test_waterfill import fresh_python, modules_loaded_by
 
 SPEC_TEXT = """
@@ -151,6 +157,23 @@ class TestRun:
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError, match="unknown solver 'magic'"):
             run_trial(Scenario(), trial_rng(0, 0, 0), ("magic",))
+
+    def test_solvers_called_through_module_globals(self, monkeypatch):
+        # A wrapper set on experiment's global name of a solver sees every
+        # call, as perfbench's tracer needs.
+        calls = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("optimize", "oracle_solve", "benchmark_allocation", "achievable_rate"):
+            monkeypatch.setattr(experiment, name, counting(name, getattr(experiment, name)))
+        outcome = run_trial(Scenario(), trial_rng(0, 0, 0), SOLVER_ORDER)
+        assert list(outcome) == list(SOLVER_ORDER)
+        assert calls == {"optimize": 1, "oracle_solve": 1, "benchmark_allocation": 1, "achievable_rate": 1}
 
     def test_appending_sweep_values_preserves_trials(self):
         base = ExperimentSpec(
@@ -356,14 +379,24 @@ class TestCli:
         assert bare.returncode == 1
         assert bare.stdout.startswith("usage: ehrelay [-h] {run,single,selftest} ...\n")
 
-    @pytest.mark.parametrize("output", [["--output", ""], ["--output="]], ids=["separate", "joined"])
-    def test_run_empty_output_is_validation_error(self, tmp_path, capsys, output):
-        # Only a missing --output falls back to the spec's output_path.
+    @pytest.mark.parametrize(
+        "output, path",
+        [(["--output", ""], ""), (["--output="], ""), (["--output", "no/such/dir/x.csv"], "no/such/dir/x.csv")],
+        ids=["separate", "joined", "missing-dir"],
+    )
+    def test_run_empty_output_is_validation_error(self, tmp_path, monkeypatch, capsys, output, path):
+        # Only a missing --output falls back to the spec's output_path, and
+        # an unwritable path is rejected before any trial is solved.
+        def no_run(spec):
+            pytest.fail("run called with an unwritable output path")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        monkeypatch.chdir(tmp_path)
         out_path = tmp_path / "from_spec.csv"
         spec_path = tmp_path / "exp.txt"
         spec_path.write_text(f"trials = 1\nsolvers = benchmark\noutput_path = {out_path}\n")
         assert cli.main(["run", str(spec_path), *output]) == 1
-        assert capsys.readouterr().err.startswith("error: cannot write CSV to '': ")
+        assert capsys.readouterr().err.startswith(f"error: cannot write CSV to '{path}': ")
         assert not out_path.exists()
 
     def test_run_missing_output_is_validation_error(self, tmp_path):
@@ -436,7 +469,7 @@ class TestCli:
         code = cli.main(["single", "--seed", "3", "--solvers", "alpf,benchmark"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "optimizer rate" in out
+        assert "alpf rate" in out
         assert "benchmark rate" in out
         assert "converged: True" in out
 
@@ -447,7 +480,7 @@ class TestCli:
         # move the last bits, which is then a reason to re-record.
         assert cli.main(["single", "--seed", "3"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "5f2a9f63639d49c38abd0f110512a78316594fe016bec396a0f2a605fb313550"
+            "ddfe1138647601343874ccca19a684372061511b60a2b618155f55e3bb472f19"
         )
 
     def test_single_negative_seed_is_validation_error(self, capsys):
@@ -459,9 +492,25 @@ class TestCli:
     def test_single_runs_every_solver_by_default(self, capsys):
         assert cli.main(["single", "--seed", "3"]) == 0
         out = capsys.readouterr().out
-        assert "(alpha = 0.5)" in out
-        assert "oracle rate: " in out and "oracle mu_bar: " in out
-        assert "optimizer rate: " in out and "converged: True" in out
+        assert "bit/s at alpha = 0.5\n" in out
+        assert "oracle rate: " in out and "mu_bar_star: " in out
+        assert "alpf rate: " in out and "converged: True" in out
+        # Every field of each solver's result is printed, nested ones by dotted name.
+        names = [f.name for f in fields(AlpfResult) if f.name != "allocation"]
+        names += [f"allocation.{f.name}" for f in fields(Allocation)]
+        names += [f.name for f in fields(OracleSolution)] + [f.name for f in fields(Allocation)]
+        lines = out.splitlines()
+        for name in names:
+            assert any(line.startswith(f"{name}: ") for line in lines), name
+        assert "stalled: False" in lines
+
+    def test_single_prints_solvers_in_table_order(self, capsys):
+        assert cli.main(["single", "--seed", "3", "--solvers", "benchmark,alpf"]) == 0
+        headers = [line for line in capsys.readouterr().out.splitlines() if " rate: " in line]
+        problem = draw(Scenario(seed=3)).problem
+        assert [line.split()[0] for line in headers] == ["alpf", "benchmark"]  # SOLVER_ORDER
+        for name, line in zip(["alpf", "benchmark"], headers):
+            assert line.split()[2] == repr(SOLVERS[name](problem)[0].rate_bps)
 
     def test_single_unconverged_exits_2(self, monkeypatch, capsys):
         monkeypatch.setattr(auglag, "_MAX_OUTER_ITERS", 1)
