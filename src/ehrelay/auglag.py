@@ -73,12 +73,12 @@ class AlpfResult:
 
     ``converged`` means max |c| <= 1e-6 (``_EPS``) over the two budget
     rows: feasibility only, not optimality.  At SNRs far below 1 a
-    converged run can stop well below the optimum.  In seeded stresses
-    (``BENCH_alpf_balanced.json``) every run converged.  Of 150 scenarios
-    at ``d_sd = 30`` and 1 mW to 0.1 W, 7 missed the water-filling oracle
-    by more than 1e-6 and by more than 1e-3 alike (one by 83%), all where
-    the oracle's time split exceeds 0.9; of 150 scenarios over ``d_sd``
-    1 to 30 and 1 mW to 1 kW, none missed by more than 2.2e-7.
+    converged run can stop well below the optimum.  On the seeded stress
+    sets of ``ehrelay selftest --trials 150`` every run converges.  Of
+    the 150 corner scenarios (``d_sd = 30``, 1 mW to 0.1 W), 7 miss the
+    water-filling oracle by more than 1e-6 and 1e-3 alike (6 by over 1%,
+    one by 83%), all where the oracle's time split exceeds 0.9; of the 150
+    broad ones (``d_sd`` 1 to 30, 1 mW to 1 kW), none by more than 2.2e-7.
     ``final_nu`` and ``final_sigma`` hold the two rows' multipliers and
     penalties.
     """

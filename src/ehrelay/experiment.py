@@ -8,6 +8,9 @@ by mixing ``(master_seed, sweep_index, trial_index)`` through
 ``numpy.random.SeedSequence``, so results are reproducible and adding
 sweep points does not perturb existing trials.  Aggregated results are
 emitted as CSV with full-precision (round-trippable) numbers.
+
+:func:`stress_scenario` draws the seeded stress sets of :data:`STRESS_SEEDS`
+that ``ehrelay selftest`` and the solver tests solve.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "CSV_HEADER",
     "SOLVERS",
     "SOLVER_ORDER",
+    "STRESS_SEEDS",
     "SWEEP_KINDS",
     "Draw",
     "ExperimentSpec",
@@ -49,6 +53,7 @@ __all__ = [
     "run",
     "run_trial",
     "spec_from_file",
+    "stress_scenario",
     "trial_rng",
     "validate_solvers",
 ]
@@ -61,6 +66,8 @@ _SWEEPS = {
     "k_subcarriers": ("k_subcarriers",),
 }
 SWEEP_KINDS = ("none", *_SWEEPS)
+# Each stress set of stress_scenario and the seed of its scenario draws.
+STRESS_SEEDS = {"broad": 12345, "corner": 777}
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -205,6 +212,31 @@ def draw(scenario: Scenario, rng: np.random.Generator | None = None) -> Draw:
     subcarrier, harvest_coeff = optimal_energy_plan(gains1, scenario)
     problem = snr_coefficients(sorted1, sorted2, harvest_coeff, scenario)
     return Draw(sorted1, sorted2, subcarrier, harvest_coeff, problem)
+
+
+def stress_scenario(kind: str, index: int) -> Scenario:
+    """Scenario ``index`` of the seeded ``broad`` or ``corner`` stress set.
+
+    Scenarios are drawn in order from ``default_rng(STRESS_SEEDS[kind])``:
+    K in 1..4 and the three antenna counts in 1..3; then P log-uniform in
+    1 mW..1 kW with ``d_sd`` one of 1, 2, 10, 30 (broad), or P in
+    1..100 mW at ``d_sd = 30`` (corner); then ``phi`` in 0.02..0.98 and
+    ``eta`` in 0.2..1.  Scenario i's channels are drawn from
+    ``trial_rng(seed, 0, i)``; the solver tests take seed 99.
+    """
+    rng = np.random.default_rng(STRESS_SEEDS[kind])
+    for _ in range(index + 1):
+        k = int(rng.integers(1, 5))
+        n_s, n_r, n_d = (int(v) for v in rng.integers(1, 4, 3))
+        if kind == "broad":
+            p_source = float(10.0 ** rng.uniform(-3.0, 3.0))
+            d_sd = float(rng.choice([1.0, 2.0, 10.0, 30.0]))
+        else:
+            p_source = float(10.0 ** rng.uniform(-3.0, -1.0))
+            d_sd = 30.0
+        phi = float(rng.uniform(0.02, 0.98))
+        eta = float(rng.uniform(0.2, 1.0))
+    return Scenario(n_s=n_s, n_r=n_r, n_d=n_d, k_subcarriers=k, p_source=p_source, d_sd=d_sd, phi=phi, eta=eta)
 
 
 def run_trial(scenario: Scenario, rng: np.random.Generator, solvers) -> dict[str, TrialOutcome]:

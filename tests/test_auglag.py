@@ -17,10 +17,9 @@ from ehrelay.auglag import (
     update_penalties,
 )
 from ehrelay.channel import Scenario
-from ehrelay.experiment import trial_rng
+from ehrelay.experiment import stress_scenario, trial_rng
 from ehrelay.system import ALPHA_MAX, ALPHA_MIN, ReducedProblem, achievable_rate
 from ehrelay.waterfill import solve as oracle_solve
-from draws import stress_scenario
 from oracles import pack_point, penalty_gradient, penalty_value
 from test_waterfill import crosscheck_problem
 
@@ -680,7 +679,7 @@ class TestOptimize:
         # pair at an SNR far below 1 unbalanced, and the trim to its weaker
         # hop cost rate; in corner 115 alpha ran on to 0.9997 against an
         # alpha* of 0.9965.
-        _, problem = stress_scenario(kind, index)
+        problem = experiment.draw(stress_scenario(kind, index), trial_rng(99, 0, index)).problem
         res = optimize(problem)
         assert res.converged
         oracle = oracle_solve(problem).rate_star

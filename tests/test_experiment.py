@@ -12,6 +12,7 @@ from ehrelay.experiment import (
     CSV_HEADER,
     SOLVER_ORDER,
     SOLVERS,
+    STRESS_SEEDS,
     SWEEP_KINDS,
     ExperimentSpec,
     SweepResult,
@@ -21,6 +22,7 @@ from ehrelay.experiment import (
     run,
     run_trial,
     spec_from_file,
+    stress_scenario,
     trial_rng,
 )
 from ehrelay.system import Allocation
@@ -174,6 +176,15 @@ class TestRun:
         outcome = run_trial(Scenario(), trial_rng(0, 0, 0), SOLVER_ORDER)
         assert list(outcome) == list(SOLVER_ORDER)
         assert calls == {"optimize": 1, "oracle_solve": 1, "benchmark_allocation": 1, "achievable_rate": 1}
+
+    def test_stress_scenarios_pinned(self):
+        # The first 150 scenarios of each stress set, which ROADMAP's stress
+        # tables and the solver tests index into; a change to the rule
+        # moves every figure recorded on them.
+        text = "\n".join(repr(stress_scenario(kind, i)) for kind in STRESS_SEEDS for i in range(150))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5bac2960212a5abe30bb1354f5f9b6800aa88e578b950754d7f3812e46ae290e"
+        )
 
     def test_appending_sweep_values_preserves_trials(self):
         base = ExperimentSpec(
@@ -380,11 +391,17 @@ class TestCli:
         assert bare.stdout.startswith("usage: ehrelay [-h] {run,single,selftest} ...\n")
 
     @pytest.mark.parametrize(
-        "output, path",
-        [(["--output", ""], ""), (["--output="], ""), (["--output", "no/such/dir/x.csv"], "no/such/dir/x.csv")],
-        ids=["separate", "joined", "missing-dir"],
+        "output, path, reason",
+        [
+            (["--output", ""], "", "no such file or directory"),
+            (["--output="], "", "no such file or directory"),
+            (["--output", "no/such/dir/x.csv"], "no/such/dir/x.csv", "no such file or directory"),
+            (["--output", "."], ".", "is a directory"),
+            (["--output", "{tmp_path}"], "{tmp_path}", "is a directory"),
+        ],
+        ids=["separate", "joined", "missing-dir", "cwd", "existing-dir"],
     )
-    def test_run_empty_output_is_validation_error(self, tmp_path, monkeypatch, capsys, output, path):
+    def test_run_empty_output_is_validation_error(self, tmp_path, monkeypatch, capsys, output, path, reason):
         # Only a missing --output falls back to the spec's output_path, and
         # an unwritable path is rejected before any trial is solved.
         def no_run(spec):
@@ -395,8 +412,10 @@ class TestCli:
         out_path = tmp_path / "from_spec.csv"
         spec_path = tmp_path / "exp.txt"
         spec_path.write_text(f"trials = 1\nsolvers = benchmark\noutput_path = {out_path}\n")
+        output = [word.format(tmp_path=tmp_path) for word in output]
         assert cli.main(["run", str(spec_path), *output]) == 1
-        assert capsys.readouterr().err.startswith(f"error: cannot write CSV to '{path}': ")
+        path = path.format(tmp_path=tmp_path)
+        assert capsys.readouterr().err == f"error: cannot write CSV to '{path}': {reason}\n"
         assert not out_path.exists()
 
     def test_run_missing_output_is_validation_error(self, tmp_path):
@@ -522,8 +541,8 @@ class TestCli:
         monkeypatch.setattr(auglag, "_MAX_OUTER_ITERS", 1)
         assert cli.main(["selftest", "--trials", "2", "--seed", "6"]) == 2
         lines = capsys.readouterr().out.splitlines()
-        assert [line.split()[1].startswith("FAIL(converged") for line in lines[:2]] == [True, True]
-        assert lines[2:] == ["selftest FAILED on 2/2 instances"]
+        assert [line.split()[2].startswith("FAIL(converged") for line in lines[:4]] == [True] * 4
+        assert lines[4:] == ["selftest FAILED on 4/4 instances"]
 
     def test_failed_decomposition_is_reported(self, monkeypatch, capsys):
         # LAPACK's LinAlgError is a ValueError, so main reports it and
@@ -536,23 +555,20 @@ class TestCli:
         assert capsys.readouterr().err == "error: SVD did not converge\n"
 
     def test_selftest_subcommand(self, capsys):
-        code = cli.main(["selftest", "--trials", "3", "--seed", "6"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "selftest passed" in out
-        # Each instance line names the trial_rng seed triple and the
-        # scenario fields that replay it alone.
-        lines = [line for line in out.splitlines() if line.startswith("[")]
-        assert len(lines) == 3
-        for i, line in enumerate(lines):
-            assert f"seed=(6, 0, {i})" in line
-        fields = dict(re.findall(r"(\w+)=(\S+)", lines[-1]))
-        scenario = Scenario(
-            n_s=int(fields["n_s"]), n_r=int(fields["n_r"]), n_d=int(fields["n_d"]),
-            k_subcarriers=int(fields["K"]), p_source=float(fields["P"]), phi=float(fields["phi"]),
-        )
-        outcome = run_trial(scenario, trial_rng(6, 0, 2), ("alpf",))
-        assert f"{outcome['alpf'].rate_bps:.6g}" == fields["alpf"]
+        # At the default seed, the stress instances the solver tests draw.
+        # Each line is a replay record: the trial_rng seed triple, every
+        # rate by repr and the exact scenario.
+        assert cli.main(["selftest", "--trials", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[6:] == ["selftest passed on all 6 instances"]
+        instances = [(kind, i) for kind in STRESS_SEEDS for i in range(3)]
+        for line, (kind, i) in zip(lines[:6], instances, strict=True):
+            scenario = stress_scenario(kind, i)
+            outcome = run_trial(scenario, trial_rng(99, 0, i), SOLVER_ORDER)
+            assert line.startswith(f"[{kind} {i}/3] PASS seed=(99, 0, {i}) ")
+            assert line.endswith(f" {scenario}")
+            for label, name in [("alpf", "alpf"), ("oracle", "oracle"), ("bench", "benchmark")]:
+                assert f" {label}={outcome[name].rate_bps!r} " in line
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_selftest_without_trials_is_validation_error(self, trials, capsys):
