@@ -6,7 +6,7 @@ parser: positionals in order, each option as ``--flag VALUE`` or
 ``--flag=VALUE`` (no prefix abbreviations), and ``-h``.
 
 ``selftest`` solves scenario i < ``--trials`` of each seeded stress set
-(``experiment.stress_scenario``: broad, then corner) on channels from
+(``experiment.stress_scenarios``: broad, then corner) on channels from
 ``trial_rng(--seed, 0, i)``, checks that ALPF converges, reaches the
 benchmark and comes within 1% of the oracle, and prints one replay line each.
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import fields, is_dataclass, replace
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from ehrelay.channel import Scenario, require_count, scenario_from_file
 from ehrelay.experiment import (
-    SOLVER_ORDER, SOLVERS, STRESS_SEEDS, draw, emit_csv, run, run_trial, spec_from_file, stress_scenario,
+    SOLVER_ORDER, SOLVERS, STRESS_SEEDS, draw, emit_csv, run, run_trial, spec_from_file, stress_scenarios,
     trial_rng, validate_solvers,
 )
 
@@ -173,8 +174,7 @@ def _cmd_selftest(args) -> int:
     require_count("--seed", args.seed, least=0)
     failures, total = 0, len(STRESS_SEEDS) * args.trials
     for kind in STRESS_SEEDS:
-        for i in range(args.trials):
-            scenario = stress_scenario(kind, i)
+        for i, scenario in enumerate(islice(stress_scenarios(kind), args.trials)):
             triple = (args.seed, 0, i)
             outcome = run_trial(scenario, trial_rng(*triple), SOLVER_ORDER)
             alpf, oracle, bench = outcome["alpf"], outcome["oracle"], outcome["benchmark"]

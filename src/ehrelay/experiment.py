@@ -9,12 +9,13 @@ by mixing ``(master_seed, sweep_index, trial_index)`` through
 sweep points does not perturb existing trials.  Aggregated results are
 emitted as CSV with full-precision (round-trippable) numbers.
 
-:func:`stress_scenario` draws the seeded stress sets of :data:`STRESS_SEEDS`
+:func:`stress_scenarios` draws the seeded stress sets of :data:`STRESS_SEEDS`
 that ``ehrelay selftest`` and the solver tests solve.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -53,7 +54,7 @@ __all__ = [
     "run",
     "run_trial",
     "spec_from_file",
-    "stress_scenario",
+    "stress_scenarios",
     "trial_rng",
     "validate_solvers",
 ]
@@ -66,7 +67,7 @@ _SWEEPS = {
     "k_subcarriers": ("k_subcarriers",),
 }
 SWEEP_KINDS = ("none", *_SWEEPS)
-# Each stress set of stress_scenario and the seed of its scenario draws.
+# Each stress set of stress_scenarios and the seed of its scenario draws.
 STRESS_SEEDS = {"broad": 12345, "corner": 777}
 
 @dataclass(frozen=True)
@@ -214,29 +215,33 @@ def draw(scenario: Scenario, rng: np.random.Generator | None = None) -> Draw:
     return Draw(sorted1, sorted2, subcarrier, harvest_coeff, problem)
 
 
-def stress_scenario(kind: str, index: int) -> Scenario:
-    """Scenario ``index`` of the seeded ``broad`` or ``corner`` stress set.
+def stress_scenarios(kind: str) -> Iterator[Scenario]:
+    """The scenarios of the seeded ``broad`` or ``corner`` stress set, in order.
 
-    Scenarios are drawn in order from ``default_rng(STRESS_SEEDS[kind])``:
-    K in 1..4 and the three antenna counts in 1..3; then P log-uniform in
-    1 mW..1 kW with ``d_sd`` one of 1, 2, 10, 30 (broad), or P in
-    1..100 mW at ``d_sd = 30`` (corner); then ``phi`` in 0.02..0.98 and
-    ``eta`` in 0.2..1.  Scenario i's channels are drawn from
-    ``trial_rng(seed, 0, i)``; the solver tests take seed 99.
+    Scenarios are drawn one after another from
+    ``default_rng(STRESS_SEEDS[kind])``: K in 1..4 and the three antenna
+    counts in 1..3; then P log-uniform in 1 mW..1 kW with ``d_sd`` one of
+    1, 2, 10, 30 (broad), or P in 1..100 mW at ``d_sd = 30`` (corner);
+    then ``phi`` in 0.02..0.98 and ``eta`` in 0.2..1.  The generator does
+    not end.  Scenario i's channels are drawn from ``trial_rng(seed, 0, i)``;
+    the solver tests take seed 99.  A set without a rule here raises
+    ``ValueError``.
     """
     rng = np.random.default_rng(STRESS_SEEDS[kind])
-    for _ in range(index + 1):
+    while True:
         k = int(rng.integers(1, 5))
         n_s, n_r, n_d = (int(v) for v in rng.integers(1, 4, 3))
         if kind == "broad":
             p_source = float(10.0 ** rng.uniform(-3.0, 3.0))
             d_sd = float(rng.choice([1.0, 2.0, 10.0, 30.0]))
-        else:
+        elif kind == "corner":
             p_source = float(10.0 ** rng.uniform(-3.0, -1.0))
             d_sd = 30.0
+        else:
+            raise ValueError(f"stress set {kind!r} has no draw rule")
         phi = float(rng.uniform(0.02, 0.98))
         eta = float(rng.uniform(0.2, 1.0))
-    return Scenario(n_s=n_s, n_r=n_r, n_d=n_d, k_subcarriers=k, p_source=p_source, d_sd=d_sd, phi=phi, eta=eta)
+        yield Scenario(n_s=n_s, n_r=n_r, n_d=n_d, k_subcarriers=k, p_source=p_source, d_sd=d_sd, phi=phi, eta=eta)
 
 
 def run_trial(scenario: Scenario, rng: np.random.Generator, solvers) -> dict[str, TrialOutcome]:

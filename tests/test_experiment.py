@@ -1,6 +1,7 @@
 import hashlib
 import re
 from dataclasses import fields
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ehrelay.experiment import (
     run,
     run_trial,
     spec_from_file,
-    stress_scenario,
+    stress_scenarios,
     trial_rng,
 )
 from ehrelay.system import Allocation
@@ -181,7 +182,7 @@ class TestRun:
         # The first 150 scenarios of each stress set, which ROADMAP's stress
         # tables and the solver tests index into; a change to the rule
         # moves every figure recorded on them.
-        text = "\n".join(repr(stress_scenario(kind, i)) for kind in STRESS_SEEDS for i in range(150))
+        text = "\n".join(repr(s) for kind in STRESS_SEEDS for s in islice(stress_scenarios(kind), 150))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "5bac2960212a5abe30bb1354f5f9b6800aa88e578b950754d7f3812e46ae290e"
         )
@@ -542,6 +543,7 @@ class TestCli:
         assert cli.main(["selftest", "--trials", "2", "--seed", "6"]) == 2
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[2].startswith("FAIL(converged") for line in lines[:4]] == [True] * 4
+        assert [line.split()[3:6] for line in lines[:4]] == [["seed=(6,", "0,", f"{i})"] for i in (0, 1, 0, 1)]
         assert lines[4:] == ["selftest FAILED on 4/4 instances"]
 
     def test_failed_decomposition_is_reported(self, monkeypatch, capsys):
@@ -555,20 +557,37 @@ class TestCli:
         assert capsys.readouterr().err == "error: SVD did not converge\n"
 
     def test_selftest_subcommand(self, capsys):
-        # At the default seed, the stress instances the solver tests draw.
-        # Each line is a replay record: the trial_rng seed triple, every
-        # rate by repr and the exact scenario.
-        assert cli.main(["selftest", "--trials", "3"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[6:] == ["selftest passed on all 6 instances"]
-        instances = [(kind, i) for kind in STRESS_SEEDS for i in range(3)]
-        for line, (kind, i) in zip(lines[:6], instances, strict=True):
-            scenario = stress_scenario(kind, i)
-            outcome = run_trial(scenario, trial_rng(99, 0, i), SOLVER_ORDER)
-            assert line.startswith(f"[{kind} {i}/3] PASS seed=(99, 0, {i}) ")
-            assert line.endswith(f" {scenario}")
-            for label, name in [("alpf", "alpf"), ("oracle", "oracle"), ("bench", "benchmark")]:
-                assert f" {label}={outcome[name].rate_bps!r} " in line
+        # At the default seed, the stress instances the solver tests draw;
+        # at --seed 6, other channels for the same scenarios.  Each line is
+        # a replay record: the trial_rng seed triple, every rate by repr,
+        # the exact scenario and the status those rates give.
+        instances = [(kind, i, s) for kind in STRESS_SEEDS for i, s in enumerate(islice(stress_scenarios(kind), 3))]
+        for argv, seed in [([], 99), (["--seed", "6"], 6)]:
+            code = cli.main(["selftest", "--trials", "3", *argv])
+            lines = capsys.readouterr().out.splitlines()
+            failures = 0
+            for line, (kind, i, scenario) in zip(lines[:6], instances, strict=True):
+                outcome = run_trial(scenario, trial_rng(seed, 0, i), SOLVER_ORDER)
+                alpf, oracle, bench = outcome["alpf"], outcome["oracle"], outcome["benchmark"]
+                bad = [name for name, ok in [
+                    ("converged", alpf.converged),
+                    ("rate>=benchmark", alpf.rate_bps >= bench.rate_bps - 1e-9),
+                    ("rate-within-1%-of-oracle",
+                     abs(alpf.rate_bps - oracle.rate_bps) <= 0.01 * max(oracle.rate_bps, 1e-12)),
+                ] if not ok]
+                status = "FAIL(" + ",".join(bad) + ")" if bad else "PASS"
+                failures += bool(bad)
+                assert line == (
+                    f"[{kind} {i}/3] {status} seed=({seed}, 0, {i}) alpf={alpf.rate_bps!r} "
+                    f"oracle={oracle.rate_bps!r} bench={bench.rate_bps!r} {scenario!r}"
+                )
+            summary = f"selftest FAILED on {failures}/6 instances" if failures else "selftest passed on all 6 instances"
+            assert (code, lines[6:]) == (2 if failures else 0, [summary])
+
+    def test_stress_set_without_rule_raises(self, monkeypatch):
+        monkeypatch.setitem(experiment.STRESS_SEEDS, "low_snr", 5)
+        with pytest.raises(ValueError, match="stress set 'low_snr' has no draw rule"):
+            next(stress_scenarios("low_snr"))
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_selftest_without_trials_is_validation_error(self, trials, capsys):
