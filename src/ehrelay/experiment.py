@@ -16,7 +16,7 @@ that ``ehrelay selftest`` and the solver tests solve.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -149,7 +149,8 @@ class SweepRow:
 # scenario's fields share the file's namespace.
 _SPEC_TYPES = {f.name: type(f.default) for f in fields(ExperimentSpec) if f.name != "scenario"}
 
-CSV_HEADER = ",".join(["sweep_param", *(f.name for f in fields(SweepRow))])
+_ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
+CSV_HEADER = ",".join(["sweep_param", *_ROW_FIELDS])
 
 
 @dataclass(frozen=True)
@@ -287,7 +288,7 @@ def emit_csv(result: SweepResult, path) -> None:
         raise ValueError("cannot emit CSV for an empty result")
     lines = [CSV_HEADER]
     for row in result.rows:
-        lines.append(",".join([result.sweep_param, *map(_cell, astuple(row))]))
+        lines.append(",".join([result.sweep_param, *(_cell(getattr(row, name)) for name in _ROW_FIELDS)]))
     text = "\n".join(lines) + "\n"
     try:
         Path(path).write_text(text, newline="\n")

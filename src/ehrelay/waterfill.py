@@ -30,6 +30,13 @@ optimum.  Where it lies outside, the optimum is the box edge nearer
 function over a convex set, hence concave, so the rate
 ``2 C(g) / (2 + g)`` is unimodal in ``g``.
 
+Dinkelbach's last step holds both budget prices of that optimum, so
+where ``alpha*`` is inside the box, :func:`solve` hands their share to
+:func:`inner_waterfill` as the start of its price-ratio root, which then
+stops at its first step.  The start moves neither ``alpha*`` nor the
+root's bracket and stopping rules, so the optimum is the same up to
+rounding.
+
 It shares only the problem with the augmented Lagrangian optimizer:
 :class:`~ehrelay.system.ReducedProblem` and its time-split box, both
 from :mod:`ehrelay.system`.  The solution path (sorted water levels, a
@@ -69,7 +76,9 @@ class OracleSolution:
     iterations: int
 
 
-def inner_waterfill(alpha: np.ndarray, problem: ReducedProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def inner_waterfill(
+    alpha: np.ndarray, problem: ReducedProblem, share: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Optimal power fractions for each of several fixed time splits.
 
     Maximizes ``sum log2(1 + a mu)`` subject to ``sum mu <= 1`` and
@@ -86,20 +95,28 @@ def inner_waterfill(alpha: np.ndarray, problem: ReducedProblem) -> tuple[np.ndar
     (``theta = 1 / (g b)``) is the same for every ``alpha``.  Rows where
     that in turn overspends the unit budget go to
     :func:`_waterfill_two_budgets` together.
+
+    ``share``, shaped like ``alpha`` and in ``[0, 1]``, is an optional
+    guess at each row's two-budget price share ``s``; it moves only where
+    the root starts, and so the last bits of ``mu``.
     """
     alphas = np.asarray(alpha, dtype=float)
     if alphas.ndim != 1 or not ((alphas > 0.0) & (alphas < 1.0)).all():
         raise ValueError("alpha must be a 1-D array, each in (0, 1)")
+    if share is not None:
+        share = np.asarray(share, dtype=float)
+        if share.shape != alphas.shape or not ((share >= 0.0) & (share <= 1.0)).all():
+            raise ValueError("share must be shaped like alpha, each in [0, 1]")
     a = problem.a_coeffs
     b = problem.b_coeffs
     ok = problem.live
     if ok.all():
-        return _waterfill_live(alphas, a, b, problem)
+        return _waterfill_live(alphas, a, b, problem, share)
     mu = np.zeros((alphas.size, a.size))
     mu_bar = np.zeros_like(mu)
     rates = np.zeros(alphas.size)
     if ok.any():
-        mu[:, ok], mu_bar[:, ok], rates = _waterfill_live(alphas, a[ok], b[ok], problem)
+        mu[:, ok], mu_bar[:, ok], rates = _waterfill_live(alphas, a[ok], b[ok], problem, share)
     return mu, mu_bar, rates
 
 
@@ -110,22 +127,33 @@ def solve(problem: ReducedProblem) -> OracleSolution:
     (``a > 0`` and ``b > 0``) for ``g*``; ``alpha* = g* / (2 + g*)``,
     clipped to ``[ALPHA_MIN, ALPHA_MAX]``, is exact by the module's
     argument.  The returned allocation and rate are row 0 of
-    :func:`inner_waterfill` at ``alpha*``.  A problem with no live pair
-    has rate 0, at ``ALPHA_MIN`` after 0 steps.
+    :func:`inner_waterfill` at ``alpha*``.  Where ``alpha*`` is not
+    clipped, that call is given the price share of Dinkelbach's last
+    step, which is its two-budget root up to rounding.  A problem with no
+    live pair has rate 0, at ``ALPHA_MIN`` after 0 steps.
     """
     a = problem.a_coeffs
     b = problem.b_coeffs
     ok = problem.live
-    alpha, steps = ALPHA_MIN, 0
+    alpha, steps, share = ALPHA_MIN, 0, None
     if ok.any():
-        g, steps = _dinkelbach(a[ok], a[ok] / b[ok])
-        alpha = min(max(g / (2.0 + g), ALPHA_MIN), ALPHA_MAX)
-    mu, mu_bar, rates = inner_waterfill(np.array([alpha]), problem)
+        g, lam, price, steps = _dinkelbach(a[ok], a[ok] / b[ok])
+        alpha = g / (2.0 + g)
+        if ALPHA_MIN <= alpha <= ALPHA_MAX:
+            # The last step's mu is inner_waterfill's two-budget form at cost
+            # c / g, with the prices (price, lam g / 2); s is their share.
+            share = np.array([0.5 * lam * g / (price + 0.5 * lam * g)])
+        else:
+            alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
+    mu, mu_bar, rates = inner_waterfill(np.array([alpha]), problem, share)
     return OracleSolution(alpha, mu[0], mu_bar[0], float(rates[0]), steps)
 
 
-def _dinkelbach(a: np.ndarray, c: np.ndarray) -> tuple[float, int]:
-    """``g* = sum c mu*`` of the relaxation in the module docstring, and the steps taken.
+def _dinkelbach(a: np.ndarray, c: np.ndarray) -> tuple[float, float, float, int]:
+    """``g* = sum c mu*`` of the relaxation in the module docstring, as ``(g*, lam, p, steps)``.
+
+    ``lam`` and ``p`` are the prices of the last step, whose ``mu`` is the
+    optimum; :func:`solve` turns them into a price share.
 
     Each step maximizes ``2 sum ln(1 + a mu) - lam (2 + sum c mu)`` over
     ``sum mu <= 1``, which is the penalized water-filling
@@ -146,7 +174,7 @@ def _dinkelbach(a: np.ndarray, c: np.ndarray) -> tuple[float, int]:
         g = float(c @ mu)
         ratio = 2.0 * float(np.log1p(a * mu).sum()) / (2.0 + g)
         if ratio <= lam * (1.0 + _ROOT_RTOL):
-            return g, steps
+            return g, lam, price, steps
         lam = ratio
     raise RuntimeError(f"Dinkelbach's method did not converge in {_DINKELBACH_STEPS} steps")
 
@@ -193,7 +221,7 @@ def _price_step(x: np.ndarray, a: np.ndarray, inv_a: np.ndarray, p: float) -> fl
 
 
 def _waterfill_live(
-    alphas: np.ndarray, a: np.ndarray, b: np.ndarray, problem: ReducedProblem
+    alphas: np.ndarray, a: np.ndarray, b: np.ndarray, problem: ReducedProblem, share: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`inner_waterfill`'s ``(mu, mu_bar, rates)`` for pairs with ``a > 0`` and ``b > 0``."""
     g = 2.0 * alphas / (1.0 - alphas)
@@ -215,7 +243,8 @@ def _waterfill_live(
         mu[over] = mu_over
         both = mu_over.sum(axis=1) > 1.0 + _FEAS_SLACK
         if both.any():
-            mu[over[both]] = _waterfill_two_budgets(a, cost_over[both])
+            rows = over[both]
+            mu[rows] = _waterfill_two_budgets(a, cost_over[both], None if share is None else share[rows])
 
     logs = np.sum(np.log2(1.0 + a * mu), axis=1)
     rates = (1.0 - alphas) * problem.bandwidth_hz / (2.0 * problem.k_subcarriers) * logs
@@ -253,7 +282,7 @@ def _waterfill_single(
     return mu, level
 
 
-def _waterfill_two_budgets(a: np.ndarray, cost: np.ndarray) -> np.ndarray:
+def _waterfill_two_budgets(a: np.ndarray, cost: np.ndarray, share: np.ndarray | None = None) -> np.ndarray:
     """Water-filling with both budgets tight, for each row of ``cost``.
 
     With both budgets tight their prices are ``(p1, p2) = lam (1 - s, s)``
@@ -277,20 +306,34 @@ def _waterfill_two_budgets(a: np.ndarray, cost: np.ndarray) -> np.ndarray:
     would carry too few digits there.  Those rows swap the budgets
     (``nu = cost mu`` with gains ``a / cost`` and costs ``1 / cost``),
     which maps ``s`` to ``1 - s``, so every root is sought in
-    ``[0, 1/2]`` by :func:`_price_ratio_root`.
+    ``[0, 1/2]`` by :func:`_price_ratio_root`.  A row's ``share``, where
+    given, takes the place of ``f(1/2)``: it picks the swap
+    (``share > 1/2``) and is where the root starts.  The bracket and the
+    stopping rules are the same from any start, so the root it finds is
+    too, up to where within rounding it stops.
+
+    The root stops on the resolution of ``s``, which a cost far above 1
+    can magnify into a budget, so each row is divided by
+    ``max(1, sum mu, sum cost mu)``, the common scale ALPF applies too.
     """
-    d = cost - 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _, f, slope = _blend(np.full(cost.shape[0], 0.5), a, cost, 1.0 / a, d, d / a, _ranks(cost.shape[1]))
-        # The swap negates f but keeps its slope, so Newton's step from 1/2
-        # lands at 1/2 - |f / slope| either way.
-        start = 0.5 - np.abs(f / slope)
-    swap = (f > 0.0)[:, None]
+    if share is None:
+        d = cost - 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, f, slope = _blend(np.full(cost.shape[0], 0.5), a, cost, 1.0 / a, d, d / a, _ranks(cost.shape[1]))
+            # The swap negates f but keeps its slope, so Newton's step from 1/2
+            # lands at 1/2 - |f / slope| either way.
+            start = 0.5 - np.abs(f / slope)
+        swap = f > 0.0
+        start = np.where((slope < 0.0) & (start > 0.0), start, 0.25)
+    else:
+        swap = share > 0.5
+        start = np.where(swap, 1.0 - share, share)
+    swap = swap[:, None]
     gains = np.where(swap, a / cost, a)
     costs = np.where(swap, 1.0 / cost, cost)
-    start = np.where((slope < 0.0) & (start > 0.0), start, 0.25)
     mu = _price_ratio_root(gains, costs, start)
-    return np.where(swap, mu / cost, mu)
+    mu = np.where(swap, mu / cost, mu)
+    return mu / np.maximum(1.0, np.maximum(mu.sum(axis=1), (cost * mu).sum(axis=1)))[:, None]
 
 
 def _price_ratio_root(a: np.ndarray, cost: np.ndarray, start: np.ndarray) -> np.ndarray:

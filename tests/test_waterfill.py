@@ -49,18 +49,42 @@ def pinned_problem(draw):
 
 
 def counted_solve(monkeypatch, problem):
-    """``solve(problem)`` and the ``ndim`` of each :func:`inner_waterfill` call it made."""
+    """``solve(problem)`` and the ``(alpha, share)`` of each :func:`inner_waterfill` call it made."""
     calls = []
     inner = waterfill.inner_waterfill
 
-    def counted(alpha, problem):
-        calls.append(np.ndim(alpha))
-        return inner(alpha, problem)
+    def counted(alpha, problem, share=None):
+        calls.append((alpha, share))
+        return inner(alpha, problem, share)
 
     with monkeypatch.context() as patch:
         patch.setattr(waterfill, "inner_waterfill", counted)
         sol = solve(problem)
     return sol, calls
+
+
+def count_blends(monkeypatch, run):
+    """Run ``run()``; return its ``_blend`` evaluations, and those of each price-ratio root in it."""
+    calls = [0]
+    steps = []
+    blend = waterfill._blend
+    root = waterfill._price_ratio_root
+
+    def counted_blend(*args):
+        calls[0] += 1
+        return blend(*args)
+
+    def counted_root(*args):
+        before = calls[0]
+        out = root(*args)
+        steps.append(calls[0] - before)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(waterfill, "_blend", counted_blend)
+        patch.setattr(waterfill, "_price_ratio_root", counted_root)
+        run()
+    return calls[0], steps
 
 
 def decade_problems(seed, count):
@@ -277,6 +301,10 @@ class TestInnerWaterfill:
         for alpha in bad:
             with pytest.raises(ValueError):
                 inner_waterfill(alpha, problem)
+        # The share, where given, is one price share in [0, 1] per time split.
+        for share in (np.array([0.5, 0.5]), np.array([-0.1]), np.array([1.5]), np.array([np.nan]), 0.5):
+            with pytest.raises(ValueError, match="share"):
+                inner_waterfill(np.array([0.3]), problem, share)
 
 
 class TestSolve:
@@ -386,15 +414,15 @@ class TestSolve:
         [
             (
                 ("crosscheck", 0), "0x1.c6cc73d0f7b67p+13", "0x1.d3377bd06e05ap-5",
-                "5fa7082b3d563ec70fe7f39b3f0cca416fe873b4d6c1a7794f8e5192c4f4e6fa",
+                "4c6b016a9649fabac8b605d36d02f8e30dbca1b6cc9af1efef06d76da1d6552c",
             ),
             (
-                ("crosscheck", 1), "0x1.c913c90656e1fp+13", "0x1.26e83cb88e1d0p-4",
-                "16828c4d841029a0ea54a2a73645fdc91ff3c84884845f6356c0c59e8d8da0cf",
+                ("crosscheck", 1), "0x1.c913c90656e20p+13", "0x1.26e83cb88e1d0p-4",
+                "26a4dba4e9f7effab25745e40b05685a33e6dbdf88c271666e5b18ce44912669",
             ),
             (
                 ("crosscheck", 2), "0x1.c326001aedb7dp+13", "0x1.021f1b6631091p-4",
-                "9b6a2cd76d678a3b8d74988727591525c422a07dfb2879e22aacba7fecef8698",
+                "23749964e7b70618f26dfb644545a4aa64a07fb9aaf545ff31139abe26ffdc39",
             ),
             (
                 ("phi", 0.1), "0x1.1ab9b72486328p+12", "0x1.c69c30d5fe746p-3",
@@ -406,7 +434,7 @@ class TestSolve:
             ),
             (
                 ("phi", 0.9), "0x1.f2d88b1aec59cp+11", "0x1.2b1de8700b102p-4",
-                "374f85c44bc53187c40c1a19309035637966daba8cec9b5dfa9537a651e37a34",
+                "e2f49df3d4dcd11db753dd5190fcc6bf30dc4e9380d0643e2ecfcd0c05ed8f6c",
             ),
         ],
         ids=["crosscheck-0", "crosscheck-1", "crosscheck-2", "phi-0.1", "phi-0.5", "phi-0.9"],
@@ -481,7 +509,7 @@ class TestSolve:
         # from one call on a single time split.
         for problem in decade_problems(61, 64):
             sol, calls = counted_solve(monkeypatch, problem)
-            assert calls == [1]
+            assert [np.shape(alpha) for alpha, _ in calls] == [(1,)]
             dense = np.linspace(
                 max(ALPHA_MIN, sol.alpha_star - 4e-6), min(ALPHA_MAX, sol.alpha_star + 4e-6), 801
             )
@@ -532,36 +560,50 @@ class TestSolve:
     def test_price_ratio_roots_stop_at_rounding(self, monkeypatch):
         # f sums 64 terms, so its rounding can keep the Newton step above
         # 4 eps * s at the root; the root must then stop on |f| itself.
-        calls = [0]
-        steps = []
-        blend = waterfill._blend
-        root = waterfill._price_ratio_root
-
-        def counted_blend(*args):
-            calls[0] += 1
-            return blend(*args)
-
-        def counted_root(*args):
-            before = calls[0]
-            out = root(*args)
-            steps.append(calls[0] - before)
-            return out
-
-        monkeypatch.setattr(waterfill, "_blend", counted_blend)
-        monkeypatch.setattr(waterfill, "_price_ratio_root", counted_root)
-        for t in range(6):
-            solve(crosscheck_problem(t))
+        # The share-free calls at the crosscheck draws' alpha* start the root
+        # cold, as every scan does.
+        problems = [crosscheck_problem(t) for t in range(6)]
+        alphas = [solve(problem).alpha_star for problem in problems]
+        _, steps = count_blends(monkeypatch, lambda: [inner_at(al, p) for al, p in zip(alphas, problems)])
+        assert len(steps) == 6
         assert max(steps) <= 30
+
+    def test_dinkelbach_share_starts_the_root_at_its_answer(self, monkeypatch):
+        # Dinkelbach's last prices are the two-budget root of the one call
+        # at alpha*, so solve evaluates f at most once there; the share-free
+        # call at the same alpha* needs a blend at 1/2 and Newton steps.
+        for t in range(6):
+            problem = crosscheck_problem(t)
+            with_share, _ = count_blends(monkeypatch, lambda: solve(problem))
+            alpha = solve(problem).alpha_star
+            cold, _ = count_blends(monkeypatch, lambda: inner_at(alpha, problem))
+            assert with_share <= 1
+            assert cold >= 3
+
+    def test_budgets_hold_to_rounding(self):
+        # Problem 9 of decade corpus 61 clips alpha* to ALPHA_MIN, and its
+        # two active pairs have costs 0.059 and 4e13 there: the root's stop
+        # on the resolution of s alone left sum mu_bar = 1 + 7.9e-10.  On
+        # problem 8 of corpus 205 it left 1 + 1.3e-9, which Allocation rejects.
+        problems = decade_problems(61, 64) + decade_problems(66, 64) + decade_problems(68, 64)
+        problems += [decade_problems(205, 9)[8]] + [crosscheck_problem(t) for t in range(6)]
+        for problem in problems:
+            sol = solve(problem)
+            assert sol.mu_star.sum() <= 1.0 + 1e-12
+            assert sol.mu_bar_star.sum() <= 1.0 + 1e-12
+            Allocation(sol.alpha_star, sol.mu_star, sol.mu_bar_star)
 
     def test_one_inner_waterfill_call(self, monkeypatch):
         for trial in range(6):
             _, calls = counted_solve(monkeypatch, crosscheck_problem(trial))
             # One call, on the 1-element array [alpha*].
-            assert calls == [1]
+            assert [np.shape(alpha) for alpha, _ in calls] == [(1,)]
 
-    def test_solution_is_inner_waterfill_at_alpha_star(self):
+    def test_solution_is_inner_waterfill_at_alpha_star(self, monkeypatch):
         # solve returns row 0 of its one inner_waterfill call at alpha*; the
-        # same 1-element call made here must reproduce it bit for bit.
+        # same call, with the same share, must reproduce it bit for bit.
+        # Without the share the root starts cold and stops elsewhere within
+        # rounding, so the rate agrees to rounding.
         rng = np.random.default_rng(60)
         problems = [crosscheck_problem(t) for t in range(3)]
         for _ in range(6):
@@ -570,18 +612,21 @@ class TestSolve:
             a[rng.random(16) < 0.15] = 0.0
             problems.append(ReducedProblem(a, b, 1000.0, 3))
         for problem in problems:
-            sol = solve(problem)
-            mu, mu_bar, rate = inner_at(sol.alpha_star, problem)
-            assert sol.rate_star.hex() == rate.hex()
-            assert mu.tobytes() == sol.mu_star.tobytes()
-            assert mu_bar.tobytes() == sol.mu_bar_star.tobytes()
+            sol, [(_, share)] = counted_solve(monkeypatch, problem)
+            mu, mu_bar, rates = inner_waterfill(np.array([sol.alpha_star]), problem, share)
+            assert sol.rate_star.hex() == rates[0].hex()
+            assert mu[0].tobytes() == sol.mu_star.tobytes()
+            assert mu_bar[0].tobytes() == sol.mu_bar_star.tobytes()
+            assert inner_at(sol.alpha_star, problem)[2] == pytest.approx(sol.rate_star, rel=2e-15, abs=0.0)
 
     def test_exhausted_price_ratio_root_raises(self, monkeypatch):
-        # One step stops no root of the crosscheck draw; returning the last
-        # iterate would give an allocation that overspends a budget.
+        # One step stops no cold root of the crosscheck draw; returning the
+        # last iterate would give an allocation that overspends a budget.
+        problem = crosscheck_problem(0)
+        alpha = solve(problem).alpha_star
         monkeypatch.setattr(waterfill, "_ROOT_STEPS", 1)
         with pytest.raises(RuntimeError, match="price-ratio root"):
-            solve(crosscheck_problem(0))
+            inner_at(alpha, problem)
 
     def test_exhausted_dinkelbach_steps_raise(self, monkeypatch):
         # One step ends no solve of the crosscheck draw: its ratio still
