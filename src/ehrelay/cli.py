@@ -6,7 +6,7 @@ parser: positionals in order, each option as ``--flag VALUE`` or
 ``--flag=VALUE`` (no prefix abbreviations), and ``-h``.
 
 ``selftest`` solves scenario i < ``--trials`` of each seeded stress set
-(``experiment.stress_scenarios``: broad, then corner) on channels from
+of ``experiment.STRESS_SETS`` (broad, then corner) on channels from
 ``trial_rng(--seed, 0, i)``, checks that ALPF converges, reaches the
 benchmark and comes within 1% of the oracle, and prints one replay line each.
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from ehrelay.channel import Scenario, require_count, scenario_from_file
 from ehrelay.experiment import (
-    SOLVER_ORDER, SOLVERS, STRESS_SEEDS, draw, emit_csv, run, run_trial, spec_from_file, stress_scenarios,
+    SOLVER_ORDER, SOLVERS, STRESS_SETS, draw, emit_csv, run, run_trial, spec_from_file, stress_scenarios,
     trial_rng, validate_solvers,
 )
 
@@ -172,8 +172,8 @@ def _field_lines(result, prefix: str = ""):
 def _cmd_selftest(args) -> int:
     require_count("--trials", args.trials)
     require_count("--seed", args.seed, least=0)
-    failures, total = 0, len(STRESS_SEEDS) * args.trials
-    for kind in STRESS_SEEDS:
+    failures, total = 0, len(STRESS_SETS) * args.trials
+    for kind in STRESS_SETS:
         for i, scenario in enumerate(islice(stress_scenarios(kind), args.trials)):
             triple = (args.seed, 0, i)
             outcome = run_trial(scenario, trial_rng(*triple), SOLVER_ORDER)

@@ -9,7 +9,7 @@ by mixing ``(master_seed, sweep_index, trial_index)`` through
 sweep points does not perturb existing trials.  Aggregated results are
 emitted as CSV with full-precision (round-trippable) numbers.
 
-:func:`stress_scenarios` draws the seeded stress sets of :data:`STRESS_SEEDS`
+:func:`stress_scenarios` draws the seeded stress sets of :data:`STRESS_SETS`
 that ``ehrelay selftest`` and the solver tests solve.
 """
 
@@ -42,7 +42,7 @@ __all__ = [
     "CSV_HEADER",
     "SOLVERS",
     "SOLVER_ORDER",
-    "STRESS_SEEDS",
+    "STRESS_SETS",
     "SWEEP_KINDS",
     "Draw",
     "ExperimentSpec",
@@ -67,8 +67,11 @@ _SWEEPS = {
     "k_subcarriers": ("k_subcarriers",),
 }
 SWEEP_KINDS = ("none", *_SWEEPS)
-# Each stress set of stress_scenarios and the seed of its scenario draws.
-STRESS_SEEDS = {"broad": 12345, "corner": 777}
+# Each stress set of stress_scenarios: (seed, log10 range of P in W, d_sd choices).
+STRESS_SETS = {
+    "broad": (12345, (-3.0, 3.0), (1.0, 2.0, 10.0, 30.0)),
+    "corner": (777, (-3.0, -1.0), (30.0,)),
+}
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -219,27 +222,22 @@ def draw(scenario: Scenario, rng: np.random.Generator | None = None) -> Draw:
 def stress_scenarios(kind: str) -> Iterator[Scenario]:
     """The scenarios of the seeded ``broad`` or ``corner`` stress set, in order.
 
-    Scenarios are drawn one after another from
-    ``default_rng(STRESS_SEEDS[kind])``: K in 1..4 and the three antenna
-    counts in 1..3; then P log-uniform in 1 mW..1 kW with ``d_sd`` one of
-    1, 2, 10, 30 (broad), or P in 1..100 mW at ``d_sd = 30`` (corner);
-    then ``phi`` in 0.02..0.98 and ``eta`` in 0.2..1.  The generator does
-    not end.  Scenario i's channels are drawn from ``trial_rng(seed, 0, i)``;
-    the solver tests take seed 99.  A set without a rule here raises
-    ``ValueError``.
+    Scenarios are drawn one after another from the set's seed in
+    :data:`STRESS_SETS`: K in 1..4 and the three antenna counts in 1..3;
+    then P log-uniform over the set's range with ``d_sd`` one of its
+    choices (broad: 1 mW..1 kW and 1, 2, 10 or 30; corner: 1..100 mW at
+    30); then ``phi`` in 0.02..0.98 and ``eta`` in 0.2..1.  A one-choice
+    draw takes nothing from the stream.  The generator does not end.
+    Scenario i's channels are drawn from ``trial_rng(seed, 0, i)``; the
+    solver tests take seed 99.
     """
-    rng = np.random.default_rng(STRESS_SEEDS[kind])
+    seed, (lo, hi), distances = STRESS_SETS[kind]
+    rng = np.random.default_rng(seed)
     while True:
         k = int(rng.integers(1, 5))
         n_s, n_r, n_d = (int(v) for v in rng.integers(1, 4, 3))
-        if kind == "broad":
-            p_source = float(10.0 ** rng.uniform(-3.0, 3.0))
-            d_sd = float(rng.choice([1.0, 2.0, 10.0, 30.0]))
-        elif kind == "corner":
-            p_source = float(10.0 ** rng.uniform(-3.0, -1.0))
-            d_sd = 30.0
-        else:
-            raise ValueError(f"stress set {kind!r} has no draw rule")
+        p_source = float(10.0 ** rng.uniform(lo, hi))
+        d_sd = float(rng.choice(distances))
         phi = float(rng.uniform(0.02, 0.98))
         eta = float(rng.uniform(0.2, 1.0))
         yield Scenario(n_s=n_s, n_r=n_r, n_d=n_d, k_subcarriers=k, p_source=p_source, d_sd=d_sd, phi=phi, eta=eta)

@@ -54,7 +54,6 @@ from ehrelay.system import ALPHA_MAX, ALPHA_MIN, ReducedProblem
 
 __all__ = ["OracleSolution", "inner_waterfill", "solve"]
 
-_FEAS_SLACK = 1e-12
 # Rounding level at which the roots and Dinkelbach's steps stop: relative step or bracket, absolute f.
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 # Cap on steps per price-ratio root, past which it raises; seeded stress runs stop within 30.
@@ -95,6 +94,12 @@ def inner_waterfill(
     (``theta = 1 / (g b)``) is the same for every ``alpha``.  Rows where
     that in turn overspends the unit budget go to
     :func:`_waterfill_two_budgets` together.
+
+    Every row meets both budgets to rounding: the branches test against
+    the budgets exactly, and may still leave an overspend (``level / cost
+    - 1 / a`` cancels where the cost is large, and the price-ratio root
+    stops on the resolution of its ratio), so each row is divided once,
+    on the way out, by ``max(1, sum mu, sum cost mu)``.
 
     ``share``, shaped like ``alpha`` and in ``[0, 1]``, is an optional
     guess at each row's two-budget price share ``s``; it moves only where
@@ -232,7 +237,7 @@ def _waterfill_live(
     theta = inv_a[None, :]
     unit, _ = _waterfill_single(theta, np.sort(theta, axis=1), 1.0, inv_a, ks)
     mu = np.repeat(unit, alphas.size, axis=0)
-    over = np.flatnonzero(cost @ unit[0] > 1.0 + _FEAS_SLACK)
+    over = np.flatnonzero(cost @ unit[0] > 1.0)
     if over.size:
         # One order for every row, that of 1 / b, as cost / a = 1 / (g b); the
         # rounded quotients need not sort exactly alike, and their order sets the bits.
@@ -241,11 +246,12 @@ def _waterfill_live(
         theta_s = theta[:, np.argsort(1.0 / b, kind="stable")]
         mu_over, _ = _waterfill_single(theta, theta_s, cost_over, inv_a, ks)
         mu[over] = mu_over
-        both = mu_over.sum(axis=1) > 1.0 + _FEAS_SLACK
+        both = mu_over.sum(axis=1) > 1.0
         if both.any():
             rows = over[both]
             mu[rows] = _waterfill_two_budgets(a, cost_over[both], None if share is None else share[rows])
 
+    mu /= np.maximum(1.0, np.maximum(mu.sum(axis=1), (cost * mu).sum(axis=1)))[:, None]
     logs = np.sum(np.log2(1.0 + a * mu), axis=1)
     rates = (1.0 - alphas) * problem.bandwidth_hz / (2.0 * problem.k_subcarriers) * logs
     return mu, cost * mu, rates
@@ -311,10 +317,6 @@ def _waterfill_two_budgets(a: np.ndarray, cost: np.ndarray, share: np.ndarray | 
     (``share > 1/2``) and is where the root starts.  The bracket and the
     stopping rules are the same from any start, so the root it finds is
     too, up to where within rounding it stops.
-
-    The root stops on the resolution of ``s``, which a cost far above 1
-    can magnify into a budget, so each row is divided by
-    ``max(1, sum mu, sum cost mu)``, the common scale ALPF applies too.
     """
     if share is None:
         d = cost - 1.0
@@ -332,8 +334,7 @@ def _waterfill_two_budgets(a: np.ndarray, cost: np.ndarray, share: np.ndarray | 
     gains = np.where(swap, a / cost, a)
     costs = np.where(swap, 1.0 / cost, cost)
     mu = _price_ratio_root(gains, costs, start)
-    mu = np.where(swap, mu / cost, mu)
-    return mu / np.maximum(1.0, np.maximum(mu.sum(axis=1), (cost * mu).sum(axis=1)))[:, None]
+    return np.where(swap, mu / cost, mu)
 
 
 def _price_ratio_root(a: np.ndarray, cost: np.ndarray, start: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from ehrelay.experiment import (
     CSV_HEADER,
     SOLVER_ORDER,
     SOLVERS,
-    STRESS_SEEDS,
+    STRESS_SETS,
     SWEEP_KINDS,
     ExperimentSpec,
     SweepResult,
@@ -182,7 +182,7 @@ class TestRun:
         # The first 150 scenarios of each stress set, which ROADMAP's stress
         # tables and the solver tests index into; a change to the rule
         # moves every figure recorded on them.
-        text = "\n".join(repr(s) for kind in STRESS_SEEDS for s in islice(stress_scenarios(kind), 150))
+        text = "\n".join(repr(s) for kind in STRESS_SETS for s in islice(stress_scenarios(kind), 150))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "5bac2960212a5abe30bb1354f5f9b6800aa88e578b950754d7f3812e46ae290e"
         )
@@ -561,7 +561,7 @@ class TestCli:
         # at --seed 6, other channels for the same scenarios.  Each line is
         # a replay record: the trial_rng seed triple, every rate by repr,
         # the exact scenario and the status those rates give.
-        instances = [(kind, i, s) for kind in STRESS_SEEDS for i, s in enumerate(islice(stress_scenarios(kind), 3))]
+        instances = [(kind, i, s) for kind in STRESS_SETS for i, s in enumerate(islice(stress_scenarios(kind), 3))]
         for argv, seed in [([], 99), (["--seed", "6"], 6)]:
             code = cli.main(["selftest", "--trials", "3", *argv])
             lines = capsys.readouterr().out.splitlines()
@@ -583,11 +583,6 @@ class TestCli:
                 )
             summary = f"selftest FAILED on {failures}/6 instances" if failures else "selftest passed on all 6 instances"
             assert (code, lines[6:]) == (2 if failures else 0, [summary])
-
-    def test_stress_set_without_rule_raises(self, monkeypatch):
-        monkeypatch.setitem(experiment.STRESS_SEEDS, "low_snr", 5)
-        with pytest.raises(ValueError, match="stress set 'low_snr' has no draw rule"):
-            next(stress_scenarios("low_snr"))
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_selftest_without_trials_is_validation_error(self, trials, capsys):

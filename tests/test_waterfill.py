@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 import warnings
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ehrelay import experiment, waterfill
-from ehrelay.experiment import Scenario, trial_rng
+from ehrelay.experiment import STRESS_SETS, Scenario, stress_scenarios, trial_rng
 from ehrelay.system import ALPHA_MAX, ALPHA_MIN, Allocation, ReducedProblem, achievable_rate
 from ehrelay.waterfill import _waterfill_two_budgets, inner_waterfill, solve
 from oracles import (
@@ -98,6 +99,21 @@ def decade_problems(seed, count):
         a[rng.random(n) < 0.1] = 0.0
         problems.append(ReducedProblem(a, b, 1000.0, int(rng.integers(1, 40))))
     return problems
+
+
+def stress_problems(count):
+    """The first ``count`` scenarios of each stress set, on the solver tests' channels."""
+    return [
+        experiment.draw(scenario, trial_rng(99, 0, i)).problem
+        for kind in STRESS_SETS
+        for i, scenario in enumerate(islice(stress_scenarios(kind), count))
+    ]
+
+
+def assert_within_budgets(mu, mu_bar):
+    """Every row of ``mu`` and of ``mu_bar`` sums to at most 1 + 1e-14."""
+    assert mu.sum(axis=-1).max() <= 1.0 + 1e-14
+    assert mu_bar.sum(axis=-1).max() <= 1.0 + 1e-14
 
 
 def fresh_python(*args, check=False):
@@ -521,13 +537,19 @@ class TestSolve:
         # kink or at a small alpha*, a split a few 1e-9 off already loses
         # more than 1e-12 of the rate.  The dense scan steps away from
         # alpha* by relative offsets from 1e-13 to 1e-5, log-spaced, so it
-        # finds a better split at whatever distance it lies.
+        # finds a better split at whatever distance it lies.  Every scanned
+        # row must meet both budgets, or an overspending split could rate
+        # above the optimum: problem 54's did, by 1.5e-13 at 1 + 9.9e-13.
         scan = np.geomspace(ALPHA_MIN, ALPHA_MAX, 3000)
         for problem in decade_problems(66, 64):
             sol = solve(problem)
             offsets = sol.alpha_star * np.geomspace(1e-13, 1e-5, 400)
             near = np.clip(sol.alpha_star + np.r_[-offsets, 0.0, offsets], ALPHA_MIN, ALPHA_MAX)
-            best = max(inner_waterfill(near, problem)[2].max(), inner_waterfill(scan, problem)[2].max())
+            best = 0.0
+            for alphas in (near, scan):
+                mu, mu_bar, rates = inner_waterfill(alphas, problem)
+                assert_within_budgets(mu, mu_bar)
+                best = max(best, rates.max())
             assert sol.rate_star >= best * (1.0 - 1e-12)
 
     def test_unit_price_roots_take_few_steps(self, monkeypatch):
@@ -585,13 +607,21 @@ class TestSolve:
         # two active pairs have costs 0.059 and 4e13 there: the root's stop
         # on the resolution of s alone left sum mu_bar = 1 + 7.9e-10.  On
         # problem 8 of corpus 205 it left 1 + 1.3e-9, which Allocation rejects.
-        problems = decade_problems(61, 64) + decade_problems(66, 64) + decade_problems(68, 64)
-        problems += [decade_problems(205, 9)[8]] + [crosscheck_problem(t) for t in range(6)]
+        # The scan rows take every branch: on corner stress scenario 42 at
+        # alpha = 1.66e-4 the cost budget's level / cost - 1 / a cancelled,
+        # to sum mu_bar = 1 + 1.6e-7.
+        decades = decade_problems(61, 64) + decade_problems(66, 64) + decade_problems(68, 64)
+        problems = decades + [decade_problems(205, 9)[8]] + [crosscheck_problem(t) for t in range(6)]
         for problem in problems:
             sol = solve(problem)
-            assert sol.mu_star.sum() <= 1.0 + 1e-12
-            assert sol.mu_bar_star.sum() <= 1.0 + 1e-12
+            assert_within_budgets(sol.mu_star, sol.mu_bar_star)
             Allocation(sol.alpha_star, sol.mu_star, sol.mu_bar_star)
+        scan = np.geomspace(ALPHA_MIN, ALPHA_MAX, 200)
+        for problem in stress_problems(50) + decades:
+            mu, mu_bar, _ = inner_waterfill(scan, problem)
+            assert_within_budgets(mu, mu_bar)
+            for row in range(scan.size):
+                Allocation(scan[row], mu[row], mu_bar[row])
 
     def test_one_inner_waterfill_call(self, monkeypatch):
         for trial in range(6):
