@@ -9,7 +9,8 @@ LAPACK's SVD, and only its per-subchannel power gains (squared singular
 values) are kept; no downstream code reads the singular vectors.
 
 A draw is two plain arrays of gains, one per hop, and it is
-deterministic for a given seed.
+deterministic for a given generator state.  The caller passes the
+generator: ``experiment.trial_rng`` makes every one the program uses.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "Scenario",
     "effective_subchannels",
     "generate",
-    "scenario_from_file",
 ]
 
 
@@ -44,7 +44,9 @@ class Scenario:
         pathloss_exp: Path loss exponent, finite and >= 0.
         noise_total_w: Total receiver noise power over the whole band, W.
             Each subchannel sees ``noise_total_w / k_subcarriers``.
-        seed: Seed for the default random generator, an integer >= 0.
+        seed: An integer >= 0 that no draw reads.  ``ehrelay single``
+            takes it as its master seed when ``--seed`` is not given;
+            ``ehrelay run`` ignores it and reads ``master_seed``.
 
     Path loss: a hop of length ``d`` (in reference distances) has power
     gain ``max(d, 1)**(-pathloss_exp)``, so a hop no longer than the
@@ -129,7 +131,7 @@ def require_count(name: str, value, least: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def generate(scenario: Scenario, rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
+def generate(scenario: Scenario, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw one channel realization: the hop-1 and hop-2 gains ``(gains1, gains2)``.
 
     Each holds the ``K * n_streams`` squared singular values in
@@ -138,9 +140,7 @@ def generate(scenario: Scenario, rng: np.random.Generator | None = None) -> tupl
     ``k``.
 
     Entries of hop-1 matrices are i.i.d. CN(0, max(d_SR, 1)**-pathloss_exp)
-    and hop-2 entries use d_RD in the same way.  When ``rng`` is omitted a
-    fresh ``numpy.random.default_rng(scenario.seed)`` is used, so two
-    calls with the same scenario produce identical realizations.
+    and hop-2 entries use d_RD in the same way, all drawn from ``rng``.
 
     Each hop's K matrices come from one ``standard_normal`` call, which
     consumes the stream exactly as one draw per subcarrier would (real
@@ -148,8 +148,6 @@ def generate(scenario: Scenario, rng: np.random.Generator | None = None) -> tupl
     hop 2), so the gains are those of the per-subcarrier draw, bit for
     bit.
     """
-    if rng is None:
-        rng = np.random.default_rng(scenario.seed)
     k = scenario.k_subcarriers
     var1 = max(scenario.d_sr, 1.0) ** (-scenario.pathloss_exp)
     var2 = max(scenario.d_rd, 1.0) ** (-scenario.pathloss_exp)
@@ -167,19 +165,6 @@ def effective_subchannels(gains1: np.ndarray, gains2: np.ndarray) -> tuple[np.nd
     pairing that maximizes the rate.
     """
     return gains1[np.argsort(-gains1, kind="stable")], gains2[np.argsort(-gains2, kind="stable")]
-
-
-def scenario_from_file(path) -> Scenario:
-    """Load a :class:`Scenario` from a ``key = value`` file.
-
-    Lines starting with ``#`` and blank lines are ignored.  Unknown keys
-    are rejected, and every ``ValueError`` names the file.
-    """
-    values = parse_key_value_file(path)
-    try:
-        return scenario_from_mapping(values)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 def scenario_from_mapping(values: dict[str, str]) -> Scenario:

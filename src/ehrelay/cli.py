@@ -5,6 +5,12 @@
 parser: positionals in order, each option as ``--flag VALUE`` or
 ``--flag=VALUE`` (no prefix abbreviations), and ``-h``.
 
+``single`` solves the first sweep value of ``--scenario-file``, a ``run``
+spec file (the ``Scenario`` defaults without one), on channels from
+``trial_rng(S, 0, 0)``, where S is ``--seed`` or else the file's ``seed``.
+So ``single --seed M --scenario-file F`` prints the first trial that
+``run F`` draws at ``master_seed = M``; ``run`` never reads ``seed``.
+
 ``selftest`` solves scenario i < ``--trials`` of each seeded stress set
 of ``experiment.STRESS_SETS`` (broad, then corner) on channels from
 ``trial_rng(--seed, 0, i)``, checks that ALPF converges, reaches the
@@ -19,17 +25,17 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from ehrelay.channel import Scenario, require_count, scenario_from_file
+from ehrelay.channel import Scenario, require_count
 from ehrelay.experiment import (
-    SOLVER_ORDER, SOLVERS, STRESS_SETS, draw, emit_csv, run, run_trial, spec_from_file, stress_scenarios,
-    trial_rng, validate_solvers,
+    SOLVER_ORDER, SOLVERS, STRESS_SETS, ExperimentSpec, draw, emit_csv, run, run_trial, spec_from_file,
+    stress_scenarios, trial_rng, validate_solvers,
 )
 
 MAX_NONCONVERGED_FRACTION = 0.05
@@ -131,15 +137,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_single(args) -> int:
-    scenario = scenario_from_file(args.scenario_file) if args.scenario_file else Scenario()
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
+    spec = spec_from_file(args.scenario_file) if args.scenario_file else ExperimentSpec(Scenario())
+    _, scenario = spec.points()[0]
+    triple = (scenario.seed if args.seed is None else args.seed, 0, 0)
+    require_count("--seed", triple[0], least=0)
     solvers = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
     validate_solvers(solvers)
 
-    gains1, gains2, subcarrier, harvest_coeff, problem = draw(scenario)
+    gains1, gains2, subcarrier, harvest_coeff, problem = draw(scenario, trial_rng(*triple))
 
     print(f"scenario: {scenario}")
+    print(f"trial: {triple}")
     print(f"energy beam subcarrier: {subcarrier}, harvest gain {harvest_coeff!r}")
     print(f"sorted hop-1 gains: {np.array2string(gains1, precision=6)}")
     print(f"sorted hop-2 gains: {np.array2string(gains2, precision=6)}")
@@ -207,8 +215,8 @@ _COMMANDS = {
         ("--output", {"help": "CSV output path (overrides the spec file)"}),
     )),
     "single": ("solve a single channel realization", _cmd_single, (
-        ("--scenario-file", {"help": "key=value scenario file"}),
-        ("--seed", {"type": int, "help": "override the scenario seed"}),
+        ("--scenario-file", {"help": "key=value run spec file; its first sweep value is solved"}),
+        ("--seed", {"type": int, "help": "draw run's first trial at this master_seed (default: the file's seed)"}),
         ("--solvers", {"default": _SOLVERS, "help": f"comma-separated subset of {_SOLVERS}"}),
     )),
     "selftest": ("run optimizer-vs-reference property checks", _cmd_selftest, (

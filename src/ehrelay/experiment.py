@@ -95,8 +95,14 @@ class ExperimentSpec:
         require_count("trials", self.trials)
         require_count("master_seed", self.master_seed, least=0)
         validate_solvers(self.solvers)
-        for value in self.sweep_values:
-            scenario_for_sweep(self.scenario, self.sweep, value)  # validates
+        self.points()  # validates each swept scenario
+
+    def points(self) -> list[tuple]:
+        """Each ``(sweep value, scenario)`` in :func:`run`'s order; the value is None when unswept."""
+        if self.sweep == "none":
+            return [(None, self.scenario)]
+        names = _SWEEPS[self.sweep]
+        return [(value, replace(self.scenario, **dict.fromkeys(names, value))) for value in self.sweep_values]
 
 
 @dataclass(frozen=True)
@@ -173,13 +179,6 @@ def validate_solvers(solvers) -> None:
             raise ValueError(f"unknown solver '{solver}'")
 
 
-def scenario_for_sweep(base: Scenario, sweep: str, value) -> Scenario:
-    """Return ``base`` with the swept parameter replaced by ``value``."""
-    if sweep == "none":
-        return base
-    return replace(base, **dict.fromkeys(_SWEEPS[sweep], value))
-
-
 def trial_rng(master_seed: int, sweep_index: int, trial_index: int) -> np.random.Generator:
     """Deterministic per-trial generator.
 
@@ -205,10 +204,10 @@ class Draw(NamedTuple):
     problem: ReducedProblem
 
 
-def draw(scenario: Scenario, rng: np.random.Generator | None = None) -> Draw:
-    """Draw one channel of ``scenario`` and take it to its reduced problem.
+def draw(scenario: Scenario, rng: np.random.Generator) -> Draw:
+    """Draw one channel of ``scenario`` from ``rng`` and take it to its reduced problem.
 
-    ``rng`` is passed to :func:`generate` as is.  The four stages pass
+    Every draw of the program takes a :func:`trial_rng`.  The four stages pass
     each other plain arrays and are looked up as this module's globals at
     each call, so a wrapper set on one of them here sees every draw.
     """
@@ -257,11 +256,9 @@ def run(spec: ExperimentSpec) -> SweepResult:
     (sweep value, solver) into mean rate, standard error, mean optimal
     time split, mean iteration count and convergence fraction.
     """
-    values = list(spec.sweep_values) if spec.sweep != "none" else [None]
     solvers = [s for s in SOLVER_ORDER if s in spec.solvers]
     rows: list[SweepRow] = []
-    for i, value in enumerate(values):
-        scen = scenario_for_sweep(spec.scenario, spec.sweep, value)
+    for i, (value, scen) in enumerate(spec.points()):
         collected: dict[str, list[TrialOutcome]] = {s: [] for s in solvers}
         for t in range(spec.trials):
             outcome = run_trial(scen, trial_rng(spec.master_seed, i, t), solvers)

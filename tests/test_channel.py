@@ -6,19 +6,18 @@ from ehrelay.channel import (
     Scenario,
     effective_subchannels,
     generate,
-    scenario_from_file,
 )
+from ehrelay.experiment import spec_from_file
 from oracles import charpoly_eigenvalues
 
 
-def channel_matrices(scen, rng=None):
+def channel_matrices(scen, rng):
     """Redraw the hop-1 and hop-2 matrices behind ``generate(scen, rng)``.
 
     Consumes the random stream in ``generate``'s order (every hop-1
     subcarrier, then every hop-2 one; real part before imaginary), so for
     the same seed the matrices are the ones ``generate`` decomposed.
     """
-    rng = np.random.default_rng(scen.seed) if rng is None else rng
 
     def hop(rows, cols, distance):
         scale = np.sqrt(max(distance, 1.0) ** (-scen.pathloss_exp) / 2.0)
@@ -107,12 +106,12 @@ class TestGenerate:
         assert abs(np.mean(p1) - np.mean(p2)) / np.mean(p1) < 0.05
 
     def test_deterministic_for_seed(self):
-        scen = Scenario(seed=77)
-        first = generate(scen)
-        for gains, again in zip(first, generate(scen)):
+        scen = Scenario()
+        first = generate(scen, np.random.default_rng(77))
+        for gains, again in zip(first, generate(scen, np.random.default_rng(77))):
             assert np.array_equal(gains, again)
         # The gains are those of the matrices redrawn from the same seed.
-        for gains, hop in zip(first, channel_matrices(scen)):
+        for gains, hop in zip(first, channel_matrices(scen, np.random.default_rng(77))):
             redrawn = np.concatenate([np.linalg.svd(h, compute_uv=False) ** 2 for h in hop])
             assert np.array_equal(gains, redrawn)
 
@@ -129,10 +128,10 @@ class TestGenerate:
             n_d=int(meta.integers(1, 7)),
             k_subcarriers=case + 1,
             phi=float(meta.uniform(0.05, 0.95)),
-            seed=case,
         )
         n = scen.n_streams
-        for gains, hop in zip(generate(scen), channel_matrices(scen)):
+        draws = generate(scen, np.random.default_rng(case)), channel_matrices(scen, np.random.default_rng(case))
+        for gains, hop in zip(*draws):
             redrawn = np.concatenate([np.linalg.svd(h, compute_uv=False)[:n] ** 2 for h in hop])
             assert gains.tobytes() == redrawn.tobytes()
 
@@ -140,7 +139,7 @@ class TestGenerate:
         scen = Scenario(n_s=3, n_r=2, n_d=4, k_subcarriers=3)
         n = scen.n_streams
         # Subcarrier-major, strongest layer first within each subcarrier.
-        for gains in generate(scen):
+        for gains in generate(scen, np.random.default_rng(0)):
             assert gains.size == 3 * n
             assert (np.diff(gains.reshape(3, n), axis=1) <= 0).all()
 
@@ -148,8 +147,8 @@ class TestGenerate:
         # With n_d >= n_r and n_s >= n_r the hop-1 matrix keeps all its
         # singular values, so the gains must add up to its squared norm.
         scen = Scenario(n_s=3, n_r=2, n_d=3, k_subcarriers=2)
-        gains1, _ = generate(scen)
-        h1, _ = channel_matrices(scen)
+        gains1, _ = generate(scen, np.random.default_rng(0))
+        h1, _ = channel_matrices(scen, np.random.default_rng(0))
         for k in range(2):
             total = gains1[2 * k : 2 * k + 2].sum()
             assert abs(total - np.linalg.norm(h1[k]) ** 2) < 1e-9 * max(total, 1.0)
@@ -157,18 +156,17 @@ class TestGenerate:
 
 class TestEffectiveSubchannels:
     def test_sorted_descending(self):
-        scen = Scenario(k_subcarriers=3, seed=5)
-        gains = generate(scen)
+        gains = generate(Scenario(k_subcarriers=3), np.random.default_rng(5))
         for raw, ranked in zip(gains, effective_subchannels(*gains)):
             assert (np.diff(ranked) <= 0).all()
             # A permutation of the unsorted gains, nothing lost or added.
             assert np.array_equal(np.sort(ranked), np.sort(raw))
 
     def test_matches_charpoly_eigenvalues(self):
-        scen = Scenario(n_s=2, n_r=2, n_d=2, k_subcarriers=2, seed=9)
-        ranked1, _ = effective_subchannels(*generate(scen))
+        scen = Scenario(n_s=2, n_r=2, n_d=2, k_subcarriers=2)
+        ranked1, _ = effective_subchannels(*generate(scen, np.random.default_rng(9)))
         expected = []
-        for h in channel_matrices(scen)[0]:
+        for h in channel_matrices(scen, np.random.default_rng(9))[0]:
             expected.extend(charpoly_eigenvalues(h.conj().T @ h))
         expected = np.sort(np.array(expected))[::-1]
         assert np.max(np.abs(ranked1 - expected)) < 1e-9 * max(expected[0], 1.0)
@@ -181,7 +179,7 @@ class TestEffectiveSubchannels:
         b = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
         rank_one = iter(((a @ b.conj().T)[None], (b @ a.conj().T)[None]))
         monkeypatch.setattr(channel, "_complex_gaussian", lambda *_: next(rank_one))
-        gains1, gains2 = generate(Scenario(n_s=2, n_r=2, n_d=2, k_subcarriers=1, seed=3))
+        gains1, gains2 = generate(Scenario(n_s=2, n_r=2, n_d=2, k_subcarriers=1), rng)
         assert gains1.size == gains2.size == 2
         for gains in effective_subchannels(gains1, gains2):
             assert gains[0] > 0
@@ -189,6 +187,8 @@ class TestEffectiveSubchannels:
 
 
 class TestScenarioFile:
+    # A scenario file is a run spec that sets scenario keys only, and
+    # ``ehrelay single`` reads it as one.
     def test_round_trip(self, tmp_path):
         path = tmp_path / "scenario.txt"
         path.write_text(
@@ -201,7 +201,7 @@ class TestScenarioFile:
             "p_source = 10\n"
             "seed = 11\n"
         )
-        scen = scenario_from_file(path)
+        scen = spec_from_file(path).scenario
         assert scen.n_s == 3 and scen.n_r == 2 and scen.n_d == 4
         assert scen.phi == pytest.approx(0.3)
         assert scen.p_source == pytest.approx(10.0)
@@ -212,19 +212,19 @@ class TestScenarioFile:
         path = tmp_path / "scenario.txt"
         path.write_text("n_s = 2\nantennas = 4\n")
         with pytest.raises(ValueError, match="antennas"):
-            scenario_from_file(path)
+            spec_from_file(path)
 
     def test_bad_value_names_key(self, tmp_path):
         path = tmp_path / "scenario.txt"
         path.write_text("phi = fast\n")
         with pytest.raises(ValueError, match="phi"):
-            scenario_from_file(path)
+            spec_from_file(path)
 
     def test_duplicate_key_named_with_line(self, tmp_path):
         path = tmp_path / "scenario.txt"
         path.write_text("n_s = 2\nphi = 0.3\nn_s = 3\n")
         with pytest.raises(ValueError) as excinfo:
-            scenario_from_file(path)
+            spec_from_file(path)
         assert str(excinfo.value) == f"{path}:3: duplicate key 'n_s'"
 
     def test_undecodable_file_named(self, tmp_path):
@@ -232,5 +232,5 @@ class TestScenarioFile:
         path = tmp_path / "scenario.txt"
         path.write_bytes(b"n_s = \xff\n")
         with pytest.raises(ValueError) as excinfo:
-            scenario_from_file(path)
+            spec_from_file(path)
         assert str(excinfo.value).startswith(f"{path}: ")

@@ -187,6 +187,24 @@ class TestRun:
             "5bac2960212a5abe30bb1354f5f9b6800aa88e578b950754d7f3812e46ae290e"
         )
 
+    def test_run_ignores_scenario_seed(self, tmp_path):
+        # run draws from trial_rng(master_seed, i, t) alone, so two specs
+        # that differ only in the scenario's seed write the same bytes.
+        written = []
+        for seed in (0, 41):
+            path = tmp_path / f"exp{seed}.txt"
+            path.write_text(f"{SPEC_TEXT}seed = {seed}\n")
+            emit_csv(run(spec_from_file(path)), tmp_path / f"out{seed}.csv")
+            written.append((tmp_path / f"out{seed}.csv").read_bytes())
+        assert written[0] == written[1]
+
+    def test_every_draw_takes_its_generator(self):
+        # No draw falls back to a generator of its own.
+        with pytest.raises(TypeError):
+            draw(Scenario())
+        with pytest.raises(TypeError):
+            channel.generate(Scenario())
+
     def test_appending_sweep_values_preserves_trials(self):
         base = ExperimentSpec(
             scenario=Scenario(), sweep="phi", sweep_values=(0.3,), trials=2,
@@ -500,13 +518,13 @@ class TestCli:
         # move the last bits, which is then a reason to re-record.
         assert cli.main(["single", "--seed", "3"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "ddfe1138647601343874ccca19a684372061511b60a2b618155f55e3bb472f19"
+            "54e2d67014002ae96585d019fddb2ab831ee6b5d58598a1f82a55209f46e4167"
         )
 
     def test_single_negative_seed_is_validation_error(self, capsys):
         assert cli.main(["single", "--seed", "-1"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: seed must be an integer >= 0, got -1\n"
+        assert captured.err == "error: --seed must be an integer >= 0, got -1\n"
         assert captured.out == ""
 
     def test_single_runs_every_solver_by_default(self, capsys):
@@ -527,10 +545,38 @@ class TestCli:
     def test_single_prints_solvers_in_table_order(self, capsys):
         assert cli.main(["single", "--seed", "3", "--solvers", "benchmark,alpf"]) == 0
         headers = [line for line in capsys.readouterr().out.splitlines() if " rate: " in line]
-        problem = draw(Scenario(seed=3)).problem
+        problem = draw(Scenario(), trial_rng(3, 0, 0)).problem
         assert [line.split()[0] for line in headers] == ["alpf", "benchmark"]  # SOLVER_ORDER
         for name, line in zip(["alpf", "benchmark"], headers):
             assert line.split()[2] == repr(SOLVERS[name](problem)[0].rate_bps)
+
+    @pytest.mark.parametrize(
+        "sweep, first",
+        [("sweep = phi\nsweep_values = 0.3, 0.7\n", {"phi": 0.3}), ("sweep = none\n", {})],
+        ids=["swept", "unswept"],
+    )
+    def test_single_replays_runs_first_trial(self, tmp_path, capsys, sweep, first):
+        # single --seed M --scenario-file F draws trial_rng(M, 0, 0) on F's
+        # first sweep value, the first trial of ``run F`` at master_seed = M.
+        # Without --seed it takes the file's seed, never its master_seed.
+        path = tmp_path / "exp.txt"
+        path.write_text(
+            f"n_s = 3\nk_subcarriers = 3\np_source = 0.5\nseed = 8\n{sweep}"
+            "trials = 1\nsolvers = alpf, oracle, benchmark\nmaster_seed = 11\n"
+        )
+        scenario = Scenario(n_s=3, k_subcarriers=3, p_source=0.5, seed=8, **first)
+        outcome = run_trial(scenario, trial_rng(11, 0, 0), SOLVER_ORDER)
+        rows = run(spec_from_file(path)).rows[:len(SOLVER_ORDER)]
+        assert [row.mean_rate_bps for row in rows] == [outcome[name].rate_bps for name in SOLVER_ORDER]
+
+        assert cli.main(["single", "--seed", "11", "--scenario-file", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [f"scenario: {scenario}", "trial: (11, 0, 0)"]
+        headers = [line.split() for line in lines if " rate: " in line]
+        assert [(h[0], h[2]) for h in headers] == [(name, repr(outcome[name].rate_bps)) for name in SOLVER_ORDER]
+
+        assert cli.main(["single", "--scenario-file", str(path), "--solvers", "benchmark"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "trial: (8, 0, 0)"
 
     def test_single_unconverged_exits_2(self, monkeypatch, capsys):
         monkeypatch.setattr(auglag, "_MAX_OUTER_ITERS", 1)

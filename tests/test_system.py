@@ -24,7 +24,7 @@ class TestEnergyPlan:
         diagonal = np.diag([2.0, 1.0]).astype(complex)[None]
         monkeypatch.setattr(channel, "_complex_gaussian", lambda *_: diagonal)
         scen = Scenario(n_s=2, n_r=2, n_d=2, k_subcarriers=1)
-        drawn = draw(scen)
+        drawn = draw(scen, np.random.default_rng(0))
         assert drawn.subcarrier == 0
         assert drawn.harvest_coeff == pytest.approx(4.0)
 
@@ -34,19 +34,19 @@ class TestEnergyPlan:
         # generate's order divided by n_streams, a stride that one K = 2,
         # N = 2 draw cannot check.
         for (n_s, n_r, n_d), k in itertools.product([(1, 3, 2), (3, 2, 4), (4, 3, 5)], range(1, 9)):
-            scen = Scenario(n_s=n_s, n_r=n_r, n_d=n_d, k_subcarriers=k, seed=8 + k)
-            drawn = draw(scen)
-            gains1, _ = generate(scen)
+            scen = Scenario(n_s=n_s, n_r=n_r, n_d=n_d, k_subcarriers=k)
+            drawn = draw(scen, np.random.default_rng(8 + k))
+            gains1, _ = generate(scen, np.random.default_rng(8 + k))
             assert drawn.harvest_coeff == gains1.max() == drawn.gains1[0]
             assert drawn.subcarrier == int(np.argmax(gains1)) // scen.n_streams
-            tops = [float(np.linalg.svd(h, compute_uv=False)[0]) ** 2 for h in channel_matrices(scen)[0]]
+            tops = [float(np.linalg.svd(h, compute_uv=False)[0]) ** 2 for h in channel_matrices(scen, np.random.default_rng(8 + k))[0]]
             assert drawn.subcarrier == int(np.argmax(tops))
             assert drawn.harvest_coeff == pytest.approx(max(tops))
 
     def test_beats_random_search(self):
-        scen = Scenario(k_subcarriers=4, seed=17)
-        harvest_coeff = draw(scen).harvest_coeff
-        h1, _ = channel_matrices(scen)
+        scen = Scenario(k_subcarriers=4)
+        harvest_coeff = draw(scen, np.random.default_rng(17)).harvest_coeff
+        h1, _ = channel_matrices(scen, np.random.default_rng(17))
         rng = np.random.default_rng(99)
         best = 0.0
         for _ in range(10_000):
@@ -63,8 +63,8 @@ class TestRankOrder:
         # optimized by the reference solver.
         from itertools import permutations
 
-        scen = Scenario(k_subcarriers=1, n_s=3, n_r=3, n_d=3, seed=2)
-        problem = draw(scen).problem
+        scen = Scenario(k_subcarriers=1, n_s=3, n_r=3, n_d=3)
+        problem = draw(scen, np.random.default_rng(2)).problem
         best = {}
         for perm in permutations(range(3)):
             prob = ReducedProblem(
@@ -77,8 +77,8 @@ class TestRankOrder:
 
 class TestAchievableRate:
     def setup_method(self):
-        self.scen = Scenario(seed=13)
-        self.problem = draw(self.scen).problem
+        self.scen = Scenario()
+        self.problem = draw(self.scen, np.random.default_rng(13)).problem
         self.n = self.problem.n_pairs
 
     def alloc(self, alpha, mu=None, mu_bar=None):
@@ -123,7 +123,7 @@ class TestAchievableRate:
         alloc = self.alloc(0.4)
         rates = []
         for p in [0.1, 1.0, 10.0]:
-            rates.append(achievable_rate(draw(replace(self.scen, p_source=p)).problem, alloc))
+            rates.append(achievable_rate(draw(replace(self.scen, p_source=p), np.random.default_rng(13)).problem, alloc))
         assert all(r >= 0 for r in rates)
         assert rates[0] <= rates[1] <= rates[2]
 
@@ -139,11 +139,11 @@ class TestAchievableRate:
         # Same seed, so same channels, with rescaled powers: hop-1 SNR has
         # p/noise unchanged and the relay power inherits the p_source
         # factor, cancelling the hop-2 noise factor.
-        scaled = achievable_rate(draw(scen2).problem, alloc)
+        scaled = achievable_rate(draw(scen2, np.random.default_rng(13)).problem, alloc)
         assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_rate_never_beats_reference_upper_bound(self):
-        prob = draw(Scenario(n_s=2, n_r=2, n_d=2, k_subcarriers=2, seed=31)).problem
+        prob = draw(Scenario(n_s=2, n_r=2, n_d=2, k_subcarriers=2), np.random.default_rng(31)).problem
         upper = oracle_solve(prob).rate_star
         rng = np.random.default_rng(6)
         n = prob.n_pairs
@@ -198,16 +198,16 @@ class TestBenchmark:
 
 class TestSnrCoefficients:
     def test_formulas(self):
-        scen = Scenario(p_source=2.0, eta=0.5, k_subcarriers=2, noise_total_w=1e-6, seed=3)
-        gains1, gains2, _, harvest_coeff, problem = draw(scen)
+        scen = Scenario(p_source=2.0, eta=0.5, k_subcarriers=2, noise_total_w=1e-6)
+        gains1, gains2, _, harvest_coeff, problem = draw(scen, np.random.default_rng(3))
         sigma_sq = 5e-7
         assert np.allclose(problem.a_coeffs, 2.0 * gains1 / sigma_sq)
         assert np.allclose(problem.b_coeffs, 0.5 * 2.0 * harvest_coeff * gains2 / sigma_sq)
         assert (problem.bandwidth_hz, problem.k_subcarriers) == (scen.bandwidth_hz, 2)
 
     def test_tiny_gains_zeroed(self):
-        scen = Scenario(seed=3)
+        scen = Scenario()
         gains = np.array([1.0, 1e-20])
-        problem = snr_coefficients(gains, gains, draw(scen).harvest_coeff, scen)
+        problem = snr_coefficients(gains, gains, draw(scen, np.random.default_rng(3)).harvest_coeff, scen)
         assert problem.a_coeffs[1] == 0.0
         assert problem.b_coeffs[1] == 0.0
