@@ -44,9 +44,8 @@ class Scenario:
         pathloss_exp: Path loss exponent, finite and >= 0.
         noise_total_w: Total receiver noise power over the whole band, W.
             Each subchannel sees ``noise_total_w / k_subcarriers``.
-        seed: An integer >= 0 that no draw reads.  ``ehrelay single``
-            takes it as its master seed when ``--seed`` is not given;
-            ``ehrelay run`` ignores it and reads ``master_seed``.
+        seed: An integer >= 0 that nothing reads.  ``ehrelay run`` and
+            ``ehrelay single`` draw from the spec's ``master_seed``.
 
     Path loss: a hop of length ``d`` (in reference distances) has power
     gain ``max(d, 1)**(-pathloss_exp)``, so a hop no longer than the

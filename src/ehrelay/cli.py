@@ -7,9 +7,10 @@ parser: positionals in order, each option as ``--flag VALUE`` or
 
 ``single`` solves the first sweep value of ``--scenario-file``, a ``run``
 spec file (the ``Scenario`` defaults without one), on channels from
-``trial_rng(S, 0, 0)``, where S is ``--seed`` or else the file's ``seed``.
-So ``single --seed M --scenario-file F`` prints the first trial that
-``run F`` draws at ``master_seed = M``; ``run`` never reads ``seed``.
+``trial_rng(M, 0, 0)``, where M is ``--seed`` or else the file's
+``master_seed``.  So ``single --scenario-file F`` prints the first trial
+that ``run F`` draws, and ``--seed M`` the one it draws at
+``master_seed = M``.  Neither command reads the scenario's ``seed``.
 
 ``selftest`` solves scenario i < ``--trials`` of each seeded stress set
 of ``experiment.STRESS_SETS`` (broad, then corner) on channels from
@@ -139,14 +140,15 @@ def _cmd_run(args) -> int:
 def _cmd_single(args) -> int:
     spec = spec_from_file(args.scenario_file) if args.scenario_file else ExperimentSpec(Scenario())
     _, scenario = spec.points()[0]
-    triple = (scenario.seed if args.seed is None else args.seed, 0, 0)
+    triple = (spec.master_seed if args.seed is None else args.seed, 0, 0)
     require_count("--seed", triple[0], least=0)
     solvers = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
     validate_solvers(solvers)
 
     gains1, gains2, subcarrier, harvest_coeff, problem = draw(scenario, trial_rng(*triple))
 
-    print(f"scenario: {scenario}")
+    shown = ", ".join(f"{f.name}={getattr(scenario, f.name)!r}" for f in fields(scenario) if f.name != "seed")
+    print(f"scenario: Scenario({shown})")
     print(f"trial: {triple}")
     print(f"energy beam subcarrier: {subcarrier}, harvest gain {harvest_coeff!r}")
     print(f"sorted hop-1 gains: {np.array2string(gains1, precision=6)}")
@@ -215,8 +217,10 @@ _COMMANDS = {
         ("--output", {"help": "CSV output path (overrides the spec file)"}),
     )),
     "single": ("solve a single channel realization", _cmd_single, (
-        ("--scenario-file", {"help": "key=value run spec file; its first sweep value is solved"}),
-        ("--seed", {"type": int, "help": "draw run's first trial at this master_seed (default: the file's seed)"}),
+        ("--scenario-file", {"help": "key=value run spec file; its first sweep value is solved "
+                                     "(its trials, solvers and output_path are not read)"}),
+        ("--seed", {"type": int, "help": "draw run's first trial at this master_seed "
+                                         "(default: the file's master_seed; the scenario's seed is never read)"}),
         ("--solvers", {"default": _SOLVERS, "help": f"comma-separated subset of {_SOLVERS}"}),
     )),
     "selftest": ("run optimizer-vs-reference property checks", _cmd_selftest, (
