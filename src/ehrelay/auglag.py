@@ -72,10 +72,11 @@ class AlpfResult:
     """Allocation plus a convergence report.
 
     ``converged`` means max |c| <= 1e-6 (``_EPS``) over the two budget
-    rows: feasibility only, not optimality.  At SNRs far below 1 a
-    converged run can stop well below the optimum; ``ehrelay selftest
-    --trials 150`` prints each seeded stress instance where a run misses
-    the water-filling oracle by over 1% or falls below the benchmark.
+    rows, after a last subproblem that stopped short of its inner cap
+    ``_MAX_INNER_ITERS``: feasibility only, not optimality.  At SNRs far
+    below 1 a converged run can stop well below the optimum; ``ehrelay
+    selftest --trials 150`` prints each seeded stress instance where a run
+    misses the water-filling oracle by over 1% or falls below the benchmark.
     ``final_nu`` and ``final_sigma`` hold the two rows' multipliers and
     penalties.
     """
@@ -290,7 +291,8 @@ def optimize(problem: ReducedProblem) -> AlpfResult:
     Returns the allocation with ``mu_bar = r mu``, both scaled by
     ``max(1, sum mu, sum mu_bar)`` so that the budgets hold and every
     pair stays balanced, plus a convergence report; a run that exhausts
-    the outer iterations is returned with ``converged=False``.
+    the outer iterations, or whose last subproblem stopped at the inner
+    cap, is returned with ``converged=False``.
     ``converged=True`` is feasibility only, not optimality (see
     :class:`AlpfResult`).  A problem with no live pair has rate 0, at
     ``ALPHA_MIN`` after 0 iterations.
@@ -334,7 +336,7 @@ def optimize(problem: ReducedProblem) -> AlpfResult:
         c_new = point.residual
         final_violation = float(np.max(np.abs(c_new)))
         if final_violation <= _EPS:
-            converged = True
+            converged = iterations < _MAX_INNER_ITERS
             break
         sigma_used = sigma
         sigma = update_penalties(sigma, c_new, c_prev, k)

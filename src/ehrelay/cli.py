@@ -19,11 +19,13 @@ benchmark and comes within 1% of the oracle, and prints one replay line each.
 
 Exit codes: 0 on success, 1 on validation errors, 2 on a usage error, on
 failed convergence in more than the allowed fraction of ``run``'s trials,
-on an unconverged solve in ``single``, or on a failed selftest check.
+on an unconverged solve in ``single``, or on a failed selftest check, and
+141, SIGPIPE's, with nothing on stderr once stdout's reader has gone.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 from dataclasses import fields, is_dataclass
@@ -55,7 +57,14 @@ def main(argv=None) -> int:
             return 1
         raise SystemExit(0)
     try:
-        return _COMMANDS[name][1](_parse(name, iter(argv[1:])))
+        code = _COMMANDS[name][1](_parse(name, iter(argv[1:])))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout is gone: stop quietly, with stdout on the null
+        # device so that the interpreter's last flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,7 +5,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from ehrelay import experiment
+from ehrelay import auglag, experiment
 from ehrelay.auglag import (
     _eliminate,
     _newton_direction,
@@ -692,6 +692,24 @@ class TestOptimize:
         assert res.converged
         oracle = oracle_solve(problem).rate_star
         assert abs(res.rate_bps - oracle) <= 1e-6 * oracle
+
+    def test_last_subproblem_at_inner_cap_is_not_converged(self, monkeypatch):
+        # Corner 12 meets the 1e-6 stop on feasibility, but only after its
+        # last subproblem ran into the inner cap, so it is no KKT point.
+        problem = experiment.draw(next(islice(stress_scenarios("corner"), 12, None)), trial_rng(99, 0, 12)).problem
+        sizes = []
+        inner = solve_subproblem
+
+        def recorded(*args):
+            out = inner(*args)
+            sizes.append(out[1])
+            return out
+
+        monkeypatch.setattr(auglag, "solve_subproblem", recorded)
+        res = optimize(problem)
+        assert res.final_violation <= 1e-6
+        assert sizes[-1] == auglag._MAX_INNER_ITERS
+        assert not res.converged
 
     def test_alpha_stays_in_clamp(self):
         problem = ReducedProblem(np.array([1.0]), np.array([1e12]), 1000.0, 1)

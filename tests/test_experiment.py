@@ -1,7 +1,11 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -520,6 +524,24 @@ class TestCli:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
             "bea445daf5c403e95f5e88b13c4db0554a88de14e51ab3af64b038af3189bc4c"
         )
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_single_into_a_closed_pipe_exits_quietly(self, unbuffered):
+        # As ``ehrelay single --seed 3 | head -1`` once the reader is gone:
+        # unbuffered, the first print fails; buffered, main's flush does.
+        # Either way nothing goes to stderr, and the exit code is SIGPIPE's.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ehrelay.cli", "single", "--seed", "3"],
+                stdout=write, stderr=subprocess.PIPE, env=env,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
     def test_single_negative_seed_is_validation_error(self, capsys):
         assert cli.main(["single", "--seed", "-1"]) == 1

@@ -12,12 +12,15 @@ import pytest
 from ehrelay import experiment, waterfill
 from ehrelay.experiment import STRESS_SETS, Scenario, stress_scenarios, trial_rng
 from ehrelay.system import ALPHA_MAX, ALPHA_MIN, Allocation, ReducedProblem, achievable_rate
-from ehrelay.waterfill import _waterfill_two_budgets, inner_waterfill, solve
+import oracles
+from ehrelay.waterfill import inner_waterfill, solve
 from oracles import (
     golden_section_max,
     random_feasible_points,
+    sorted_waterfill,
     two_budget_kkt_residual,
     two_budget_nested_bisection,
+    unit_price_bisection,
     waterfill_bisection,
 )
 
@@ -35,10 +38,9 @@ def crosscheck_problem(trial):
     return experiment.draw(scen, trial_rng(2718, 0, trial)).problem
 
 
-def inner_at(alpha, problem):
-    """``(mu, mu_bar, rate)`` of row 0 of :func:`inner_waterfill` on the 1-element array ``[alpha]``."""
-    mu, mu_bar, rates = inner_waterfill(np.array([alpha]), problem)
-    return mu[0], mu_bar[0], rates[0]
+def reference_rate(alpha, problem):
+    """The rate of :func:`oracles.sorted_waterfill` at the one time split ``alpha``."""
+    return sorted_waterfill(np.array([alpha]), problem)[2][0]
 
 
 def pinned_problem(draw):
@@ -50,13 +52,13 @@ def pinned_problem(draw):
 
 
 def counted_solve(monkeypatch, problem):
-    """``solve(problem)`` and the ``(alpha, share)`` of each :func:`inner_waterfill` call it made."""
+    """``solve(problem)`` and the ``(alpha, prices)`` of each :func:`inner_waterfill` call it made."""
     calls = []
     inner = waterfill.inner_waterfill
 
-    def counted(alpha, problem, share=None):
-        calls.append((alpha, share))
-        return inner(alpha, problem, share)
+    def counted(alpha, problem, prices=None):
+        calls.append((alpha, prices))
+        return inner(alpha, problem, prices)
 
     with monkeypatch.context() as patch:
         patch.setattr(waterfill, "inner_waterfill", counted)
@@ -65,11 +67,11 @@ def counted_solve(monkeypatch, problem):
 
 
 def count_blends(monkeypatch, run):
-    """Run ``run()``; return its ``_blend`` evaluations, and those of each price-ratio root in it."""
+    """Run ``run()``; return the reference's ``_blend`` evaluations, and those of each price-ratio root in it."""
     calls = [0]
     steps = []
-    blend = waterfill._blend
-    root = waterfill._price_ratio_root
+    blend = oracles._blend
+    root = oracles._price_ratio_root
 
     def counted_blend(*args):
         calls[0] += 1
@@ -82,8 +84,8 @@ def count_blends(monkeypatch, run):
         return out
 
     with monkeypatch.context() as patch:
-        patch.setattr(waterfill, "_blend", counted_blend)
-        patch.setattr(waterfill, "_price_ratio_root", counted_root)
+        patch.setattr(oracles, "_blend", counted_blend)
+        patch.setattr(oracles, "_price_ratio_root", counted_root)
         run()
     return calls[0], steps
 
@@ -143,7 +145,7 @@ class TestInnerWaterfill:
         for alpha in [0.05, 0.2, 0.5, 0.8]:
             g = 2.0 * alpha / (1.0 - alpha)
             cost = a_val / (g * b_val)
-            mu, mu_bar, rate = inner_at(alpha, problem)
+            mu, mu_bar, rate = inner_waterfill(alpha, problem)
             assert mu[0] == pytest.approx(min(1.0, 1.0 / cost), rel=1e-12)
             assert mu_bar[0] == pytest.approx(cost * mu[0], rel=1e-12)
             expected = (1.0 - alpha) * 1000.0 / 2.0 * np.log2(1.0 + a_val * mu[0])
@@ -154,7 +156,7 @@ class TestInnerWaterfill:
         a = rng.uniform(0.5, 30.0, 5)
         b = a * 1e6  # enormous hop-2 headroom: cost constraint never binds
         problem = ReducedProblem(a, b, 1000.0, 2)
-        mu, _, _ = inner_at(0.5, problem)
+        mu, _, _ = inner_waterfill(0.5, problem)
         reference = waterfill_bisection(a)
         assert np.max(np.abs(mu - reference)) < 1e-9
 
@@ -166,7 +168,7 @@ class TestInnerWaterfill:
         alpha = 0.3
         g = 2.0 * alpha / (1.0 - alpha)
         cost = a / (g * b)
-        mu_opt, _, rate_opt = inner_at(alpha, problem)
+        mu_opt, _, rate_opt = inner_waterfill(alpha, problem)
         # 1e5 random candidates feasible for both budgets.
         cands = random_feasible_points(rng, 3, 100_000)
         usage = cands @ cost
@@ -202,7 +204,7 @@ class TestInnerWaterfill:
             cases.append((a, b, alpha))
         for a, b, alpha in cases:
             problem = ReducedProblem(a, b, 1000.0, 2)
-            mu, mu_bar, _ = inner_at(alpha, problem)
+            mu, mu_bar, _ = inner_waterfill(alpha, problem)
             g = 2.0 * alpha / (1.0 - alpha)
             cost = a / (g * b)
             assert two_budget_kkt_residual(a, cost, mu) < 1e-8
@@ -216,7 +218,7 @@ class TestInnerWaterfill:
         for alpha in (0.05, 0.2, 0.5, 0.9999):
             a = rng.uniform(1.0, 1e3, 16)
             b = a * rng.uniform(0.5, 10.0, 16)
-            mu, _, _ = inner_at(alpha, ReducedProblem(a, b, 1000.0, 2))
+            mu, _, _ = inner_waterfill(alpha, ReducedProblem(a, b, 1000.0, 2))
             cost = a / (2.0 * alpha / (1.0 - alpha) * b)
             assert two_budget_kkt_residual(a, cost, mu) < 1e-8
             on = np.flatnonzero(mu > 0.0)
@@ -253,7 +255,7 @@ class TestInnerWaterfill:
             a[dead & (rng.random(n) < 0.5)] = 0.0
             b[dead & (a > 0.0)] = 0.0
             problem = ReducedProblem(a, b, 1000.0, 2)
-            mu, mu_bar, rate = inner_at(alpha, problem)
+            mu, mu_bar, rate = inner_waterfill(alpha, problem)
             assert np.array_equal(mu[dead], np.zeros(int(dead.sum())))
             assert np.array_equal(mu_bar[dead], np.zeros(int(dead.sum())))
             ref = two_budget_nested_bisection(a[live], a[live] / (g * b[live]))
@@ -263,27 +265,33 @@ class TestInnerWaterfill:
             checked += 1
 
     def test_price_ratio_near_one_keeps_its_digits(self):
-        # Nearly all the price sits on the cost budget, so s is close to 1;
-        # measured from 1 rather than 0, s would keep too few digits and
-        # sum(mu) would miss 1 by about 8e-8.
+        # Nearly all the price sits on the cost budget, so the reference's
+        # price share s is close to 1; measured from 1 rather than 0, s would
+        # keep too few digits and sum(mu) would miss 1 by about 8e-8.  The
+        # program prices the two budgets apart, and must hold both too.
         a = np.array([1e-4, 1e8, 1e3])
         cost = np.array([1e-6, 1e6, 1.0])
-        mu, mu_bar, _ = inner_at(0.5, ReducedProblem(a, a / (2.0 * cost), 1000.0, 1))
-        assert abs(mu.sum() - 1.0) <= 1e-11
-        assert abs(mu_bar.sum() - 1.0) <= 1e-11
-        assert np.max(np.abs(mu - two_budget_nested_bisection(a, cost))) <= 1e-11
+        problem = ReducedProblem(a, a / (2.0 * cost), 1000.0, 1)
+        mus, mu_bars, _ = sorted_waterfill(np.array([0.5]), problem)
+        for mu, mu_bar in ((mus[0], mu_bars[0]), inner_waterfill(0.5, problem)[:2]):
+            assert abs(mu.sum() - 1.0) <= 1e-11
+            assert abs(mu_bar.sum() - 1.0) <= 1e-11
+            assert np.max(np.abs(mu - two_budget_nested_bisection(a, cost))) <= 1e-11
 
     def test_single_pair_with_both_budgets_tight(self):
-        # One pair has both budgets tight only at cost 1, where mu = 1.
+        # One pair has both budgets tight only at cost 1, where mu = 1, in the
+        # reference's two-budget branch and in the program's price roots.
         for a_val in (1e-4, 3.0, 1e8):
             a = np.array([a_val])
-            mu = _waterfill_two_budgets(a, np.array([[1.0]]))
+            mu = oracles._waterfill_two_budgets(a, np.array([[1.0]]))
             assert mu[0, 0] == pytest.approx(1.0, rel=1e-12)
             assert mu[0] == pytest.approx(two_budget_nested_bisection(a, np.array([1.0])), rel=1e-12)
+            assert inner_waterfill(0.5, ReducedProblem(a, a / 2.0, 1000.0, 1))[0][0] == pytest.approx(1.0, rel=1e-12)
 
     def test_array_rows_match_scalar_calls(self):
-        # The rows of one call equal 1-element calls, bit for bit, across
-        # every branch and with dead pairs.
+        # The rows of one reference call equal 1-element calls, bit for bit,
+        # across every branch and with dead pairs, so a scan row is the
+        # reference's answer at that time split.
         rng = np.random.default_rng(57)
         a = rng.uniform(0.1, 1e3, 12)
         b = rng.uniform(0.1, 1e3, 12)
@@ -291,36 +299,84 @@ class TestInnerWaterfill:
         b[7] = 0.0
         problem = ReducedProblem(a, b, 1000.0, 2)
         alphas = np.linspace(ALPHA_MIN, ALPHA_MAX, 61)
-        mu, mu_bar, rates = inner_waterfill(alphas, problem)
+        mu, mu_bar, rates = sorted_waterfill(alphas, problem)
         assert mu.shape == mu_bar.shape == (61, 12)
         assert rates.shape == (61,)
         for i in range(alphas.size):
-            mu_i, mu_bar_i, rate_i = inner_waterfill(alphas[i : i + 1], problem)
+            mu_i, mu_bar_i, rate_i = sorted_waterfill(alphas[i : i + 1], problem)
             assert mu_i.tobytes() == mu[i : i + 1].tobytes()
             assert mu_bar_i.tobytes() == mu_bar[i : i + 1].tobytes()
             assert rate_i.tobytes() == rates[i : i + 1].tobytes()
 
     def test_all_dead_channels(self):
         problem = ReducedProblem(np.array([0.0, 0.0]), np.array([1.0, 0.5]), 1000.0, 1)
-        mu, mu_bar, rate = inner_at(0.4, problem)
+        mu, mu_bar, rate = inner_waterfill(0.4, problem)
         assert rate == 0.0
         assert np.array_equal(mu, np.zeros(2))
         assert np.array_equal(mu_bar, np.zeros(2))
 
     def test_alpha_domain(self):
         problem = ReducedProblem(np.array([1.0]), np.array([1.0]), 1000.0, 1)
-        # A float is rejected too: the evaluator takes a 1-D array only.
-        bad = (
-            0.5, np.array([0.0]), np.array([1.0]), np.array([0.3, 1.0]), np.array([0.0, 0.3]),
-            np.array([0.3, np.nan]), np.full((2, 2), 0.5),
-        )
-        for alpha in bad:
-            with pytest.raises(ValueError):
+        for alpha in (0.0, 1.0, -0.1, 1.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="alpha"):
                 inner_waterfill(alpha, problem)
-        # The share, where given, is one price share in [0, 1] per time split.
-        for share in (np.array([0.5, 0.5]), np.array([-0.1]), np.array([1.5]), np.array([np.nan]), 0.5):
-            with pytest.raises(ValueError, match="share"):
-                inner_waterfill(np.array([0.3]), problem, share)
+        # The scan reference takes a 1-D array only.
+        for alpha in (0.5, np.array([0.3, 1.0]), np.array([0.3, np.nan]), np.full((2, 2), 0.5)):
+            with pytest.raises(ValueError, match="alpha"):
+                sorted_waterfill(alpha, problem)
+
+    def test_no_rate_below_the_sorted_reference_on_stress_scans(self):
+        # Two algorithms at each of 200 time splits of the first 50 scenarios
+        # of each stress set: the price roots may not rate below the sorted
+        # water levels.  The corner set's low SNRs cancel in 1 / (q cost + p)
+        # - 1 / a: at corner 42 and alpha = 1.05e-4 no representable q
+        # spends the cost budget to better than 5e-7, so the root's last
+        # Newton step must be taken in mu itself.
+        scan = np.geomspace(ALPHA_MIN, ALPHA_MAX, 200)
+        for problem in stress_problems(50):
+            _, _, reference = sorted_waterfill(scan, problem)
+            for alpha, floor in zip(scan, reference * (1.0 - 1e-12)):
+                mu, mu_bar, rate = inner_waterfill(alpha, problem)
+                assert rate >= floor
+                assert_within_budgets(mu, mu_bar)
+                Allocation(alpha, mu, mu_bar)
+
+    def test_exhausted_cost_price_root_raises(self, monkeypatch):
+        # Problem 9 of decade corpus 61 needs the cost budget's price at
+        # ALPHA_MIN, and a root of one step ends at none.
+        problem = decade_problems(61, 64)[9]
+        monkeypatch.setattr(waterfill, "_ROOT_STEPS", 1)
+        with pytest.raises(RuntimeError, match="cost-price root"):
+            inner_waterfill(ALPHA_MIN, problem)
+
+
+class TestUnitPrice:
+    @staticmethod
+    def cases():
+        """``(x, a)`` with a fifth of ``x`` zero and the rest over 12 decades."""
+        rng = np.random.default_rng(62)
+        for _ in range(200):
+            n = int(rng.integers(1, 65))
+            a = 10.0 ** rng.uniform(-4.0, 8.0, n)
+            x = 10.0 ** rng.uniform(-6.0, 6.0, n)
+            x[rng.random(n) < 0.2] = 0.0
+            yield x, a
+
+    def test_matches_bisection(self):
+        # From either side of the price, and from Dinkelbach's first start.
+        for x, a in self.cases():
+            ref = unit_price_bisection(x, a)
+            for start in (0.5 * ref, 2.0 * ref, float(np.max(a / (1.0 + a)))):
+                if start == 0.0 or ((x == 0.0).any() and not (x + start < a).any()):
+                    continue  # outside the start's contract
+                p = waterfill._unit_price(x, a, 1.0 / a, start)
+                assert abs(p - ref) <= 1e-14 * ref
+
+    def test_exhausted_price_steps_raise(self, monkeypatch):
+        monkeypatch.setattr(waterfill, "_PRICE_STEPS", 2)
+        x, a = max(self.cases(), key=lambda case: case[0].size)
+        with pytest.raises(RuntimeError, match="unit-price root"):
+            waterfill._unit_price(x, a, 1.0 / a, float(np.max(a / (1.0 + a))))
 
 
 class TestSolve:
@@ -346,7 +402,7 @@ class TestSolve:
         sol = solve(problem)
         assert sol.alpha_star == ALPHA_MAX
         alphas = np.linspace(0.9, ALPHA_MAX, 201)
-        assert sol.rate_star >= inner_waterfill(alphas, problem)[2].max()
+        assert sol.rate_star >= sorted_waterfill(alphas, problem)[2].max()
 
     def test_profile_and_feasibility(self):
         rng = np.random.default_rng(54)
@@ -356,20 +412,22 @@ class TestSolve:
         assert sol.mu_bar_star.sum() <= 1.0 + 1e-9
         assert (sol.mu_star >= 0).all() and (sol.mu_bar_star >= 0).all()
         # The optimum is at least as good as every point of a 199-point grid.
-        _, _, rates = inner_waterfill(np.linspace(ALPHA_MIN, ALPHA_MAX, 199), problem)
+        _, _, rates = sorted_waterfill(np.linspace(ALPHA_MIN, ALPHA_MAX, 199), problem)
         assert sol.rate_star >= rates.max() - 1e-9
 
     def test_profile_matches_inner_waterfill(self):
-        # The three-branch problem of the solve tests: across the box its
-        # rows take every branch (unit budget, cost budget, both), and each
-        # row of one call is the rate of its allocation.
+        # The three-branch problem of the solve tests: across the box the
+        # reference's rows take every branch (unit budget, cost budget,
+        # both), each row is the rate of its allocation, and the program's
+        # price roots give the same rate at every split.
         rng = np.random.default_rng(57)
         problem = ReducedProblem(rng.uniform(0.1, 1e3, 12), rng.uniform(0.1, 1e3, 12), 1000.0, 2)
         alphas = np.linspace(ALPHA_MIN, ALPHA_MAX, 199)
-        mus, mu_bars, rates = inner_waterfill(alphas, problem)
+        mus, mu_bars, rates = sorted_waterfill(alphas, problem)
         branches = set()
         for alpha, mu, mu_bar, rate in zip(alphas, mus, mu_bars, rates):
             assert rate == pytest.approx(rate_of(mu, problem.a_coeffs, alpha, 1000.0, 2), rel=1e-12)
+            assert inner_waterfill(alpha, problem)[2] == pytest.approx(rate, rel=1e-13)
             branches.add((mu.sum() > 1.0 - 1e-9, mu_bar.sum() > 1.0 - 1e-9))
         assert branches == {(True, False), (False, True), (True, True)}
         assert solve(problem).rate_star >= rates.max()
@@ -411,7 +469,7 @@ class TestSolve:
             sol = solve(problem)
             # The rate is unimodal in alpha, so golden section over the whole
             # box is a valid reference.
-            _, ref = golden_section_max(lambda al: inner_at(al, problem)[2], ALPHA_MIN, ALPHA_MAX, 1e-9)
+            _, ref = golden_section_max(lambda al: reference_rate(al, problem), ALPHA_MIN, ALPHA_MAX, 1e-9)
             assert sol.rate_star >= ref * (1.0 - 1e-12)
             assert ALPHA_MIN <= sol.alpha_star <= ALPHA_MAX
             assert sol.mu_star.sum() <= 1.0 + 1e-9
@@ -430,27 +488,27 @@ class TestSolve:
         [
             (
                 ("crosscheck", 0), "0x1.c6cc73d0f7b67p+13", "0x1.d3377bd06e05ap-5",
-                "4c6b016a9649fabac8b605d36d02f8e30dbca1b6cc9af1efef06d76da1d6552c",
+                "d4f3ea65b5b8d6c656f5622d0dbe4f52e8aff3aa0bd45435b4c00945196f3353",
             ),
             (
-                ("crosscheck", 1), "0x1.c913c90656e20p+13", "0x1.26e83cb88e1d0p-4",
-                "26a4dba4e9f7effab25745e40b05685a33e6dbdf88c271666e5b18ce44912669",
+                ("crosscheck", 1), "0x1.c913c90656e1fp+13", "0x1.26e83cb88e1d0p-4",
+                "aa34042812cf148c56c7870c2a82813fad285c0044ee90d69b3b57b822764868",
             ),
             (
                 ("crosscheck", 2), "0x1.c326001aedb7dp+13", "0x1.021f1b6631091p-4",
-                "23749964e7b70618f26dfb644545a4aa64a07fb9aaf545ff31139abe26ffdc39",
+                "837547d0ad2a18a89635bcbeabd785d84b499e17a295e4efa1eb9f5815c6822d",
             ),
             (
                 ("phi", 0.1), "0x1.1ab9b72486328p+12", "0x1.c69c30d5fe746p-3",
-                "b17dbc4377df0ff969d44cafb0ef0188f13af23e7ccd9abcfcb3ebf2a501f2df",
+                "46853a741a55672631910f4d31754c6835eefde4a6f85f7d9ecf17a526cf0e0c",
             ),
             (
                 ("phi", 0.5), "0x1.8d3aed5bc501cp+10", "0x1.362ed85dc1dc8p-2",
-                "bbfd54edd1ec1e63341d6e8134c3af6c918531bcde06a4fc09b825306cdd9629",
+                "84044979e6ddfeaa437a872624891c5e07ae7467a275b5d33972a4815cfb87aa",
             ),
             (
                 ("phi", 0.9), "0x1.f2d88b1aec59cp+11", "0x1.2b1de8700b102p-4",
-                "e2f49df3d4dcd11db753dd5190fcc6bf30dc4e9380d0643e2ecfcd0c05ed8f6c",
+                "9abdf15eabc2e65f089d77242545c50c8b68c5ff534b09a4e312a19af6f76694",
             ),
         ],
         ids=["crosscheck-0", "crosscheck-1", "crosscheck-2", "phi-0.1", "phi-0.5", "phi-0.9"],
@@ -517,20 +575,26 @@ class TestSolve:
             dense = np.linspace(
                 max(ALPHA_MIN, sol.alpha_star - 4e-6), min(ALPHA_MAX, sol.alpha_star + 4e-6), 801
             )
-            _, _, rates = inner_waterfill(dense, problem)
+            _, _, rates = sorted_waterfill(dense, problem)
             assert abs(dense[np.argmax(rates)] - sol.alpha_star) <= 1e-6
 
     def test_decade_spanning_alpha_and_calls(self, monkeypatch):
-        # Optima on kinks and at the box edges: alpha keeps its contract,
-        # from one call on a single time split.
+        # Optima on kinks and at the box edges: alpha keeps its contract, from
+        # one inner_waterfill call at alpha*, which is given no prices, and
+        # so runs its root, only at a clipped alpha*.
+        clipped = 0
         for problem in decade_problems(61, 64):
-            sol, calls = counted_solve(monkeypatch, problem)
-            assert [np.shape(alpha) for alpha, _ in calls] == [(1,)]
+            sol, [(alpha, prices)] = counted_solve(monkeypatch, problem)
+            edge = sol.alpha_star in (ALPHA_MIN, ALPHA_MAX)
+            assert alpha == sol.alpha_star
+            assert (prices is None) == edge
+            clipped += edge
             dense = np.linspace(
                 max(ALPHA_MIN, sol.alpha_star - 4e-6), min(ALPHA_MAX, sol.alpha_star + 4e-6), 801
             )
-            _, _, rates = inner_waterfill(dense, problem)
+            _, _, rates = sorted_waterfill(dense, problem)
             assert abs(dense[np.argmax(rates)] - sol.alpha_star) <= 1e-6
+        assert clipped == 2
 
     def test_rate_no_worse_than_dense_and_global_scans(self):
         # The rate is the optimum's, not that of a time split near it: at a
@@ -538,8 +602,9 @@ class TestSolve:
         # more than 1e-12 of the rate.  The dense scan steps away from
         # alpha* by relative offsets from 1e-13 to 1e-5, log-spaced, so it
         # finds a better split at whatever distance it lies.  Every scanned
-        # row must meet both budgets, or an overspending split could rate
-        # above the optimum: problem 54's did, by 1.5e-13 at 1 + 9.9e-13.
+        # row of the reference must meet both budgets, or an overspending
+        # split could rate above the optimum: problem 54's did, by 1.5e-13
+        # at 1 + 9.9e-13.
         scan = np.geomspace(ALPHA_MIN, ALPHA_MAX, 3000)
         for problem in decade_problems(66, 64):
             sol = solve(problem)
@@ -547,7 +612,7 @@ class TestSolve:
             near = np.clip(sol.alpha_star + np.r_[-offsets, 0.0, offsets], ALPHA_MIN, ALPHA_MAX)
             best = 0.0
             for alphas in (near, scan):
-                mu, mu_bar, rates = inner_waterfill(alphas, problem)
+                mu, mu_bar, rates = sorted_waterfill(alphas, problem)
                 assert_within_budgets(mu, mu_bar)
                 best = max(best, rates.max())
             assert sol.rate_star >= best * (1.0 - 1e-12)
@@ -580,36 +645,23 @@ class TestSolve:
         assert max(steps) <= 10
 
     def test_price_ratio_roots_stop_at_rounding(self, monkeypatch):
-        # f sums 64 terms, so its rounding can keep the Newton step above
-        # 4 eps * s at the root; the root must then stop on |f| itself.
-        # The share-free calls at the crosscheck draws' alpha* start the root
-        # cold, as every scan does.
+        # In the reference, f sums 64 terms, so its rounding can keep the
+        # Newton step above 4 eps * s at the root; the root must then stop on
+        # |f| itself.  The crosscheck draws' alpha* are two-budget rows.
         problems = [crosscheck_problem(t) for t in range(6)]
         alphas = [solve(problem).alpha_star for problem in problems]
-        _, steps = count_blends(monkeypatch, lambda: [inner_at(al, p) for al, p in zip(alphas, problems)])
+        _, steps = count_blends(monkeypatch, lambda: [reference_rate(al, p) for al, p in zip(alphas, problems)])
         assert len(steps) == 6
         assert max(steps) <= 30
 
-    def test_dinkelbach_share_starts_the_root_at_its_answer(self, monkeypatch):
-        # Dinkelbach's last prices are the two-budget root of the one call
-        # at alpha*, so solve evaluates f at most once there; the share-free
-        # call at the same alpha* needs a blend at 1/2 and Newton steps.
-        for t in range(6):
-            problem = crosscheck_problem(t)
-            with_share, _ = count_blends(monkeypatch, lambda: solve(problem))
-            alpha = solve(problem).alpha_star
-            cold, _ = count_blends(monkeypatch, lambda: inner_at(alpha, problem))
-            assert with_share <= 1
-            assert cold >= 3
-
     def test_budgets_hold_to_rounding(self):
         # Problem 9 of decade corpus 61 clips alpha* to ALPHA_MIN, and its
-        # two active pairs have costs 0.059 and 4e13 there: the root's stop
-        # on the resolution of s alone left sum mu_bar = 1 + 7.9e-10.  On
-        # problem 8 of corpus 205 it left 1 + 1.3e-9, which Allocation rejects.
-        # The scan rows take every branch: on corner stress scenario 42 at
-        # alpha = 1.66e-4 the cost budget's level / cost - 1 / a cancelled,
-        # to sum mu_bar = 1 + 1.6e-7.
+        # two active pairs have costs 0.059 and 4e13 there: a price-ratio
+        # root's stop on the resolution of s alone left sum mu_bar =
+        # 1 + 7.9e-10.  On problem 8 of corpus 205 it left 1 + 1.3e-9, which
+        # Allocation rejects.  The reference's scan rows take every branch:
+        # on corner stress scenario 42 at alpha = 1.66e-4 the cost budget's
+        # level / cost - 1 / a cancelled, to sum mu_bar = 1 + 1.6e-7.
         decades = decade_problems(61, 64) + decade_problems(66, 64) + decade_problems(68, 64)
         problems = decades + [decade_problems(205, 9)[8]] + [crosscheck_problem(t) for t in range(6)]
         for problem in problems:
@@ -618,22 +670,29 @@ class TestSolve:
             Allocation(sol.alpha_star, sol.mu_star, sol.mu_bar_star)
         scan = np.geomspace(ALPHA_MIN, ALPHA_MAX, 200)
         for problem in stress_problems(50) + decades:
-            mu, mu_bar, _ = inner_waterfill(scan, problem)
+            mu, mu_bar, _ = sorted_waterfill(scan, problem)
             assert_within_budgets(mu, mu_bar)
             for row in range(scan.size):
                 Allocation(scan[row], mu[row], mu_bar[row])
 
     def test_one_inner_waterfill_call(self, monkeypatch):
+        # Dinkelbach's last step is the allocation: one call at an interior
+        # alpha*, at that step's prices, and no second water-fill root.
+        roots = []
+        cost_price = waterfill._cost_price
+        monkeypatch.setattr(waterfill, "_cost_price", lambda *args: roots.append(args) or cost_price(*args))
         for trial in range(6):
-            _, calls = counted_solve(monkeypatch, crosscheck_problem(trial))
-            # One call, on the 1-element array [alpha*].
-            assert [np.shape(alpha) for alpha, _ in calls] == [(1,)]
+            sol, [(alpha, prices)] = counted_solve(monkeypatch, crosscheck_problem(trial))
+            assert ALPHA_MIN < sol.alpha_star < ALPHA_MAX
+            assert alpha == sol.alpha_star
+            assert prices is not None
+        assert roots == []
 
-    def test_solution_is_inner_waterfill_at_alpha_star(self, monkeypatch):
-        # solve returns row 0 of its one inner_waterfill call at alpha*; the
-        # same call, with the same share, must reproduce it bit for bit.
-        # Without the share the root starts cold and stops elsewhere within
-        # rounding, so the rate agrees to rounding.
+    def test_solution_is_inner_waterfill_at_alpha_star(self):
+        # At a clipped alpha* solve returns inner_waterfill's root at the
+        # edge, bit for bit.  At an interior one it returns the water-fill at
+        # Dinkelbach's last prices, and the price roots at the same split
+        # agree to rounding.
         rng = np.random.default_rng(60)
         problems = [crosscheck_problem(t) for t in range(3)]
         for _ in range(6):
@@ -641,22 +700,42 @@ class TestSolve:
             b = 10.0 ** rng.uniform(-2.0, 4.0, 16)
             a[rng.random(16) < 0.15] = 0.0
             problems.append(ReducedProblem(a, b, 1000.0, 3))
-        for problem in problems:
-            sol, [(_, share)] = counted_solve(monkeypatch, problem)
-            mu, mu_bar, rates = inner_waterfill(np.array([sol.alpha_star]), problem, share)
-            assert sol.rate_star.hex() == rates[0].hex()
-            assert mu[0].tobytes() == sol.mu_star.tobytes()
-            assert mu_bar[0].tobytes() == sol.mu_bar_star.tobytes()
-            assert inner_at(sol.alpha_star, problem)[2] == pytest.approx(sol.rate_star, rel=2e-15, abs=0.0)
+        clipped = [decade_problems(61, 64)[9], decade_problems(205, 9)[8]]
+        for problem, edge in [(p, False) for p in problems] + [(p, True) for p in clipped]:
+            sol = solve(problem)
+            mu, mu_bar, rate = inner_waterfill(sol.alpha_star, problem)
+            if edge:
+                assert sol.alpha_star == ALPHA_MIN
+                assert sol.rate_star.hex() == rate.hex()
+                assert mu.tobytes() == sol.mu_star.tobytes()
+                assert mu_bar.tobytes() == sol.mu_bar_star.tobytes()
+            else:
+                assert rate == pytest.approx(sol.rate_star, rel=1e-14, abs=0.0)
+
+    def test_clipped_alpha_matches_nested_bisection(self):
+        # Both problems clip alpha* to ALPHA_MIN with both budgets tight.  On
+        # problem 9 of decade corpus 61 the active costs run from 0.059 to
+        # 4e13; a solve that divided out the cost budget's 7.9e-10 of
+        # rounding fell 7.4e-10 below nested bisection.
+        for problem in (decade_problems(61, 64)[9], decade_problems(205, 9)[8]):
+            sol = solve(problem)
+            assert sol.alpha_star == ALPHA_MIN
+            live = problem.live
+            a = problem.a_coeffs[live]
+            cost = a / (2.0 * ALPHA_MIN / (1.0 - ALPHA_MIN) * problem.b_coeffs[live])
+            ref = two_budget_nested_bisection(a, cost)
+            ref_rate = rate_of(ref, a, ALPHA_MIN, problem.bandwidth_hz, problem.k_subcarriers)
+            assert sol.rate_star == pytest.approx(ref_rate, rel=1e-12)
 
     def test_exhausted_price_ratio_root_raises(self, monkeypatch):
-        # One step stops no cold root of the crosscheck draw; returning the
-        # last iterate would give an allocation that overspends a budget.
+        # One step stops no root of the reference at the crosscheck draw's
+        # alpha*; returning the last iterate would give an allocation that
+        # overspends a budget.
         problem = crosscheck_problem(0)
         alpha = solve(problem).alpha_star
-        monkeypatch.setattr(waterfill, "_ROOT_STEPS", 1)
+        monkeypatch.setattr(oracles, "_ROOT_STEPS", 1)
         with pytest.raises(RuntimeError, match="price-ratio root"):
-            inner_at(alpha, problem)
+            reference_rate(alpha, problem)
 
     def test_exhausted_dinkelbach_steps_raise(self, monkeypatch):
         # One step ends no solve of the crosscheck draw: its ratio still
@@ -674,8 +753,9 @@ class TestPremise:
     ``sum ln(1 + a mu)`` with the relay budget read as ``g``, is concave:
     a partial maximum of a concave function over a convex set.  A concave
     function over a positive affine one has no local maximum but the
-    global one.  The tolerances sit far above the 1e-12 by which
-    ``inner_waterfill`` may overspend a budget.
+    global one.  The profiles are the scan reference's,
+    :func:`oracles.sorted_waterfill`, and the tolerances sit far above the
+    1e-12 by which it may overspend a budget.
     """
 
     def test_per_split_optimum_is_concave_in_g(self):
@@ -683,7 +763,7 @@ class TestPremise:
         g = 2.0 * alpha / (1.0 - alpha)
         lam = (g[2:] - g[1:-1]) / (g[2:] - g[:-2])
         for problem in decade_problems(71, 64):
-            _, _, rates = inner_waterfill(alpha, problem)
+            _, _, rates = sorted_waterfill(alpha, problem)
             w = problem.bandwidth_hz / (2.0 * problem.k_subcarriers)
             c = rates * (2.0 + g) * np.log(2.0) / (2.0 * w)
             chord = lam * c[:-2] + (1.0 - lam) * c[2:]
@@ -695,7 +775,7 @@ class TestPremise:
             (np.geomspace(ALPHA_MIN, 0.5, 200), 1.0 - np.geomspace(0.5, 1.0 - ALPHA_MAX, 200)[1:])
         )
         for problem in decade_problems(72, 64):
-            _, _, rates = inner_waterfill(alpha, problem)
+            _, _, rates = sorted_waterfill(alpha, problem)
             peak = int(np.argmax(rates))
             tol = 1e-10 * rates[peak]
             assert np.all(np.diff(rates[: peak + 1]) >= -tol)
