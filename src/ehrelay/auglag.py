@@ -28,8 +28,9 @@ The solver iterates on the point ``z = (alpha, mu)``; the slacks are
 eliminated in closed form at every trial point.  The penalty's Hessian
 over ``z`` is a diagonal plus the rank-one terms ``sigma1 11^T`` and
 ``sigma2 r r^T`` of the binding budgets, bordered by the ``alpha`` row,
-so each inner iteration is a projected Newton step solved in O(n),
-followed by Armijo backtracking by halving along the projection arc.
+so each inner iteration is a projected Newton step solved in O(n) by one
+Sherman-Morrison update per binding row, followed by Armijo backtracking
+by halving along the projection arc.
 The Newton subproblem solver follows the practice in Birgin & Martinez,
 *Practical Augmented Lagrangian Methods for Constrained Optimization*
 (SIAM, 2014).
@@ -58,8 +59,9 @@ _MAX_HALVINGS = 60
 # bound, and the largest time-split move of one Newton step.
 _ACTIVE_EPS = 1e-3
 _ALPHA_STEP = 0.25
-# Sherman-Morrison gain above which a Newton solve is refined once: below
-# it the solve keeps about 12 significant digits.
+# Gain ``sigma u^T D^-1 u`` of a budget row's Sherman-Morrison update above
+# which the two-row Newton solve is refined once: below it the solve keeps
+# about 12 significant digits, above it one refinement step restores them.
 _REFINE_GAIN = 1e4
 # Stopping violation and the outer and per-subproblem inner iteration caps.
 _EPS = 1e-6
@@ -148,7 +150,7 @@ def solve_subproblem(
     for _ in range(_MAX_INNER_ITERS):
         grad = point.gradient
         pg = z - _project(z - grad)
-        pg_norm = float(np.abs(pg).max())
+        pg_norm = float(np.maximum.reduce(np.abs(pg)))
         if pg_norm <= inner_tol:
             break
         direction = _newton_direction(z, point, min(_ACTIVE_EPS, pg_norm))
@@ -156,7 +158,7 @@ def solve_subproblem(
         accepted = False
         at_value_floor = False
         for _ in range(_MAX_HALVINGS):
-            z_new = _project(z + t * direction)
+            z_new = _project(z + (direction if t == 1.0 else t * direction))
             decrease = float(grad @ (z_new - z))
             if decrease >= 0.0:
                 # Projection produced no usable descent direction at this
@@ -189,8 +191,13 @@ def _newton_direction(z: np.ndarray, point: _ReducedPoint, eps: float) -> np.nda
     are sent to that bound and drop out of the Hessian, as in Bertsekas'
     projected Newton method; the rest take a Newton step on the
     structured Hessian of :class:`_ReducedPoint`, by elimination of the
-    ``alpha`` border and two Sherman-Morrison updates of the diagonal
-    ``mu`` block.  The ``mu`` block is positive semidefinite and gets a
+    ``alpha`` border.  The diagonal ``mu`` block takes one Sherman-Morrison
+    update per binding budget row (``u = 1`` with ``sigma1``, then ``u = r``
+    with ``sigma2``), applied to ``g_mu``, ``h_cross`` and the later row's
+    ``u`` at once, in the form that stays finite as ``sigma`` grows; where
+    an update's gain exceeds ``_REFINE_GAIN`` it subtracts nearly equal
+    terms, and the solve gets one step of iterative refinement on its
+    residual.  The ``mu`` block is positive semidefinite and gets a
     relative floor; where the Schur complement of ``alpha`` is not
     positive (the objective couples ``alpha`` and ``mu`` bilinearly) the
     ``alpha`` move is a fixed-length step along its reduced descent
@@ -201,16 +208,38 @@ def _newton_direction(z: np.ndarray, point: _ReducedPoint, eps: float) -> np.nda
     g_alpha = float(grad[0])
     mu = z[1:]
     fixed = (mu <= eps) & (grad[1:] > 0.0)
-    floor = 1e-12 * max(float(point.h_diag.max()), point.h_budget1)
+    held = fixed.any()
+    floor = 1e-12 * max(float(np.maximum.reduce(point.h_diag)), point.h_budget1)
     diag = np.maximum(point.h_diag, floor if floor > 0.0 else 1.0)
-    diag[fixed] = 1.0
+    # Columns: the right-hand sides g_mu and h_cross, then the two rows' vectors 1 and r.
     block = np.empty((mu.size, 4))
     block[:, 0] = grad[1:]
     block[:, 1] = point.h_cross
     block[:, 2] = 1.0
     block[:, 3] = point.h_ratio
-    block[fixed] = 0.0
-    solved = _solve_diag_plus_rank_ones(diag, (point.h_budget1, point.h_damp), block)
+    if held:
+        diag[fixed] = 1.0
+        block[fixed] = 0.0
+    sol = block / diag[:, None]
+    steps = []
+    gain = 0.0
+    for c, k in ((point.h_budget1, 2), (point.h_damp, 3)):
+        if c > 0.0:
+            u, y = block[:, k].copy(), sol[:, k].copy()  # contiguous: BLAS sums a strided dot in another order
+            uy = float(u @ y)
+            gain = max(gain, c * uy)
+            denom = 1.0 / c + uy
+            sol -= y[:, None] * ((u @ sol) / denom)
+            steps.append((c, u, y, denom))
+    solved = sol[:, :2]
+    if gain > _REFINE_GAIN:
+        residual = block[:, :2] - diag[:, None] * solved
+        for c, u, _, _ in steps:
+            residual -= (c * u)[:, None] * (u @ solved)
+        fix = residual / diag[:, None]
+        for _, u, y, denom in steps:
+            fix -= y[:, None] * ((u @ fix) / denom)
+        solved = solved + fix
     inv_g, inv_w = solved[:, 0], solved[:, 1]
 
     direction = np.empty_like(z)
@@ -229,55 +258,24 @@ def _newton_direction(z: np.ndarray, point: _ReducedPoint, eps: float) -> np.nda
             direction[0] = _ALPHA_STEP * float(np.sign(reduced))
         d_mu = -(inv_g + inv_w * direction[0])
     direction[1:] = d_mu
-    direction[1:][fixed] = -mu[fixed]
+    if held:
+        direction[1:][fixed] = -mu[fixed]
     return direction
-
-
-def _solve_diag_plus_rank_ones(diag: np.ndarray, weights, block: np.ndarray) -> np.ndarray:
-    """Solve ``(diag(diag) + sum_k c_k u_k u_k^T) X = B``, ``block = [B | u_1 u_2 ..]``.
-
-    Each update with ``c_k > 0`` (one per entry of ``weights``) is folded
-    in by one Sherman-Morrison step applied to every column at once, in
-    the form that stays finite as ``c_k`` grows without bound.  O(n) per
-    column.  A step whose gain ``c_k u_k^T y_k``, with ``y_k`` the solve
-    of ``u_k`` before it, exceeds ``_REFINE_GAIN`` subtracts nearly equal
-    terms and loses about that factor in relative accuracy; the result
-    then gets one step of iterative refinement on its residual, which
-    restores the digits of a dense solve.
-    """
-    m = block.shape[1] - len(weights)
-    updates = block[:, m:].T.copy()  # contiguous: BLAS sums a strided dot in another order
-    sol = block / diag[:, None]
-    steps = []
-    gain = 0.0
-    for k, (c, u) in enumerate(zip(weights, updates)):
-        if c <= 0.0:
-            continue
-        y = sol[:, m + k].copy()
-        uy = float(u @ y)
-        gain = max(gain, c * uy)
-        denom = 1.0 / c + uy
-        sol -= y[:, None] * ((u @ sol) / denom)
-        steps.append((c, u, y, denom))
-    x = sol[:, :m]
-    if gain <= _REFINE_GAIN:
-        return x
-    residual = block[:, :m] - diag[:, None] * x
-    for c, u, _, _ in steps:
-        residual -= (c * u)[:, None] * (u @ x)
-    fix = residual / diag[:, None]
-    for _, u, y, denom in steps:
-        fix -= y[:, None] * ((u @ fix) / denom)
-    return x + fix
 
 
 def optimize(problem: ReducedProblem) -> AlpfResult:
     """Run the full augmented Lagrangian loop over the live pairs.
 
-    The run starts at ``alpha = 1/2`` with an even ``1/n`` share of the
-    source budget on each of the ``n`` live pairs and both slacks at
-    0.05; these slacks only set the violation the first penalty test
-    compares with.  The multipliers start at 0.  With
+    The run starts with an even ``1/n`` share of the source budget on each
+    of the ``n`` live pairs, at ``alpha = min(1/2, g / (2 + g))`` floored
+    at ``ALPHA_MIN``, with ``g`` the mean ``a_n / b_n``: the split at which
+    that share spends the relay budget exactly.  A strong relay thus starts
+    next to its optimum instead of walking ``alpha`` down the step cap.
+    Above 1/2 the start stays at 1/2: a weak relay's optimum drops its
+    expensive pairs and needs less time than the even share, and starting
+    every solve at ``g / (2 + g)`` raised the phi sweep's inner iterations
+    by 17%.  Both slacks start at 0.05; they only set the violation the
+    first penalty test compares with.  The multipliers start at 0.  With
     ``w = bandwidth_hz / (2K)`` and ``slope_n = w / ln 2 / (1 + a_n / n)``,
     the rate's marginal per unit of hop-1 SNR on pair n at that point,
     both rows' penalties start at ``max(1, 10 max_n slope_n a_n)``.  Each
@@ -305,7 +303,10 @@ def optimize(problem: ReducedProblem) -> AlpfResult:
     sub = problem if live.all() else replace(problem, a_coeffs=a[live], b_coeffs=problem.b_coeffs[live])
     n = sub.n_pairs
     even = np.full(n, 1.0 / n)
-    z = np.concatenate(([0.5], even))
+    # The even start's relay usage is g / (2 alpha / (1 - alpha)); each ratio
+    # is divided by n before the sum, which then cannot overflow.
+    g = float(np.add.reduce(sub.a_coeffs / sub.b_coeffs / n))
+    z = np.concatenate(([max(ALPHA_MIN, min(0.5, g / (2.0 + g)))], even))
     # The start point's violation, with both slacks at 0.05: the first
     # penalty test's reference, and the first inner tolerance's at the
     # 1e-3 cap.
@@ -454,12 +455,12 @@ def _penalty(z: np.ndarray, fixed: _Subproblem) -> tuple:
 
     ratio = fixed.half_ratio * ((1.0 - alpha) / alpha)
     usage2 = float(ratio @ mu)
-    row1 = _budget_row(float(mu.sum()), nu1, sig1)
+    row1 = _budget_row(float(np.add.reduce(mu)), nu1, sig1)
     row2 = _budget_row(usage2, nu2, sig2)
     c1, c2 = row1[1], row2[1]
 
     one_amu = 1.0 + fixed.a * mu
-    log_sum = np.log2(one_amu).sum()
+    log_sum = np.add.reduce(np.log2(one_amu))
     value = (
         (alpha - 1.0) * fixed.scale * log_sum
         + (-nu1 * c1 + 0.5 * sig1 * c1 * c1)
@@ -491,7 +492,10 @@ def _eliminate(z: np.ndarray, fixed: _Subproblem, priced: tuple | None = None) -
     u = 1.0 / (alpha * (1.0 - alpha))
     grad = np.empty(mu.size + 1)
     grad[0] = fixed.scale * log_sum - p2 * u * usage2
-    grad[1:] = (alpha - 1.0) * obj_slope + p1 + p2 * ratio
+    grad_mu = grad[1:]
+    np.multiply(alpha - 1.0, obj_slope, out=grad_mu)
+    grad_mu += p1
+    grad_mu += p2 * ratio
 
     h_diag = (1.0 - alpha) * obj_slope * a / one_amu
     h_cross = obj_slope

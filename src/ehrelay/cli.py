@@ -15,7 +15,8 @@ that ``run F`` draws, and ``--seed M`` the one it draws at
 ``selftest`` solves scenario i < ``--trials`` of each seeded stress set
 of ``experiment.STRESS_SETS`` (broad, then corner) on channels from
 ``trial_rng(--seed, 0, i)``, checks that ALPF converges, reaches the
-benchmark and comes within 1% of the oracle, and prints one replay line each.
+benchmark and comes within 1% of the oracle, and prints one replay line each,
+with ALPF's inner iterations.
 
 Exit codes: 0 on success, 1 on validation errors, 2 on a usage error, on
 failed convergence in more than the allowed fraction of ``run``'s trials,
@@ -208,7 +209,7 @@ def _cmd_selftest(args) -> int:
             status = "PASS" if not bad else "FAIL(" + ",".join(bad) + ")"
             print(
                 f"[{kind} {i}/{args.trials}] {status} seed={triple} alpf={alpf.rate_bps!r} "
-                f"oracle={oracle.rate_bps!r} bench={bench.rate_bps!r} {scenario!r}"
+                f"oracle={oracle.rate_bps!r} bench={bench.rate_bps!r} alpf_inner={alpf.inner_iterations} {scenario!r}"
             )
             failures += bool(bad)
     if failures:

@@ -107,27 +107,29 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Per-trial, per-solver result."""
+    """Per-trial, per-solver result; ``inner_iterations`` is ALPF's, 0 for the other solvers."""
 
     rate_bps: float
     alpha: float
     iterations: int
     converged: bool
+    inner_iterations: int
 
 
 def _alpf(problem: ReducedProblem) -> tuple[TrialOutcome, object]:
     res = optimize(problem)
-    return TrialOutcome(res.rate_bps, res.allocation.alpha, res.outer_iterations, res.converged), res
+    alpha = res.allocation.alpha
+    return TrialOutcome(res.rate_bps, alpha, res.outer_iterations, res.converged, res.inner_iterations), res
 
 
 def _oracle(problem: ReducedProblem) -> tuple[TrialOutcome, object]:
     sol = oracle_solve(problem)
-    return TrialOutcome(sol.rate_star, sol.alpha_star, sol.iterations, True), sol
+    return TrialOutcome(sol.rate_star, sol.alpha_star, sol.iterations, True, 0), sol
 
 
 def _benchmark(problem: ReducedProblem) -> tuple[TrialOutcome, object]:
     alloc = benchmark_allocation(problem)
-    return TrialOutcome(achievable_rate(problem, alloc), alloc.alpha, 0, True), alloc
+    return TrialOutcome(achievable_rate(problem, alloc), alloc.alpha, 0, True, 0), alloc
 
 
 # Each solver, in CSV row order: problem -> (its TrialOutcome, the solver's own

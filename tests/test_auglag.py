@@ -120,6 +120,21 @@ def violation_by_hand(point, problem):
     return np.array([sum(mu) + point.s1 - 1.0, sum(relay) + point.s2 - 1.0])
 
 
+def first_start(problem, monkeypatch):
+    """The ``z`` of the first subproblem ``optimize`` solves; the run stops there."""
+    class Started(Exception):
+        pass
+
+    def spy(z, *args):
+        raise Started(z)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(auglag, "solve_subproblem", spy)
+        with pytest.raises(Started) as started:
+            optimize(problem)
+    return started.value.args[0]
+
+
 class TestReducedProblem:
     @pytest.mark.parametrize(
         "a, b, bandwidth",
@@ -381,6 +396,40 @@ class TestSubproblem:
                 seen["both bind"] += 1
         assert min(seen.values()) >= 10, seen
 
+    def test_newton_direction_holds_every_coordinate_at_bound(self):
+        # Weak pairs near 0 under binding budget 1 have every mu pushed
+        # outward, so every mu steps exactly to 0 and the two-row solve has
+        # no free row.  Alpha then moves alone: its reduced gradient and
+        # Schur complement are its own gradient and curvature, under the
+        # same Newton or _ALPHA_STEP rule and the same hold at its bounds.
+        eps = 1e-3
+        rng = np.random.default_rng(54)
+        seen = {"alpha held": 0, "newton": 0, "capped": 0}
+        for _ in range(400):
+            problem, z, nu, sigma = random_state(rng, int(rng.integers(1, 5)), coeff_hi=1e2, bandwidth=2.0)
+            problem = replace(problem, a_coeffs=1e-4 * problem.a_coeffs)
+            nu = sigma * np.array([-2.0, rng.choice([-2.0, 2.0])])
+            z[1:] = eps * rng.uniform(0.0, 1.0, problem.n_pairs)
+            edges = (ALPHA_MIN + eps * rng.uniform(), ALPHA_MAX - eps * rng.uniform())
+            z[0] = rng.choice([*edges, rng.uniform(ALPHA_MIN, 0.05), rng.uniform(0.05, 0.95)])
+            point = assemble(z, nu, sigma, problem)
+            if not np.all(point.gradient[1:] > 0.0):
+                continue
+            step = _newton_direction(z, point, eps)
+            assert np.array_equal(step[1:], -z[1:])
+            g_alpha, schur = float(point.gradient[0]), point.h_alpha
+            if z[0] - ALPHA_MIN <= eps and g_alpha > 0.0:
+                expected, kind = ALPHA_MIN - z[0], "alpha held"
+            elif ALPHA_MAX - z[0] <= eps and g_alpha < 0.0:
+                expected, kind = ALPHA_MAX - z[0], "alpha held"
+            elif schur > 0.0 and abs(g_alpha) < 0.25 * schur:
+                expected, kind = -g_alpha / schur, "newton"
+            else:
+                expected, kind = -0.25 * np.sign(g_alpha), "capped"
+            assert step[0] == expected
+            seen[kind] += 1
+        assert min(seen.values()) >= 10, seen
+
     def test_newton_direction_holds_alpha_at_upper_bound(self):
         # Within eps of ALPHA_MAX with its gradient pushing outward, alpha
         # steps exactly to ALPHA_MAX and drops out of the Hessian, so the
@@ -590,16 +639,16 @@ class TestOptimize:
         "draw, rate_hex, alpha_hex, outer, inner, violation_hex, arrays_sha256",
         [
             (
-                ("crosscheck", 0), "0x1.c6cc73be15b0fp+13", "0x1.d3377a0210627p-5", 4, 16,
-                "0x1.5832908000000p-25", "51c93292833ca0586063722ba31149d6acefa33e7f61c309a1bb7f10accd071e",
+                ("crosscheck", 0), "0x1.c6cc73be15b0fp+13", "0x1.d3377a021062bp-5", 4, 13,
+                "0x1.5832904000000p-25", "660222f21ed7884903eed78a8e532c680125b0f8e03000d4e16fbe50e0e1be86",
             ),
             (
-                ("crosscheck", 1), "0x1.c913c8e02b776p+13", "0x1.26e838a528be8p-4", 4, 29,
-                "0x1.4545e0a800000p-23", "21da1fa7bef412317d06629d64f0259e62eb201cd0362da89c4731a82487976e",
+                ("crosscheck", 1), "0x1.c913c8e02b776p+13", "0x1.26e838a528bd8p-4", 4, 16,
+                "0x1.4545e10000000p-23", "e1b04d751c1786bd998c0aef3c6911554781c883c0b6ca744ba8173e9d8aca8f",
             ),
             (
-                ("crosscheck", 2), "0x1.c325fffde91dap+13", "0x1.021f19975a2b5p-4", 4, 17,
-                "0x1.37f377e000000p-24", "62103f148670b2982ecdd302f7476773b4b5ccc487a4388888a5914c158e8be1",
+                ("crosscheck", 2), "0x1.c325fffde91b2p+13", "0x1.021f19975a049p-4", 4, 15,
+                "0x1.37f38f9000000p-24", "c67ae3b450aa3a5bad5c9356038160f22ef9d5f71adfda8222b2ec17f81db160",
             ),
             (
                 ("phi", 0.1), "0x1.1ab9b72486328p+12", "0x1.c69c30c8bd2f4p-3", 4, 46,
@@ -610,8 +659,8 @@ class TestOptimize:
                 "0x1.269dceac00000p-22", "66e3ff18d6c8188459bfa5118fdae2eab683c5f9bdec5ca3e3a86e03d177efe0",
             ),
             (
-                ("phi", 0.9), "0x1.f2d88b0e2dd71p+11", "0x1.2b1de8d0f4f55p-4", 4, 12,
-                "0x1.a34d540000000p-27", "fd8a1c3b6b916f17ca7cff228a44bc016f863b6116244e1250df1fa718ba9d9c",
+                ("phi", 0.9), "0x1.f2d88b0e2dd70p+11", "0x1.2b1de8d0f4f60p-4", 4, 9,
+                "0x1.a34d800000000p-27", "56e0cf81f53b58e389d899e2ec06131865705b29171c0d67af39020d3c381bef",
             ),
         ],
         ids=["crosscheck-0", "crosscheck-1", "crosscheck-2", "phi-0.1", "phi-0.5", "phi-0.9"],
@@ -644,6 +693,51 @@ class TestOptimize:
         for array in (res.allocation.mu, res.allocation.mu_bar, res.final_nu, res.final_sigma):
             digest.update(array.tobytes())
         assert digest.hexdigest() == arrays_sha256
+
+    def test_iterations_pinned_over_crosscheck_draws(self):
+        # The totals over twenty benchmark draws: a kernel rewrite that
+        # claims the solver's path must keep them.  At alpha = 1/2 for every
+        # start they were (79, 382).
+        outer = inner = 0
+        for trial in range(20):
+            res = optimize(crosscheck_problem(trial))
+            outer += res.outer_iterations
+            inner += res.inner_iterations
+        assert (outer, inner) == (79, 286)
+
+    def test_start_fills_relay_budget(self, monkeypatch):
+        # On the benchmark's draws alpha* is 0.05 to 0.08 and the even start
+        # spends the relay budget at a split below 1/2, where the run starts,
+        # with an even share of the source budget.  A start at 1/2 walked
+        # alpha down the 0.25 step cap first.
+        for trial in range(10):
+            problem = crosscheck_problem(trial)
+            z = first_start(problem, monkeypatch)
+            g = float(np.mean(problem.a_coeffs / problem.b_coeffs))
+            expected = g / (2.0 + g)
+            assert ALPHA_MIN < expected < 0.5
+            assert z[0] == pytest.approx(expected, rel=1e-15, abs=0.0)
+            assert np.array_equal(z[1:], np.full(problem.n_pairs, 1.0 / problem.n_pairs))
+
+    def test_start_of_one_live_pair_skips_dead_pairs(self, monkeypatch):
+        # A dead pair (a = 0 or b = 0) spends no relay power, so g is the
+        # live pair's a / b alone.
+        problem = ReducedProblem(np.array([3.0, 0.0, 5.0]), np.array([50.0, 2.0, 0.0]), 1000.0, 1)
+        z = first_start(problem, monkeypatch)
+        assert z.size == 2
+        assert z[0] == pytest.approx(0.06 / 2.06, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "a, b, start",
+        [([1e-6, 2e-6], [1.0, 1.0], ALPHA_MIN), ([1.5e308, 1.0e308], [1.0, 1.0], 0.5), ([4.0, 4.0], [1.0, 2.0], 0.5)],
+        ids=["floor", "near-overflow", "weak-relay"],
+    )
+    def test_start_at_the_split_limits(self, a, b, start, monkeypatch):
+        # g so small that g / (2 + g) falls below ALPHA_MIN starts at the
+        # floor; a / b near the largest double sums without overflow (a
+        # RuntimeWarning fails the suite); g >= 2 keeps the start at 1/2.
+        problem = ReducedProblem(np.array(a), np.array(b), 1000.0, 1)
+        assert first_start(problem, monkeypatch)[0] == start
 
     def test_dead_pair_gets_no_relay_power(self):
         # A pair with no hop-2 gain (b = 0) or no hop-1 gain (a = 0) adds no

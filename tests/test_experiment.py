@@ -629,7 +629,8 @@ class TestCli:
         # At the default seed, the stress instances the solver tests draw;
         # at --seed 6, other channels for the same scenarios.  Each line is
         # a replay record: the trial_rng seed triple, every rate by repr,
-        # the exact scenario and the status those rates give.
+        # ALPF's inner iterations, the exact scenario and the status those
+        # rates give.
         instances = [(kind, i, s) for kind in STRESS_SETS for i, s in enumerate(islice(stress_scenarios(kind), 3))]
         for argv, seed in [([], 99), (["--seed", "6"], 6)]:
             code = cli.main(["selftest", "--trials", "3", *argv])
@@ -648,7 +649,8 @@ class TestCli:
                 failures += bool(bad)
                 assert line == (
                     f"[{kind} {i}/3] {status} seed=({seed}, 0, {i}) alpf={alpf.rate_bps!r} "
-                    f"oracle={oracle.rate_bps!r} bench={bench.rate_bps!r} {scenario!r}"
+                    f"oracle={oracle.rate_bps!r} bench={bench.rate_bps!r} "
+                    f"alpf_inner={alpf.inner_iterations} {scenario!r}"
                 )
             summary = f"selftest FAILED on {failures}/6 instances" if failures else "selftest passed on all 6 instances"
             assert (code, lines[6:]) == (2 if failures else 0, [summary])
