@@ -28,9 +28,9 @@ The solver iterates on the point ``z = (alpha, mu)``; the slacks are
 eliminated in closed form at every trial point.  The penalty's Hessian
 over ``z`` is a diagonal plus the rank-one terms ``sigma1 11^T`` and
 ``sigma2 r r^T`` of the binding budgets, bordered by the ``alpha`` row,
-so each inner iteration is a projected Newton step solved in O(n) by one
-Sherman-Morrison update per binding row, followed by Armijo backtracking
-by halving along the projection arc.
+so each inner iteration is a projected Newton step solved in O(n) by
+Woodbury's identity, per-row inner products and a 2x2 capacitance solve,
+followed by Armijo backtracking by halving along the projection arc.
 The Newton subproblem solver follows the practice in Birgin & Martinez,
 *Practical Augmented Lagrangian Methods for Constrained Optimization*
 (SIAM, 2014).
@@ -39,6 +39,7 @@ The Newton subproblem solver follows the practice in Birgin & Martinez,
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import inf
 
 import numpy as np
 
@@ -59,9 +60,10 @@ _MAX_HALVINGS = 60
 # bound, and the largest time-split move of one Newton step.
 _ACTIVE_EPS = 1e-3
 _ALPHA_STEP = 0.25
-# Gain ``sigma u^T D^-1 u`` of a budget row's Sherman-Morrison update above
-# which the two-row Newton solve is refined once: below it the solve keeps
-# about 12 significant digits, above it one refinement step restores them.
+# Rounding gain of the Newton step's 2x2 capacitance solve (a budget row's
+# ``sigma u^T D^-1 u``, row 1's times the cancellation in row 2's pivot)
+# above which the step takes the rows' Sherman-Morrison updates in turn and
+# one refinement step: below it the solve keeps about 10 significant digits.
 _REFINE_GAIN = 1e4
 # Stopping violation and the outer and per-subproblem inner iteration caps.
 _EPS = 1e-6
@@ -94,41 +96,29 @@ class AlpfResult:
     stalled: bool
 
 
-def update_multipliers(nu: np.ndarray, sigma: np.ndarray, violation_new: np.ndarray) -> np.ndarray:
-    """Multiplier step: each ``nu`` moves by ``-sigma * c`` of its constraint."""
-    return nu - sigma * violation_new
+def update_multipliers(nu: float, sigma: float, violation: float) -> float:
+    """Multiplier step of one row: ``nu`` moves by ``-sigma * c``."""
+    return nu - sigma * violation
 
 
-def update_penalties(
-    sigma: np.ndarray,
-    violation_new: np.ndarray,
-    violation_old: np.ndarray,
-    outer_iter: int,
-) -> np.ndarray:
-    """Per-constraint penalty growth on insufficient violation decrease.
-
-    A penalty is kept when ``|c_new| <= |c_old| / 4`` and otherwise grows
-    to ``max(10 sigma, k^2)`` where ``k`` is the 1-based outer iteration.
-    """
+def update_penalties(sigma: float, violation_new: float, violation_old: float, outer_iter: int) -> float:
+    """One row's penalty: kept when ``|c_new| <= |c_old| / 4``, otherwise grown
+    to ``max(10 sigma, k^2)`` where ``k`` is the 1-based outer iteration."""
     if outer_iter < 1:
         raise ValueError("outer_iter must be >= 1")
-    keep = np.abs(violation_new) <= 0.25 * np.abs(violation_old)
-    grown = np.maximum(10.0 * sigma, float(outer_iter) ** 2)
-    return np.where(keep, sigma, grown)
+    if abs(violation_new) <= 0.25 * abs(violation_old):
+        return sigma
+    return max(10.0 * sigma, float(outer_iter) ** 2)
 
 
 def solve_subproblem(
-    z: np.ndarray,
-    nu: np.ndarray,
-    sigma: np.ndarray,
-    problem: ReducedProblem,
-    inner_tol: float,
+    z: np.ndarray, nu, sigma, problem: ReducedProblem, inner_tol: float
 ) -> tuple[_ReducedPoint, int, bool]:
     """Approximately minimize the penalty over the box, from ``z = (alpha, mu)``.
 
     Every pair of ``problem`` must have ``b > 0``; ``optimize`` passes
-    the live pairs only.  The multipliers ``nu`` and penalties ``sigma``
-    stay fixed.  Projected Newton over ``z`` with Armijo backtracking
+    the live pairs only.  The two rows' multipliers ``nu`` and penalties
+    ``sigma`` stay fixed.  Projected Newton over ``z`` with Armijo backtracking
     (halving from trial step 1.0) along the projection arc.  The slacks
     are restored by exact partial minimization at every trial point, so
     the returned point never has a larger penalty value than the
@@ -159,7 +149,7 @@ def solve_subproblem(
         at_value_floor = False
         for _ in range(_MAX_HALVINGS):
             z_new = _project(z + (direction if t == 1.0 else t * direction))
-            decrease = float(grad @ (z_new - z))
+            decrease = float(grad.dot(z_new - z))
             if decrease >= 0.0:
                 # Projection produced no usable descent direction at this
                 # step length; shrink and retry.
@@ -191,18 +181,23 @@ def _newton_direction(z: np.ndarray, point: _ReducedPoint, eps: float) -> np.nda
     are sent to that bound and drop out of the Hessian, as in Bertsekas'
     projected Newton method; the rest take a Newton step on the
     structured Hessian of :class:`_ReducedPoint`, by elimination of the
-    ``alpha`` border.  The diagonal ``mu`` block takes one Sherman-Morrison
-    update per binding budget row (``u = 1`` with ``sigma1``, then ``u = r``
-    with ``sigma2``), applied to ``g_mu``, ``h_cross`` and the later row's
-    ``u`` at once, in the form that stays finite as ``sigma`` grows; where
-    an update's gain exceeds ``_REFINE_GAIN`` it subtracts nearly equal
-    terms, and the solve gets one step of iterative refinement on its
-    residual.  The ``mu`` block is positive semidefinite and gets a
-    relative floor; where the Schur complement of ``alpha`` is not
-    positive (the objective couples ``alpha`` and ``mu`` bilinearly) the
-    ``alpha`` move is a fixed-length step along its reduced descent
-    direction, which keeps the whole direction a descent direction.
-    The ``alpha`` move is limited to ``_ALPHA_STEP`` either way.
+    ``alpha`` border.  The ``mu`` block ``D + U C U^T``, ``U = [1, r]`` and
+    ``C`` the binding rows' penalties, is solved by Woodbury's identity
+    (Hager, SIAM Review 31(2), 1989): the rows ``g_mu, h_cross, 1, r`` are
+    divided once by ``D``, three matrix-vector products give their inner
+    products with ``h_cross``, ``1`` and ``r``, the 2x2 capacitance system
+    ``C^-1 + U^T D^-1 U`` is solved in floats with row 1 eliminated first,
+    and one more product forms ``d_mu``.  Where row 1's gain
+    ``sigma1 1^T D^-1 1`` times the cancellation in row 2's pivot (large
+    where the rows are nearly parallel: one live pair, or ``a / b``
+    constant), or row 2's gain, exceeds ``_REFINE_GAIN``, the rows instead
+    take their Sherman-Morrison updates in turn plus one refinement step.
+    The ``mu`` block is positive semidefinite and gets a relative floor;
+    where the Schur complement of ``alpha`` is not positive (the objective
+    couples ``alpha`` and ``mu`` bilinearly) the ``alpha`` move is a
+    fixed-length step along its reduced descent direction, which keeps the
+    whole direction a descent direction.  The ``alpha`` move is limited to
+    ``_ALPHA_STEP`` either way.
     """
     grad = point.gradient
     g_alpha = float(grad[0])
@@ -211,53 +206,58 @@ def _newton_direction(z: np.ndarray, point: _ReducedPoint, eps: float) -> np.nda
     held = fixed.any()
     floor = 1e-12 * max(float(np.maximum.reduce(point.h_diag)), point.h_budget1)
     diag = np.maximum(point.h_diag, floor if floor > 0.0 else 1.0)
-    # Columns: the right-hand sides g_mu and h_cross, then the two rows' vectors 1 and r.
-    block = np.empty((mu.size, 4))
-    block[:, 0] = grad[1:]
-    block[:, 1] = point.h_cross
-    block[:, 2] = 1.0
-    block[:, 3] = point.h_ratio
+    block = point.block
     if held:
         diag[fixed] = 1.0
-        block[fixed] = 0.0
-    sol = block / diag[:, None]
-    steps = []
-    gain = 0.0
-    for c, k in ((point.h_budget1, 2), (point.h_damp, 3)):
-        if c > 0.0:
-            u, y = block[:, k].copy(), sol[:, k].copy()  # contiguous: BLAS sums a strided dot in another order
-            uy = float(u @ y)
-            gain = max(gain, c * uy)
-            denom = 1.0 / c + uy
-            sol -= y[:, None] * ((u @ sol) / denom)
-            steps.append((c, u, y, denom))
-    solved = sol[:, :2]
-    if gain > _REFINE_GAIN:
-        residual = block[:, :2] - diag[:, None] * solved
+        block = np.where(fixed, 0.0, block)
+    sol = block / diag
+    c1, c2 = point.h_budget1, point.h_damp
+    # ndarray.dot, not @: the same BLAS call at a third of matmul's dispatch cost.
+    g1, w1, s11, s1r = sol.dot(block[2]).tolist()
+    g2, w2, _, srr = sol.dot(block[3]).tolist()
+    # A slack row has no penalty; 1 / sigma = inf drops it from the 2x2 system.
+    pivot1 = (1.0 / c1 if c1 > 0.0 else inf) + s11
+    lead = s1r / pivot1
+    left = srr - lead * s1r  # cancels by srr / left where the rows are nearly parallel
+    # Weights of the rows 1 and r of sol in the solutions for g_mu and h_cross.
+    x1g = x1w = x2g = x2w = 0.0
+    if max(c1 * s11 * srr, c2 * left * left) <= _REFINE_GAIN * left:
+        pivot2 = (1.0 / c2 if c2 > 0.0 else inf) + left
+        x2g, x2w = (g2 - lead * g1) / pivot2, (w2 - lead * w1) / pivot2
+        x1g, x1w = (g1 - s1r * x2g) / pivot1, (w1 - s1r * x2w) / pivot1
+    else:
+        steps = []
+        for c, k in ((c1, 2), (c2, 3)):
+            if c > 0.0:
+                u, y = block[k], sol[k].copy()
+                denom = 1.0 / c + float(u.dot(y))
+                sol -= np.multiply.outer(sol.dot(u) / denom, y)
+                steps.append((c, u, y, denom))
+        solved = sol[:2]
+        residual = block[:2] - solved * diag
         for c, u, _, _ in steps:
-            residual -= (c * u)[:, None] * (u @ solved)
-        fix = residual / diag[:, None]
+            residual -= np.multiply.outer(solved.dot(u), c * u)
+        fix = residual / diag
         for _, u, y, denom in steps:
-            fix -= y[:, None] * ((u @ fix) / denom)
-        solved = solved + fix
-    inv_g, inv_w = solved[:, 0], solved[:, 1]
+            fix -= np.multiply.outer(fix.dot(u) / denom, y)
+        solved += fix
+    hg, hw, h1, hr = sol.dot(block[1]).tolist()  # h_cross against every row of sol
 
     direction = np.empty_like(z)
+    step = 0.0
     if z[0] - ALPHA_MIN <= eps and g_alpha > 0.0:
         direction[0] = ALPHA_MIN - z[0]
-        d_mu = -inv_g
     elif ALPHA_MAX - z[0] <= eps and g_alpha < 0.0:
         direction[0] = ALPHA_MAX - z[0]
-        d_mu = -inv_g
     else:
-        reduced = -g_alpha + float(point.h_cross @ inv_g)
-        schur = point.h_alpha - float(point.h_cross @ inv_w)
+        reduced = -g_alpha + (hg - x1g * h1 - x2g * hr)
+        schur = point.h_alpha - (hw - x1w * h1 - x2w * hr)
         if schur > 0.0 and abs(reduced) < _ALPHA_STEP * schur:
-            direction[0] = reduced / schur
+            step = reduced / schur
         else:
-            direction[0] = _ALPHA_STEP * float(np.sign(reduced))
-        d_mu = -(inv_g + inv_w * direction[0])
-    direction[1:] = d_mu
+            step = _ALPHA_STEP * float(np.sign(reduced))
+        direction[0] = step
+    direction[1:] = np.array((-1.0, -step, x1g + step * x1w, x2g + step * x2w)).dot(sol)
     if held:
         direction[1:][fixed] = -mu[fixed]
     return direction
@@ -281,8 +281,9 @@ def optimize(problem: ReducedProblem) -> AlpfResult:
     both rows' penalties start at ``max(1, 10 max_n slope_n a_n)``.  Each
     outer iteration solves the penalized subproblem warm-started at the
     previous point, stops if max |c| is at most ``_EPS`` = 1e-6, and
-    otherwise updates penalties then multipliers (the multiplier step
-    uses the penalties in force during the solve).  At most
+    otherwise steps each row's multiplier with the penalty in force during
+    the solve, then grows that penalty; the rows' multipliers, penalties
+    and residuals are kept as Python floats.  At most
     ``_MAX_OUTER_ITERS`` = 100 outer iterations run, each capped at
     ``_MAX_INNER_ITERS`` = 5000 inner iterations.
 
@@ -310,8 +311,8 @@ def optimize(problem: ReducedProblem) -> AlpfResult:
     # The start point's violation, with both slacks at 0.05: the first
     # penalty test's reference, and the first inner tolerance's at the
     # 1e-3 cap.
-    c_prev = np.full(2, even.sum() + 0.05 - 1.0)
-    nu = np.zeros(2)
+    c_prev = (float(even.sum()) + 0.05 - 1.0,) * 2
+    nu = (0.0, 0.0)
     # Each penalty starts at ten times the scale its multiplier settles at,
     # the rate's marginal per unit of its row's violation.  A unit start is
     # 1 bit/s per unit of violation squared: its pull hangs on the unit of
@@ -320,7 +321,7 @@ def optimize(problem: ReducedProblem) -> AlpfResult:
     # 2014); the floor of 1 keeps every penalty at least as hard as a unit
     # start.
     slope = sub.bandwidth_hz / (2.0 * sub.k_subcarriers) / _LN2 / (1.0 + sub.a_coeffs / n)
-    sigma = np.full(2, max(1.0, 10.0 * float((slope * sub.a_coeffs).max())))
+    sigma = (max(1.0, 10.0 * float((slope * sub.a_coeffs).max())),) * 2
 
     converged = False
     stalled = False
@@ -329,19 +330,19 @@ def optimize(problem: ReducedProblem) -> AlpfResult:
         # Violation-proportional tolerance, capped: a loose early tolerance
         # lets the subproblem exit at non-stationary points whose violation
         # happens to be small, which derails the multiplier updates.
-        inner_tol = max(1e-8, 0.1 * min(float(np.max(np.abs(c_prev))), 1e-2))
+        inner_tol = max(1e-8, 0.1 * min(max(map(abs, c_prev)), 1e-2))
         point, iterations, sub_stalled = solve_subproblem(z, nu, sigma, sub, inner_tol)
         total_inner += iterations
         stalled = stalled or sub_stalled
         z = point.z
         c_new = point.residual
-        final_violation = float(np.max(np.abs(c_new)))
+        final_violation = max(map(abs, c_new))
         if final_violation <= _EPS:
             converged = iterations < _MAX_INNER_ITERS
             break
-        sigma_used = sigma
-        sigma = update_penalties(sigma, c_new, c_prev, k)
-        nu = update_multipliers(nu, sigma_used, c_new)
+        # The multiplier step uses the penalties in force during the solve.
+        nu = tuple(map(update_multipliers, nu, sigma, c_new))
+        sigma = tuple(update_penalties(*row, k) for row in zip(sigma, c_new, c_prev))
         c_prev = c_new
 
     # The stop allows each budget an overshoot up to _EPS; one common scale
@@ -359,8 +360,8 @@ def optimize(problem: ReducedProblem) -> AlpfResult:
         outer_iterations=k,
         inner_iterations=total_inner,
         final_violation=final_violation,
-        final_nu=nu.copy(),
-        final_sigma=sigma.copy(),
+        final_nu=np.array(nu),
+        final_sigma=np.array(sigma),
         stalled=stalled,
     )
 
@@ -375,7 +376,7 @@ def _project(z: np.ndarray) -> np.ndarray:
 class _ReducedPoint:
     """Point ``z = (alpha, mu)`` with its eliminated slacks ``s1, s2``.
 
-    ``residual`` is ``[c1, c2]``, and ``value`` and ``gradient`` are the
+    ``residual`` is ``(c1, c2)``, and ``value`` and ``gradient`` are the
     penalty value and its gradient over ``z``.  ``h_ratio`` is ``r``,
     the relay power per unit of source power on each pair, so the
     relay powers are ``r mu``.  The Hessian over ``z`` (exact inside the
@@ -385,25 +386,33 @@ class _ReducedPoint:
          [h_cross, diag(h_diag) + h_budget1 11^T + h_damp h_ratio h_ratio^T]]
 
     with ``h_budget1`` and ``h_damp`` the penalties of the binding
-    budgets (0 for a slack one), so a Newton step costs O(n).
+    budgets (0 for a slack one), so a Newton step costs O(n).  ``block``
+    holds the rows ``g_mu, h_cross, 1, r`` that the step reads.
     """
 
     z: np.ndarray
     s1: float
     s2: float
-    residual: np.ndarray
+    residual: tuple[float, float]
     value: float
     gradient: np.ndarray
     h_alpha: float
-    h_cross: np.ndarray
     h_diag: np.ndarray
     h_budget1: float
     h_damp: float
-    h_ratio: np.ndarray
+    block: np.ndarray
+
+    @property
+    def h_cross(self) -> np.ndarray:
+        return self.block[1]
+
+    @property
+    def h_ratio(self) -> np.ndarray:
+        return self.block[3]
 
     @property
     def mu_bar(self) -> np.ndarray:
-        return self.h_ratio * self.z[1:]
+        return self.block[3] * self.z[1:]
 
 
 class _Subproblem:
@@ -454,7 +463,7 @@ def _penalty(z: np.ndarray, fixed: _Subproblem) -> tuple:
     sig1, sig2 = fixed.sigma
 
     ratio = fixed.half_ratio * ((1.0 - alpha) / alpha)
-    usage2 = float(ratio @ mu)
+    usage2 = float(ratio.dot(mu))
     row1 = _budget_row(float(np.add.reduce(mu)), nu1, sig1)
     row2 = _budget_row(usage2, nu2, sig2)
     c1, c2 = row1[1], row2[1]
@@ -488,22 +497,23 @@ def _eliminate(z: np.ndarray, fixed: _Subproblem, priced: tuple | None = None) -
     mu = z[1:]
     a = fixed.a
 
-    obj_slope = fixed.obj_coeff / one_amu
     u = 1.0 / (alpha * (1.0 - alpha))
     grad = np.empty(mu.size + 1)
     grad[0] = fixed.scale * log_sum - p2 * u * usage2
-    grad_mu = grad[1:]
+    block = np.empty((4, mu.size))
+    grad_mu, h_cross, ones, r = block
+    obj_slope = np.divide(fixed.obj_coeff, one_amu, out=h_cross)
     np.multiply(alpha - 1.0, obj_slope, out=grad_mu)
     grad_mu += p1
     grad_mu += p2 * ratio
+    grad[1:] = grad_mu
+    ones.fill(1.0)
+    r[:] = ratio
 
     h_diag = (1.0 - alpha) * obj_slope * a / one_amu
-    h_cross = obj_slope
     h_alpha = 0.0
     if h_damp > 0.0:
         pull = fixed.sigma[1] * usage2 + p2
-        h_cross = h_cross - u * pull * ratio
+        h_cross -= u * pull * ratio
         h_alpha = u * u * usage2 * (pull + (1.0 - 2.0 * alpha) * p2)
-    return _ReducedPoint(
-        z, s1, s2, np.array((c1, c2)), value, grad, h_alpha, h_cross, h_diag, h_budget1, h_damp, ratio
-    )
+    return _ReducedPoint(z, s1, s2, (c1, c2), value, grad, h_alpha, h_diag, h_budget1, h_damp, block)

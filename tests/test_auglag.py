@@ -349,6 +349,63 @@ class TestSubproblem:
             checked += 1
         assert checked >= 10
 
+    def test_newton_direction_matches_dense_solve_on_benchmark_paths(self, monkeypatch):
+        # The states where both budgets bind along five benchmark solves
+        # (n = 64), taken with no coordinate held: wherever the Hessian is
+        # positive definite and the alpha move is below the cap, the
+        # Woodbury step is the dense Newton step.
+        states = []
+
+        def recorded(z, point, eps):
+            states.append((z, point))
+            return _newton_direction(z, point, eps)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(auglag, "_newton_direction", recorded)
+            for trial in range(5):
+                optimize(crosscheck_problem(trial))
+        checked = 0
+        for z, point in states:
+            if point.h_budget1 == 0.0 or point.h_damp == 0.0 or not np.all(z[1:] > 0.0):
+                continue
+            hess = dense_hessian(point)
+            if np.linalg.eigvalsh(hess).min() <= 0.0:
+                continue
+            dense = -np.linalg.solve(hess, point.gradient)
+            if abs(dense[0]) >= 0.25:
+                continue
+            step = _newton_direction(z, point, 0.0)
+            assert np.max(np.abs(step - dense)) <= 1e-10 * np.max(np.abs(dense))
+            checked += 1
+        assert checked >= 50, checked
+
+    @pytest.mark.parametrize("sigma, tol", [(1e2, 1e-7), (1e6, 1e-7), (1e10, 1e-7), (1e12, 1e-3)])
+    def test_newton_direction_on_parallel_rows(self, sigma, tol):
+        # One live pair, or a / b the same on every pair (n = 2, 8, 64),
+        # makes the two budget rows parallel, so row 2's pivot cancels once
+        # row 1 is eliminated.  With both budgets binding at penalty sigma
+        # the mu rows of the step solve their own system,
+        # H_mu d_mu + h_cross d_alpha = -g_mu, to tol of the gradient; the
+        # rows' gains reach 1e15 at sigma = 1e10 and 1e17 at 1e12.
+        rng = np.random.default_rng(60)
+        for n in (1, 2, 8, 64):
+            for _ in range(25):
+                b = rng.uniform(1.0, 1e2, n)
+                a = rng.uniform(1.0, 1e2, n) if n == 1 else rng.uniform(1.0, 1e2) * b
+                problem = ReducedProblem(a, b, 2.0, int(rng.integers(1, 4)))
+                alpha = rng.uniform(0.05, 0.9)
+                r = a[0] / b[0] * (1.0 - alpha) / (2.0 * alpha)
+                # Both budgets overspent, so both bind at nu = 0.
+                mu = rng.dirichlet(np.ones(n)) * rng.uniform(1.01, 2.0) * max(1.0, 1.0 / r)
+                z = np.concatenate(([alpha], mu))
+                point = assemble(z, np.zeros(2), np.full(2, sigma), problem)
+                assert point.h_budget1 == point.h_damp == sigma
+                step = _newton_direction(z, point, 0.0)
+                hess = dense_hessian(point)
+                grad = point.gradient
+                residual = hess[1:, 1:] @ step[1:] + hess[1:, 0] * step[0] + grad[1:]
+                assert np.max(np.abs(residual)) <= tol * np.max(np.abs(grad[1:]))
+
     def test_newton_direction_holds_coordinates_at_bound(self):
         # With eps > 0, every mu within eps of 0 whose gradient pushes it
         # outward steps exactly to 0 and drops out of the Hessian.  The free
@@ -477,51 +534,52 @@ class TestSubproblem:
 
 
 class TestUpdates:
+    # Each rule takes and returns the floats of one budget row.
     def test_multipliers_unchanged_at_zero_violation(self):
-        nu = np.array([0.5, -0.5, 1.0])
-        out = update_multipliers(nu, np.ones(3), np.zeros(3))
-        assert np.array_equal(out, nu)
+        for nu in (0.5, -0.5, 1.0):
+            assert update_multipliers(nu, 1.0, 0.0) == nu
 
     def test_multiplier_step(self):
-        out = update_multipliers(np.zeros(1), np.ones(1), np.array([0.3]))
-        assert out[0] == pytest.approx(-0.3)
+        out = update_multipliers(0.0, 1.0, 0.3)
+        assert type(out) is float
+        assert out == pytest.approx(-0.3)
 
     def test_multipliers_match_recomputation(self):
         rng = np.random.default_rng(45)
         nu = rng.normal(size=6)
         sigma = rng.uniform(0.5, 30.0, 6)
         c = rng.normal(size=6)
-        out = update_multipliers(nu, sigma, c)
         for i in range(6):
-            assert out[i] == pytest.approx(nu[i] - sigma[i] * c[i], rel=1e-15)
+            out = update_multipliers(float(nu[i]), float(sigma[i]), float(c[i]))
+            assert out == pytest.approx(nu[i] - sigma[i] * c[i], rel=1e-15)
 
     def test_penalties_kept_on_sufficient_decrease(self):
-        out = update_penalties(np.array([7.0]), np.array([0.05]), np.array([0.4]), 3)
-        assert out[0] == 7.0
+        assert update_penalties(7.0, 0.05, 0.4, 3) == 7.0
 
     def test_penalties_grow_tenfold(self):
-        out = update_penalties(np.array([1.0]), np.array([0.3]), np.array([0.4]), 1)
-        assert out[0] == 10.0
+        out = update_penalties(1.0, 0.3, 0.4, 1)
+        assert type(out) is float
+        assert out == 10.0
 
     def test_penalties_grow_to_iteration_square(self):
-        out = update_penalties(np.array([5.0]), np.array([0.3]), np.array([0.4]), 12)
-        assert out[0] == 144.0
+        assert update_penalties(5.0, 0.3, 0.4, 12) == 144.0
 
     def test_boundary_equality_keeps_sigma(self):
-        out = update_penalties(np.array([3.0]), np.array([0.1]), np.array([0.4]), 5)
-        assert out[0] == 3.0
+        assert update_penalties(3.0, 0.1, 0.4, 5) == 3.0
 
     def test_sequence_nondecreasing(self):
+        # Four rows, each run through the rule on its own.
         rng = np.random.default_rng(46)
-        sigma = np.ones(4)
+        sigma = [1.0] * 4
         for k in range(1, 30):
-            new = update_penalties(sigma, rng.random(4), rng.random(4), k)
-            assert (new >= sigma).all()
+            c_new, c_old = rng.random(4).tolist(), rng.random(4).tolist()
+            new = [update_penalties(*row, k) for row in zip(sigma, c_new, c_old)]
+            assert all(grown >= old for grown, old in zip(new, sigma))
             sigma = new
 
     def test_rejects_bad_iteration_index(self):
         with pytest.raises(ValueError):
-            update_penalties(np.ones(1), np.ones(1), np.ones(1), 0)
+            update_penalties(1.0, 1.0, 1.0, 0)
 
 
 class TestOptimize:
@@ -639,28 +697,28 @@ class TestOptimize:
         "draw, rate_hex, alpha_hex, outer, inner, violation_hex, arrays_sha256",
         [
             (
-                ("crosscheck", 0), "0x1.c6cc73be15b0fp+13", "0x1.d3377a021062bp-5", 4, 13,
-                "0x1.5832904000000p-25", "660222f21ed7884903eed78a8e532c680125b0f8e03000d4e16fbe50e0e1be86",
+                ("crosscheck", 0), "0x1.c6cc73be15b0fp+13", "0x1.d3377a0210627p-5", 4, 13,
+                "0x1.583290a000000p-25", "23b576d7d24af410e380625ede64f89a5d1b84e4e78943a9d222ed49fb95fd0d",
             ),
             (
-                ("crosscheck", 1), "0x1.c913c8e02b776p+13", "0x1.26e838a528bd8p-4", 4, 16,
-                "0x1.4545e10000000p-23", "e1b04d751c1786bd998c0aef3c6911554781c883c0b6ca744ba8173e9d8aca8f",
+                ("crosscheck", 1), "0x1.c913c8e02b776p+13", "0x1.26e838a528bdap-4", 4, 16,
+                "0x1.4545e0f000000p-23", "61e449c9cec98e98269d9fb8a2de45710d410061bf79f03a1d09291217712c7e",
             ),
             (
-                ("crosscheck", 2), "0x1.c325fffde91b2p+13", "0x1.021f19975a049p-4", 4, 15,
-                "0x1.37f38f9000000p-24", "c67ae3b450aa3a5bad5c9356038160f22ef9d5f71adfda8222b2ec17f81db160",
+                ("crosscheck", 2), "0x1.c325fffde91b1p+13", "0x1.021f19975a047p-4", 4, 15,
+                "0x1.37f38fa000000p-24", "8d939ece830d7b17a28fa81ee2bc4a3df0eb10d30cfc715b304d29628fd779e7",
             ),
             (
-                ("phi", 0.1), "0x1.1ab9b72486328p+12", "0x1.c69c30c8bd2f4p-3", 4, 46,
-                "0x1.e079530000000p-27", "1a75a1e54355c04b8241381cbbcc31ca5d5ce8610156f5f64e5429c6fb3fb77b",
+                ("phi", 0.1), "0x1.1ab9b72486328p+12", "0x1.c69c30c8bd2f3p-3", 4, 46,
+                "0x1.e079530000000p-27", "85898caab30f0147af1a61c058918c39687a8fd0e14393be7adf3ea64f9ee4d3",
             ),
             (
                 ("phi", 0.5), "0x1.8d3aed5bc5017p+10", "0x1.362ed74f4ab88p-2", 3, 66,
-                "0x1.269dceac00000p-22", "66e3ff18d6c8188459bfa5118fdae2eab683c5f9bdec5ca3e3a86e03d177efe0",
+                "0x1.269dceb000000p-22", "4fe893ac991682ded18b59107aaeb0121c31eeb9e8ff2eae113966c7ffb046e0",
             ),
             (
                 ("phi", 0.9), "0x1.f2d88b0e2dd70p+11", "0x1.2b1de8d0f4f60p-4", 4, 9,
-                "0x1.a34d800000000p-27", "56e0cf81f53b58e389d899e2ec06131865705b29171c0d67af39020d3c381bef",
+                "0x1.a34d800000000p-27", "65eae036e7619fda6c5ccf9971e03d8e38a67f53a5c425142ba26a94acba61a6",
             ),
         ],
         ids=["crosscheck-0", "crosscheck-1", "crosscheck-2", "phi-0.1", "phi-0.5", "phi-0.9"],

@@ -281,7 +281,7 @@ class TestCsv:
         path = tmp_path / "out.csv"
         emit_csv(run(spec), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "a3ffe30e62710faa111a17cdbabb99ca3dadec20a5e293d5bbabb30e7036d012"
+            "6d29c150e688ea35e382687b39839049914c079c91b413ff0c690e149b23fd9d"
         )
 
     def test_unwritable_path_raises_oserror(self, small_spec):
@@ -522,7 +522,7 @@ class TestCli:
         # move the last bits, which is then a reason to re-record.
         assert cli.main(["single", "--seed", "3"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "bea445daf5c403e95f5e88b13c4db0554a88de14e51ab3af64b038af3189bc4c"
+            "ad1f54d308beb8f438394279f21b65349ea73e41b9f9513375356cdf85e0453e"
         )
 
     @pytest.mark.parametrize("unbuffered", ["1", ""])
