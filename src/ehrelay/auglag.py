@@ -60,10 +60,8 @@ _MAX_HALVINGS = 60
 # bound, and the largest time-split move of one Newton step.
 _ACTIVE_EPS = 1e-3
 _ALPHA_STEP = 0.25
-# Rounding gain of the Newton step's 2x2 capacitance solve (a budget row's
-# ``sigma u^T D^-1 u``, row 1's times the cancellation in row 2's pivot)
-# above which the step takes the rows' Sherman-Morrison updates in turn and
-# one refinement step: below it the solve keeps about 10 significant digits.
+# Rounding gain (a row's ``sigma u^T D^-1 u``, row 1's times row 2's pivot cancellation)
+# up to which the 2x2 capacitance solve keeps 10 digits; a sequential update above it is refined.
 _REFINE_GAIN = 1e4
 # Stopping violation and the outer and per-subproblem inner iteration caps.
 _EPS = 1e-6
@@ -181,23 +179,19 @@ def _newton_direction(z: np.ndarray, point: _ReducedPoint, eps: float) -> np.nda
     are sent to that bound and drop out of the Hessian, as in Bertsekas'
     projected Newton method; the rest take a Newton step on the
     structured Hessian of :class:`_ReducedPoint`, by elimination of the
-    ``alpha`` border.  The ``mu`` block ``D + U C U^T``, ``U = [1, r]`` and
-    ``C`` the binding rows' penalties, is solved by Woodbury's identity
-    (Hager, SIAM Review 31(2), 1989): the rows ``g_mu, h_cross, 1, r`` are
-    divided once by ``D``, three matrix-vector products give their inner
-    products with ``h_cross``, ``1`` and ``r``, the 2x2 capacitance system
-    ``C^-1 + U^T D^-1 U`` is solved in floats with row 1 eliminated first,
-    and one more product forms ``d_mu``.  Where row 1's gain
-    ``sigma1 1^T D^-1 1`` times the cancellation in row 2's pivot (large
-    where the rows are nearly parallel: one live pair, or ``a / b``
-    constant), or row 2's gain, exceeds ``_REFINE_GAIN``, the rows instead
-    take their Sherman-Morrison updates in turn plus one refinement step.
-    The ``mu`` block is positive semidefinite and gets a relative floor;
-    where the Schur complement of ``alpha`` is not positive (the objective
-    couples ``alpha`` and ``mu`` bilinearly) the ``alpha`` move is a
-    fixed-length step along its reduced descent direction, which keeps the
-    whole direction a descent direction.  The ``alpha`` move is limited to
-    ``_ALPHA_STEP`` either way.
+    ``alpha`` border.  The ``mu`` block ``D + U C U^T`` (``U = [1, r]``, ``C``
+    the binding rows' penalties) is solved by Woodbury's identity (Hager, SIAM
+    Review 31(2), 1989): the rows ``g_mu, h_cross, 1, r`` are divided once by
+    ``D``, three matrix-vector products give their inner products with
+    ``h_cross``, 1 and ``r``, the 2x2 capacitance system ``C^-1 + U^T D^-1 U``
+    is solved in floats with row 1 eliminated first, and one more product
+    forms ``d_mu``; where that solve's rounding gain exceeds ``_REFINE_GAIN``
+    the step is :func:`_sequential_solve`'s.  The ``mu`` block is positive
+    semidefinite and gets a relative floor; where the Schur complement of
+    ``alpha`` is not positive (the objective couples ``alpha`` and ``mu``
+    bilinearly) the ``alpha`` move is a fixed-length step along its reduced
+    descent direction, which keeps the whole direction a descent direction.
+    The ``alpha`` move is limited to ``_ALPHA_STEP`` either way.
     """
     grad = point.gradient
     g_alpha = float(grad[0])
@@ -219,30 +213,17 @@ def _newton_direction(z: np.ndarray, point: _ReducedPoint, eps: float) -> np.nda
     pivot1 = (1.0 / c1 if c1 > 0.0 else inf) + s11
     lead = s1r / pivot1
     left = srr - lead * s1r  # cancels by srr / left where the rows are nearly parallel
-    # Weights of the rows 1 and r of sol in the solutions for g_mu and h_cross.
-    x1g = x1w = x2g = x2w = 0.0
+    inv = ()
     if max(c1 * s11 * srr, c2 * left * left) <= _REFINE_GAIN * left:
         pivot2 = (1.0 / c2 if c2 > 0.0 else inf) + left
+        # x1 and x2 weigh the rows 1 and r of sol in the solutions for g_mu and h_cross.
         x2g, x2w = (g2 - lead * g1) / pivot2, (w2 - lead * w1) / pivot2
         x1g, x1w = (g1 - s1r * x2g) / pivot1, (w1 - s1r * x2w) / pivot1
+        hg, hw, h1, hr = sol.dot(block[1]).tolist()  # h_cross against every row of sol
+        h_g, h_w = hg - x1g * h1 - x2g * hr, hw - x1w * h1 - x2w * hr
     else:
-        steps = []
-        for c, k in ((c1, 2), (c2, 3)):
-            if c > 0.0:
-                u, y = block[k], sol[k].copy()
-                denom = 1.0 / c + float(u.dot(y))
-                sol -= np.multiply.outer(sol.dot(u) / denom, y)
-                steps.append((c, u, y, denom))
-        solved = sol[:2]
-        residual = block[:2] - solved * diag
-        for c, u, _, _ in steps:
-            residual -= np.multiply.outer(solved.dot(u), c * u)
-        fix = residual / diag
-        for _, u, y, denom in steps:
-            fix -= np.multiply.outer(fix.dot(u) / denom, y)
-        solved += fix
-    hg, hw, h1, hr = sol.dot(block[1]).tolist()  # h_cross against every row of sol
-
+        inv = _sequential_solve(block, diag, c1, c2)
+        h_g, h_w = float(point.block[1] @ inv[0]), float(point.block[1] @ inv[1])
     direction = np.empty_like(z)
     step = 0.0
     if z[0] - ALPHA_MIN <= eps and g_alpha > 0.0:
@@ -250,17 +231,47 @@ def _newton_direction(z: np.ndarray, point: _ReducedPoint, eps: float) -> np.nda
     elif ALPHA_MAX - z[0] <= eps and g_alpha < 0.0:
         direction[0] = ALPHA_MAX - z[0]
     else:
-        reduced = -g_alpha + (hg - x1g * h1 - x2g * hr)
-        schur = point.h_alpha - (hw - x1w * h1 - x2w * hr)
+        reduced, schur = h_g - g_alpha, point.h_alpha - h_w
         if schur > 0.0 and abs(reduced) < _ALPHA_STEP * schur:
             step = reduced / schur
         else:
             step = _ALPHA_STEP * float(np.sign(reduced))
         direction[0] = step
-    direction[1:] = np.array((-1.0, -step, x1g + step * x1w, x2g + step * x2w)).dot(sol)
+    if inv:
+        direction[1:] = -(inv[0] + inv[1] * step)
+    else:
+        direction[1:] = np.array((-1.0, -step, x1g + step * x1w, x2g + step * x2w)).dot(sol)
     if held:
         direction[1:][fixed] = -mu[fixed]
     return direction
+
+
+def _sequential_solve(block: np.ndarray, diag: np.ndarray, c1: float, c2: float) -> tuple:
+    """Solutions for ``g_mu`` and ``h_cross`` by one Sherman-Morrison update per binding row
+    (``u = 1``, then ``r``) on the columns, refined once where an update's gain exceeds
+    ``_REFINE_GAIN``.  These high-gain steps decide which corner stress solves converge: a
+    change of their rounding, even of a sum's order, moves that table (ROADMAP item 2)."""
+    cols = block.T.copy()
+    sol = cols / diag[:, None]
+    steps, gain = [], 0.0
+    for c, k in ((c1, 2), (c2, 3)):
+        if c > 0.0:
+            u, y = cols[:, k].copy(), sol[:, k].copy()  # contiguous: BLAS sums a strided dot in another order
+            uy = float(u @ y)
+            gain = max(gain, c * uy)
+            denom = 1.0 / c + uy
+            sol -= y[:, None] * ((u @ sol) / denom)
+            steps.append((c, u, y, denom))
+    solved = sol[:, :2]
+    if gain > _REFINE_GAIN:
+        residual = cols[:, :2] - diag[:, None] * solved
+        for c, u, _, _ in steps:
+            residual -= (c * u)[:, None] * (u @ solved)
+        fix = residual / diag[:, None]
+        for _, u, y, denom in steps:
+            fix -= y[:, None] * ((u @ fix) / denom)
+        solved = solved + fix
+    return solved[:, 0], solved[:, 1]
 
 
 def optimize(problem: ReducedProblem) -> AlpfResult:
@@ -281,9 +292,8 @@ def optimize(problem: ReducedProblem) -> AlpfResult:
     both rows' penalties start at ``max(1, 10 max_n slope_n a_n)``.  Each
     outer iteration solves the penalized subproblem warm-started at the
     previous point, stops if max |c| is at most ``_EPS`` = 1e-6, and
-    otherwise steps each row's multiplier with the penalty in force during
-    the solve, then grows that penalty; the rows' multipliers, penalties
-    and residuals are kept as Python floats.  At most
+    otherwise steps each row's multiplier (a Python float, as its penalty
+    is) with the penalty in force during the solve, then grows it.  At most
     ``_MAX_OUTER_ITERS`` = 100 outer iterations run, each capped at
     ``_MAX_INNER_ITERS`` = 5000 inner iterations.
 
@@ -377,17 +387,16 @@ class _ReducedPoint:
     """Point ``z = (alpha, mu)`` with its eliminated slacks ``s1, s2``.
 
     ``residual`` is ``(c1, c2)``, and ``value`` and ``gradient`` are the
-    penalty value and its gradient over ``z``.  ``h_ratio`` is ``r``,
-    the relay power per unit of source power on each pair, so the
-    relay powers are ``r mu``.  The Hessian over ``z`` (exact inside the
+    penalty value and its gradient over ``z``.  ``block`` holds the rows
+    ``g_mu, h_cross, 1, r`` the Newton step reads; ``r`` is the relay power
+    per unit of source power on each pair.  The Hessian over ``z`` (exact inside the
     current active set of the slacks) is kept in structured form::
 
-        [[h_alpha, h_cross^T                                         ],
-         [h_cross, diag(h_diag) + h_budget1 11^T + h_damp h_ratio h_ratio^T]]
+        [[h_alpha, h_cross^T                                  ],
+         [h_cross, diag(h_diag) + h_budget1 11^T + h_damp r r^T]]
 
     with ``h_budget1`` and ``h_damp`` the penalties of the binding
-    budgets (0 for a slack one), so a Newton step costs O(n).  ``block``
-    holds the rows ``g_mu, h_cross, 1, r`` that the step reads.
+    budgets (0 for a slack one), so a Newton step costs O(n).
     """
 
     z: np.ndarray
@@ -401,14 +410,6 @@ class _ReducedPoint:
     h_budget1: float
     h_damp: float
     block: np.ndarray
-
-    @property
-    def h_cross(self) -> np.ndarray:
-        return self.block[1]
-
-    @property
-    def h_ratio(self) -> np.ndarray:
-        return self.block[3]
 
     @property
     def mu_bar(self) -> np.ndarray:
@@ -507,8 +508,7 @@ def _eliminate(z: np.ndarray, fixed: _Subproblem, priced: tuple | None = None) -
     grad_mu += p1
     grad_mu += p2 * ratio
     grad[1:] = grad_mu
-    ones.fill(1.0)
-    r[:] = ratio
+    ones[:], r[:] = 1.0, ratio
 
     h_diag = (1.0 - alpha) * obj_slope * a / one_amu
     h_alpha = 0.0

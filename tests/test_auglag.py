@@ -93,13 +93,43 @@ def dense_hessian(point):
     n = point.h_diag.size
     hess = np.empty((n + 1, n + 1))
     hess[0, 0] = point.h_alpha
-    hess[0, 1:] = hess[1:, 0] = point.h_cross
+    hess[0, 1:] = hess[1:, 0] = point.block[1]
     hess[1:, 1:] = (
         np.diag(point.h_diag)
         + point.h_budget1
-        + point.h_damp * np.outer(point.h_ratio, point.h_ratio)
+        + point.h_damp * np.outer(point.block[3], point.block[3])
     )
     return hess
+
+
+def parallel_row_residual(sigma, coeff_lo, coeff_hi):
+    """Worst relative residual of the Newton step's mu rows on parallel budget rows.
+
+    One live pair, or ``a / b`` the same on every pair (n = 2, 8, 64), with
+    ``a`` and ``b`` drawn from ``[coeff_lo, coeff_hi]`` and both budgets
+    overspent, so both bind at ``nu = 0`` with penalty ``sigma``.  Returns
+    the largest ``|H_mu d_mu + h_cross d_alpha + g_mu|`` over the largest
+    ``|g_mu|``.
+    """
+    rng = np.random.default_rng(60)
+    worst = 0.0
+    for n in (1, 2, 8, 64):
+        for _ in range(25):
+            b = rng.uniform(coeff_lo, coeff_hi, n)
+            a = rng.uniform(coeff_lo, coeff_hi, n) if n == 1 else rng.uniform(coeff_lo, coeff_hi) * b
+            problem = ReducedProblem(a, b, 2.0, int(rng.integers(1, 4)))
+            alpha = rng.uniform(0.05, 0.9)
+            r = a[0] / b[0] * (1.0 - alpha) / (2.0 * alpha)
+            mu = rng.dirichlet(np.ones(n)) * rng.uniform(1.01, 2.0) * max(1.0, 1.0 / r)
+            z = np.concatenate(([alpha], mu))
+            point = assemble(z, np.zeros(2), np.full(2, sigma), problem)
+            assert point.h_budget1 == point.h_damp == sigma
+            step = _newton_direction(z, point, 0.0)
+            hess = dense_hessian(point)
+            grad = point.gradient
+            residual = hess[1:, 1:] @ step[1:] + hess[1:, 0] * step[0] + grad[1:]
+            worst = max(worst, float(np.max(np.abs(residual)) / np.max(np.abs(grad[1:]))))
+    return worst
 
 
 def reduced_states(seed, count):
@@ -379,7 +409,7 @@ class TestSubproblem:
             checked += 1
         assert checked >= 50, checked
 
-    @pytest.mark.parametrize("sigma, tol", [(1e2, 1e-7), (1e6, 1e-7), (1e10, 1e-7), (1e12, 1e-3)])
+    @pytest.mark.parametrize("sigma, tol", [(1e2, 1e-7), (1e6, 1e-7), (1e10, 1e-7), (1e12, 1e-5)])
     def test_newton_direction_on_parallel_rows(self, sigma, tol):
         # One live pair, or a / b the same on every pair (n = 2, 8, 64),
         # makes the two budget rows parallel, so row 2's pivot cancels once
@@ -387,24 +417,17 @@ class TestSubproblem:
         # the mu rows of the step solve their own system,
         # H_mu d_mu + h_cross d_alpha = -g_mu, to tol of the gradient; the
         # rows' gains reach 1e15 at sigma = 1e10 and 1e17 at 1e12.
-        rng = np.random.default_rng(60)
-        for n in (1, 2, 8, 64):
-            for _ in range(25):
-                b = rng.uniform(1.0, 1e2, n)
-                a = rng.uniform(1.0, 1e2, n) if n == 1 else rng.uniform(1.0, 1e2) * b
-                problem = ReducedProblem(a, b, 2.0, int(rng.integers(1, 4)))
-                alpha = rng.uniform(0.05, 0.9)
-                r = a[0] / b[0] * (1.0 - alpha) / (2.0 * alpha)
-                # Both budgets overspent, so both bind at nu = 0.
-                mu = rng.dirichlet(np.ones(n)) * rng.uniform(1.01, 2.0) * max(1.0, 1.0 / r)
-                z = np.concatenate(([alpha], mu))
-                point = assemble(z, np.zeros(2), np.full(2, sigma), problem)
-                assert point.h_budget1 == point.h_damp == sigma
-                step = _newton_direction(z, point, 0.0)
-                hess = dense_hessian(point)
-                grad = point.gradient
-                residual = hess[1:, 1:] @ step[1:] + hess[1:, 0] * step[0] + grad[1:]
-                assert np.max(np.abs(residual)) <= tol * np.max(np.abs(grad[1:]))
+        assert parallel_row_residual(sigma, 1.0, 1e2) <= tol
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="below SNR 1 the rows' Sherman-Morrison updates and their one "
+        "refinement step leave a residual of 3e-4 of the gradient at sigma = 1e10, "
+        "where a dense solve leaves 1e-13",
+    )
+    def test_newton_direction_on_parallel_rows_below_snr_one(self):
+        # The parallel-row states above with a and b drawn from [1e-2, 1].
+        assert parallel_row_residual(1e10, 1e-2, 1.0) <= 1e-7
 
     def test_newton_direction_holds_coordinates_at_bound(self):
         # With eps > 0, every mu within eps of 0 whose gradient pushes it
@@ -713,8 +736,8 @@ class TestOptimize:
                 "0x1.e079530000000p-27", "85898caab30f0147af1a61c058918c39687a8fd0e14393be7adf3ea64f9ee4d3",
             ),
             (
-                ("phi", 0.5), "0x1.8d3aed5bc5017p+10", "0x1.362ed74f4ab88p-2", 3, 66,
-                "0x1.269dceb000000p-22", "4fe893ac991682ded18b59107aaeb0121c31eeb9e8ff2eae113966c7ffb046e0",
+                ("phi", 0.5), "0x1.8d3aed5bc5017p+10", "0x1.362ed74f4ab86p-2", 3, 66,
+                "0x1.269dceb400000p-22", "152b9f42e60037bf7c71a624ee64678cfd058249094a9d8e5ca2c24a2ee17205",
             ),
             (
                 ("phi", 0.9), "0x1.f2d88b0e2dd70p+11", "0x1.2b1de8d0f4f60p-4", 4, 9,
