@@ -11,11 +11,14 @@ values) are kept; no downstream code reads the singular vectors.
 A draw is two plain arrays of gains, one per hop, and it is
 deterministic for a given generator state.  The caller passes the
 generator: ``experiment.trial_rng`` makes every one the program uses.
+
+:func:`parse_key_value_file` reads the ``key = value`` line syntax of a
+spec file into strings; ``experiment.spec_from_file`` types the keys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -117,10 +120,6 @@ class Scenario:
         return (1.0 - self.phi) * self.d_sd
 
 
-# Each Scenario field's type, read from its default; input files parse by it.
-FIELD_TYPES = {f.name: type(f.default) for f in fields(Scenario)}
-
-
 def require_count(name: str, value, least: int = 1) -> None:
     """Reject a ``value`` that is not an integer of at least ``least``, naming ``name``.
 
@@ -166,16 +165,6 @@ def effective_subchannels(gains1: np.ndarray, gains2: np.ndarray) -> tuple[np.nd
     return gains1[np.argsort(-gains1, kind="stable")], gains2[np.argsort(-gains2, kind="stable")]
 
 
-def scenario_from_mapping(values: dict[str, str]) -> Scenario:
-    """Build a Scenario from string key/value pairs, rejecting unknown keys."""
-    kwargs = {}
-    for key, raw in values.items():
-        if key not in FIELD_TYPES:
-            raise ValueError(f"unknown scenario key '{key}'")
-        kwargs[key] = parse_value(key, raw, FIELD_TYPES[key])
-    return Scenario(**kwargs)
-
-
 def parse_key_value_file(path) -> dict[str, str]:
     """Parse ``key = value`` lines; '#' starts a comment."""
     values: dict[str, str] = {}
@@ -195,14 +184,6 @@ def parse_key_value_file(path) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: duplicate key '{key}'")
         values[key] = raw.strip()
     return values
-
-
-def parse_value(key: str, raw: str, kind: type):
-    """``kind(raw)``; a ``ValueError`` names ``key`` and ``raw``."""
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ValueError(f"invalid value for '{key}': {raw!r}") from exc
 
 
 def _complex_gaussian(

@@ -23,16 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ehrelay.auglag import optimize
-from ehrelay.channel import (
-    FIELD_TYPES,
-    Scenario,
-    effective_subchannels,
-    generate,
-    parse_key_value_file,
-    parse_value,
-    require_count,
-    scenario_from_mapping,
-)
+from ehrelay.channel import Scenario, effective_subchannels, generate, parse_key_value_file, require_count
 from ehrelay.system import (
     ReducedProblem, achievable_rate, benchmark_allocation, optimal_energy_plan, snr_coefficients,
 )
@@ -156,9 +147,10 @@ class SweepRow:
     convergence_fraction: float
 
 
-# Each experiment field a spec file may set, with its default's type; the
-# scenario's fields share the file's namespace.
-_SPEC_TYPES = {f.name: type(f.default) for f in fields(ExperimentSpec) if f.name != "scenario"}
+# Each spec-file key with its field's type, read from the default: the
+# scenario's fields and the experiment's share the file's one namespace.
+_SCENARIO_KEYS = {f.name for f in fields(Scenario)}
+_KEY_TYPES = {f.name: type(f.default) for f in (*fields(Scenario), *fields(ExperimentSpec)) if f.name != "scenario"}
 
 _ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
 CSV_HEADER = ",".join(["sweep_param", *_ROW_FIELDS])
@@ -296,33 +288,44 @@ def emit_csv(result: SweepResult, path) -> None:
 def spec_from_file(path) -> ExperimentSpec:
     """Load an :class:`ExperimentSpec` from a ``key = value`` file.
 
-    Scenario fields and experiment fields share one flat namespace;
-    ``sweep_values`` and ``solvers`` are comma-separated lists.  Unknown
-    keys are rejected, and every ``ValueError`` names the file.
+    Scenario fields and experiment fields share one flat namespace, and
+    one table types every key by its field's default: a count parses as
+    ``int``, a quantity as ``float``, ``solvers`` and ``sweep_values`` as
+    comma-separated lists, and strings and ``output_path`` as written.
+    ``sweep_values`` take the type of the swept field.
+
+    Keys are read in file order.  The first error found is raised, and
+    every ``ValueError`` names the file: a line-syntax error or duplicate
+    key first, then an unknown key or unparsable value in file order,
+    then the scenario's checks, then the experiment's.
     """
     values = parse_key_value_file(path)
-    exp_raw = {k: values.pop(k) for k in list(values) if k in _SPEC_TYPES}
-    sweep = exp_raw.get("sweep", "none")
-    kwargs = {}
+    sweep = values.get("sweep", "none")
+    # An unknown kind's values parse as floats, and ExperimentSpec then names the kind.
+    swept = _KEY_TYPES[_SWEEPS[sweep][0]] if sweep in _SWEEPS else float
+    scenario, experiment = {}, {}
     try:
-        kwargs["scenario"] = scenario_from_mapping(values)
-        for key, kind in _SPEC_TYPES.items():
-            if key not in exp_raw:
-                continue
-            raw = exp_raw[key]
+        for key, raw in values.items():
+            if key not in _KEY_TYPES:
+                raise ValueError(f"unknown scenario key '{key}'")
+            kind = _KEY_TYPES[key]
             if kind is tuple:
                 entries = tuple(v.strip() for v in raw.split(",") if v.strip())
-                if key == "sweep_values":
-                    # An unknown kind's values parse as floats, and ExperimentSpec then names the kind.
-                    kind = FIELD_TYPES[_SWEEPS[sweep][0]] if sweep in _SWEEPS else float
-                    entries = tuple(parse_value(key, v, kind) for v in entries)
-                kwargs[key] = entries
+                value = entries if key == "solvers" else tuple(_parse(key, v, swept) for v in entries)
             else:
-                # Strings, and the output path whose default is None, are taken as written.
-                kwargs[key] = parse_value(key, raw, kind) if kind is int else raw
-        return ExperimentSpec(**kwargs)
+                value = _parse(key, raw, kind) if kind in (int, float) else raw
+            (scenario if key in _SCENARIO_KEYS else experiment)[key] = value
+        return ExperimentSpec(Scenario(**scenario), **experiment)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _parse(key: str, raw: str, kind: type):
+    """``kind(raw)``; a ``ValueError`` names ``key`` and ``raw``."""
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise ValueError(f"invalid value for '{key}': {raw!r}") from exc
 
 
 def _cell(value) -> str:

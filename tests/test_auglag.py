@@ -854,6 +854,38 @@ class TestOptimize:
             assert res.converged and not res.allocation.mu.any() and not res.allocation.mu_bar.any()
             assert res.rate_bps == oracle_solve(problem).rate_star
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="one live pair at a / b of 1e12 and beyond stalls short of alpha* "
+        "and still reports converged",
+    )
+    @pytest.mark.parametrize("a, b", [(1e12, 1.0), (1e20, 1.0), (1e9, 1e-3)])
+    def test_one_live_pair_at_high_gain_ratio(self, a, b):
+        # Each solve takes under 30 inner iterations, ends with its
+        # subproblem stalled, and reports converged 88%, 15% and 46% below
+        # the oracle (alpha 0.986 against alpha* 0.564 at 1e12).  At
+        # a / b = 1e10 it is exact.  A solver must converge or say it did not.
+        problem = ReducedProblem(np.array([a]), np.array([b]), 1000.0, 1)
+        res = optimize(problem)
+        oracle = oracle_solve(problem).rate_star
+        assert not res.converged or abs(res.rate_bps - oracle) <= 1e-6 * oracle
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeWarning,
+        reason="one live pair overflows in the solve from a / b of about 1e58",
+    )
+    @pytest.mark.parametrize("a", [1e58, 1e100, 1e160])
+    def test_one_live_pair_without_overflow(self, a):
+        # The suite turns the overflow warning into an error: 1e58
+        # overflows in the Newton step's matmul, 1e100 and 1e160 in a
+        # multiply.  The oracle solves each without a warning.
+        problem = ReducedProblem(np.array([a]), np.array([1.0]), 1000.0, 1)
+        res = optimize(problem)
+        oracle = oracle_solve(problem).rate_star
+        assert not res.converged or abs(res.rate_bps - oracle) <= 1e-6 * oracle
+
     @pytest.mark.parametrize("kind, index", [("corner", 65), ("corner", 24), ("corner", 115), ("broad", 70)])
     def test_stress_scenarios_match_oracle(self, kind, index):
         # Seeded stress scenarios that a form with one balance row per pair

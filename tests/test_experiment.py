@@ -48,6 +48,14 @@ solvers = alpf, benchmark
 master_seed = 99
 """
 
+# Each sweep kind's values as a spec file writes them and as they read back.
+SWEEP_VALUES = {
+    "phi": ("0.25, 0.75", (0.25, 0.75)),
+    "p_source": ("2, 0.5", (2.0, 0.5)),
+    "antennas": ("2, 3", (2, 3)),
+    "k_subcarriers": ("1, 4", (1, 4)),
+}
+
 
 @pytest.fixture
 def small_spec(tmp_path):
@@ -129,6 +137,41 @@ class TestSpecParsing:
         for key, (_, parsed) in values.items():
             assert getattr(spec, key) == parsed
 
+    def test_every_scenario_field_is_a_spec_key(self, tmp_path):
+        # The scenario's fields share the spec file, each typed by its
+        # default: a count reads as an int and a quantity as a float, even
+        # when written without a point.
+        values = {
+            "n_s": ("3", 3),
+            "n_r": ("4", 4),
+            "n_d": ("1", 1),
+            "k_subcarriers": ("5", 5),
+            "bandwidth_hz": ("2e6", 2e6),
+            "p_source": ("0.25", 0.25),
+            "eta": ("1", 1.0),
+            "phi": ("0.3", 0.3),
+            "d_sd": ("7", 7.0),
+            "pathloss_exp": ("3", 3.0),
+            "noise_total_w": ("1e-9", 1e-9),
+            "seed": ("11", 11),
+        }
+        assert set(values) == {f.name for f in fields(Scenario)}
+        path = tmp_path / "exp.txt"
+        path.write_text("".join(f"{key} = {text}\n" for key, (text, _) in values.items()))
+        scenario = spec_from_file(path).scenario
+        for field in fields(Scenario):
+            value = getattr(scenario, field.name)
+            assert value == values[field.name][1]
+            assert type(value) is type(field.default)
+
+    @pytest.mark.parametrize("sweep", [kind for kind in SWEEP_KINDS if kind != "none"])
+    def test_sweep_values_take_the_swept_field_type(self, tmp_path, sweep):
+        text, parsed = SWEEP_VALUES[sweep]
+        path = tmp_path / "exp.txt"
+        path.write_text(f"sweep = {sweep}\nsweep_values = {text}\ntrials = 1\n")
+        values = spec_from_file(path).sweep_values
+        assert values == parsed
+        assert [type(v) for v in values] == [type(v) for v in parsed]
 
 class TestRun:
     def test_deterministic_rows(self, small_spec):
