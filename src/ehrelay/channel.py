@@ -48,7 +48,9 @@ class Scenario:
         noise_total_w: Total receiver noise power over the whole band, W.
             Each subchannel sees ``noise_total_w / k_subcarriers``.
         seed: An integer >= 0 that nothing reads.  ``ehrelay run`` and
-            ``ehrelay single`` draw from the spec's ``master_seed``.
+            ``ehrelay single`` draw from the spec's ``master_seed``.  It
+            stays while perfbench's ``spec_text`` writes ``seed =`` and its
+            ``test_every_scenario_field_written`` reads the field back.
 
     Path loss: a hop of length ``d`` (in reference distances) has power
     gain ``max(d, 1)**(-pathloss_exp)``, so a hop no longer than the

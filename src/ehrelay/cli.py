@@ -126,17 +126,16 @@ def _usage_error(name: str | None, message: str):
 
 def _cmd_run(args) -> int:
     spec = spec_from_file(args.spec_file)
-    output = spec.output_path if args.output is None else args.output
-    if output is None:
-        raise ValueError("no output path: pass --output or set output_path in the spec file")
+    if args.output is None:
+        raise ValueError("no output path: pass --output")
     # Checked before the sweep, so that a path that cannot be written costs no solves.
-    if not output or not Path(output).parent.is_dir():
-        raise OSError(f"cannot write CSV to '{output}': no such file or directory")
-    if Path(output).is_dir():
-        raise OSError(f"cannot write CSV to '{output}': is a directory")
+    if not args.output or not Path(args.output).parent.is_dir():
+        raise OSError(f"cannot write CSV to '{args.output}': no such file or directory")
+    if Path(args.output).is_dir():
+        raise OSError(f"cannot write CSV to '{args.output}': is a directory")
     result = run(spec)
-    emit_csv(result, output)
-    print(f"wrote {len(result.rows)} rows to {output}")
+    emit_csv(result, args.output)
+    print(f"wrote {len(result.rows)} rows to {args.output}")
 
     # Only ALPF can fail to converge; every other solver reports 1.0.
     worst = min(row.convergence_fraction for row in result.rows)
@@ -224,11 +223,11 @@ _SOLVERS = ",".join(SOLVER_ORDER)
 _COMMANDS = {
     "run": ("run a sweep experiment from a spec file", _cmd_run, (
         ("spec_file", {"help": "key=value experiment spec file"}),
-        ("--output", {"help": "CSV output path (overrides the spec file)"}),
+        ("--output", {"help": "CSV output path"}),
     )),
     "single": ("solve a single channel realization", _cmd_single, (
         ("--scenario-file", {"help": "key=value run spec file; its first sweep value is solved "
-                                     "(its trials, solvers and output_path are not read)"}),
+                                     "(its trials and solvers are not read)"}),
         ("--seed", {"type": int, "help": "draw run's first trial at this master_seed "
                                          "(default: the file's master_seed; the scenario's seed is never read)"}),
         ("--solvers", {"default": _SOLVERS, "help": f"comma-separated subset of {_SOLVERS}"}),

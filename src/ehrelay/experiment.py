@@ -73,7 +73,6 @@ class ExperimentSpec:
     sweep_values: tuple = ()
     trials: int = 200
     solvers: tuple[str, ...] = ("alpf", "benchmark")
-    output_path: str | None = None
     master_seed: int = 0
 
     def __post_init__(self):
@@ -290,9 +289,9 @@ def spec_from_file(path) -> ExperimentSpec:
 
     Scenario fields and experiment fields share one flat namespace, and
     one table types every key by its field's default: a count parses as
-    ``int``, a quantity as ``float``, ``solvers`` and ``sweep_values`` as
-    comma-separated lists, and strings and ``output_path`` as written.
-    ``sweep_values`` take the type of the swept field.
+    ``int``, a quantity as ``float``, ``sweep`` as written, and ``solvers``
+    and ``sweep_values`` as comma-separated lists.  ``sweep_values`` take
+    the type of the swept field.
 
     Keys are read in file order.  The first error found is raised, and
     every ``ValueError`` names the file: a line-syntax error or duplicate
@@ -307,13 +306,13 @@ def spec_from_file(path) -> ExperimentSpec:
     try:
         for key, raw in values.items():
             if key not in _KEY_TYPES:
-                raise ValueError(f"unknown scenario key '{key}'")
+                raise ValueError(f"unknown key '{key}'")
             kind = _KEY_TYPES[key]
             if kind is tuple:
                 entries = tuple(v.strip() for v in raw.split(",") if v.strip())
                 value = entries if key == "solvers" else tuple(_parse(key, v, swept) for v in entries)
             else:
-                value = _parse(key, raw, kind) if kind in (int, float) else raw
+                value = _parse(key, raw, kind)
             (scenario if key in _SCENARIO_KEYS else experiment)[key] = value
         return ExperimentSpec(Scenario(**scenario), **experiment)
     except ValueError as exc:

@@ -7,7 +7,6 @@ from ehrelay.channel import (
     effective_subchannels,
     generate,
 )
-from ehrelay.experiment import spec_from_file
 from oracles import charpoly_eigenvalues
 
 
@@ -185,52 +184,3 @@ class TestEffectiveSubchannels:
             assert gains[0] > 0
             assert gains[1] <= 1e-12 * gains[0]
 
-
-class TestScenarioFile:
-    # A scenario file is a run spec that sets scenario keys only, and
-    # ``ehrelay single`` reads it as one.
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "scenario.txt"
-        path.write_text(
-            "# comment line\n"
-            "n_s = 3\n"
-            "n_r = 2\n"
-            "n_d = 4\n"
-            "k_subcarriers = 2\n"
-            "phi = 0.3   # relay near the source\n"
-            "p_source = 10\n"
-            "seed = 11\n"
-        )
-        scen = spec_from_file(path).scenario
-        assert scen.n_s == 3 and scen.n_r == 2 and scen.n_d == 4
-        assert scen.phi == pytest.approx(0.3)
-        assert scen.p_source == pytest.approx(10.0)
-        assert scen.seed == 11
-        assert scen.eta == 1.0  # defaults preserved
-
-    def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "scenario.txt"
-        path.write_text("n_s = 2\nantennas = 4\n")
-        with pytest.raises(ValueError, match="antennas"):
-            spec_from_file(path)
-
-    def test_bad_value_names_key(self, tmp_path):
-        path = tmp_path / "scenario.txt"
-        path.write_text("phi = fast\n")
-        with pytest.raises(ValueError, match="phi"):
-            spec_from_file(path)
-
-    def test_duplicate_key_named_with_line(self, tmp_path):
-        path = tmp_path / "scenario.txt"
-        path.write_text("n_s = 2\nphi = 0.3\nn_s = 3\n")
-        with pytest.raises(ValueError) as excinfo:
-            spec_from_file(path)
-        assert str(excinfo.value) == f"{path}:3: duplicate key 'n_s'"
-
-    def test_undecodable_file_named(self, tmp_path):
-        # Not UTF-8: the decoder's ValueError must name the file as well.
-        path = tmp_path / "scenario.txt"
-        path.write_bytes(b"n_s = \xff\n")
-        with pytest.raises(ValueError) as excinfo:
-            spec_from_file(path)
-        assert str(excinfo.value).startswith(f"{path}: ")

@@ -79,6 +79,42 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="turbo"):
             spec_from_file(path)
 
+    def test_scenario_file_round_trip(self, tmp_path):
+        # A scenario file is a run spec that sets scenario keys only, and
+        # ``ehrelay single`` reads it as one.
+        path = tmp_path / "scenario.txt"
+        path.write_text(
+            "# comment line\n"
+            "n_s = 3\n"
+            "n_r = 2\n"
+            "n_d = 4\n"
+            "k_subcarriers = 2\n"
+            "phi = 0.3   # relay near the source\n"
+            "p_source = 10\n"
+            "seed = 11\n"
+        )
+        scen = spec_from_file(path).scenario
+        assert scen.n_s == 3 and scen.n_r == 2 and scen.n_d == 4
+        assert scen.phi == pytest.approx(0.3)
+        assert scen.p_source == pytest.approx(10.0)
+        assert scen.seed == 11
+        assert scen.eta == 1.0  # defaults preserved
+
+    def test_duplicate_key_named_with_line(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        path.write_text("n_s = 2\nphi = 0.3\nn_s = 3\n")
+        with pytest.raises(ValueError) as excinfo:
+            spec_from_file(path)
+        assert str(excinfo.value) == f"{path}:3: duplicate key 'n_s'"
+
+    def test_undecodable_file_named(self, tmp_path):
+        # Not UTF-8: the decoder's ValueError must name the file as well.
+        path = tmp_path / "scenario.txt"
+        path.write_bytes(b"n_s = \xff\n")
+        with pytest.raises(ValueError) as excinfo:
+            spec_from_file(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+
     def test_antenna_sweep_values_are_ints(self, tmp_path):
         path = tmp_path / "exp.txt"
         path.write_text("sweep = antennas\nsweep_values = 2, 3\ntrials = 1\n")
@@ -127,7 +163,6 @@ class TestSpecParsing:
             "sweep_values": ("0.5, 2", (0.5, 2.0)),
             "trials": ("4", 4),
             "solvers": ("oracle, benchmark", ("oracle", "benchmark")),
-            "output_path": ("out/result.csv", "out/result.csv"),
             "master_seed": ("17", 17),
         }
         assert set(values) == {f.name for f in fields(ExperimentSpec)} - {"scenario"}
@@ -345,14 +380,6 @@ class TestCli:
         assert out_path.exists()
         assert out_path.read_text().startswith(CSV_HEADER)
 
-    def test_run_writes_to_spec_output_path(self, tmp_path, capsys):
-        out_path = tmp_path / "from_spec.csv"
-        spec_path = tmp_path / "exp.txt"
-        spec_path.write_text(f"trials = 1\nsolvers = benchmark\noutput_path = {out_path}\n")
-        assert cli.main(["run", str(spec_path)]) == 0
-        assert capsys.readouterr().out == f"wrote 1 rows to {out_path}\n"
-        assert out_path.read_text().startswith(CSV_HEADER + "\nnone,,benchmark,")
-
     def test_no_subcommand_prints_help(self, capsys):
         assert cli.main([]) == 1
         out = capsys.readouterr().out
@@ -468,21 +495,18 @@ class TestCli:
         ids=["separate", "joined", "missing-dir", "cwd", "existing-dir"],
     )
     def test_run_empty_output_is_validation_error(self, tmp_path, monkeypatch, capsys, output, path, reason):
-        # Only a missing --output falls back to the spec's output_path, and
-        # an unwritable path is rejected before any trial is solved.
+        # An unwritable --output is rejected before any trial is solved.
         def no_run(spec):
             pytest.fail("run called with an unwritable output path")
 
         monkeypatch.setattr(cli, "run", no_run)
         monkeypatch.chdir(tmp_path)
-        out_path = tmp_path / "from_spec.csv"
         spec_path = tmp_path / "exp.txt"
-        spec_path.write_text(f"trials = 1\nsolvers = benchmark\noutput_path = {out_path}\n")
+        spec_path.write_text("trials = 1\nsolvers = benchmark\n")
         output = [word.format(tmp_path=tmp_path) for word in output]
         assert cli.main(["run", str(spec_path), *output]) == 1
         path = path.format(tmp_path=tmp_path)
         assert capsys.readouterr().err == f"error: cannot write CSV to '{path}': {reason}\n"
-        assert not out_path.exists()
 
     def test_run_missing_output_is_validation_error(self, tmp_path):
         spec_path = tmp_path / "exp.txt"
@@ -522,10 +546,17 @@ class TestCli:
             ),
             ("single", "n_s 2", "error: {path}:1: expected 'key = value', got 'n_s 2'\n"),
             ("run", "seed = -2", "error: {path}: seed must be an integer >= 0, got -2\n"),
+            ("run", "output_path = o.csv", "error: {path}: unknown key 'output_path'\n"),
+            ("single", "output_path = o.csv", "error: {path}: unknown key 'output_path'\n"),
         ],
-        ids=["scenario-value", "scenario-range", "solver", "sweep", "malformed-line", "scenario-seed"],
+        ids=[
+            "scenario-value", "scenario-range", "solver", "sweep", "malformed-line", "scenario-seed",
+            "run-output-path", "single-output-path",
+        ],
     )
-    def test_input_errors_name_the_file(self, tmp_path, capsys, command, line, err):
+    def test_input_errors_name_the_file(self, tmp_path, monkeypatch, capsys, command, line, err):
+        # --output alone names the CSV: a spec that sets output_path is refused.
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "input.txt"
         path.write_text(f"{line}\n")
         if command == "single":
@@ -536,6 +567,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == err.format(path=path)
         assert captured.out == ""
+        assert not (tmp_path / "o.csv").exists()
 
     def test_low_convergence_fraction_is_logged(self, tmp_path, monkeypatch, capsys):
         row = SweepRow(None, "alpf", 1.0, 0.0, 0.5, 3.0, 0.5)

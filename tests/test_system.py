@@ -211,3 +211,8 @@ class TestSnrCoefficients:
         problem = snr_coefficients(gains, gains, draw(scen, np.random.default_rng(3)).harvest_coeff, scen)
         assert problem.a_coeffs[1] == 0.0
         assert problem.b_coeffs[1] == 0.0
+
+    def test_empty_gains_rejected(self):
+        # No gains floor to no gains, and the reduced problem refuses them.
+        with pytest.raises(ValueError, match="equal-length 1-D arrays"):
+            snr_coefficients(np.array([]), np.array([]), 1.0, Scenario())
