@@ -183,4 +183,3 @@ class TestEffectiveSubchannels:
         for gains in effective_subchannels(gains1, gains2):
             assert gains[0] > 0
             assert gains[1] <= 1e-12 * gains[0]
-

@@ -508,10 +508,11 @@ class TestCli:
         path = path.format(tmp_path=tmp_path)
         assert capsys.readouterr().err == f"error: cannot write CSV to '{path}': {reason}\n"
 
-    def test_run_missing_output_is_validation_error(self, tmp_path):
+    def test_run_missing_output_is_validation_error(self, tmp_path, capsys):
         spec_path = tmp_path / "exp.txt"
         spec_path.write_text("sweep = none\ntrials = 1\nsolvers = benchmark\n")
         assert cli.main(["run", str(spec_path)]) == 1
+        assert capsys.readouterr().err == "error: no output path: pass --output\n"
 
     def test_run_bad_spec_is_validation_error(self, tmp_path):
         spec_path = tmp_path / "exp.txt"
@@ -555,7 +556,8 @@ class TestCli:
         ],
     )
     def test_input_errors_name_the_file(self, tmp_path, monkeypatch, capsys, command, line, err):
-        # --output alone names the CSV: a spec that sets output_path is refused.
+        # Each error names the input file and nothing is written.  A spec that
+        # sets output_path is refused, since --output alone names the CSV.
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "input.txt"
         path.write_text(f"{line}\n")

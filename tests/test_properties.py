@@ -22,7 +22,7 @@ SEARCH = settings(
     database=None,
     deadline=None,
     max_examples=300,
-    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink),
+    phases=[phase for phase in Phase if phase is not Phase.explain],
 )
 
 
