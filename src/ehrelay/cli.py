@@ -5,12 +5,11 @@
 parser: positionals in order, each option as ``--flag VALUE`` or
 ``--flag=VALUE`` (no prefix abbreviations), and ``-h``.
 
-``single`` solves the first sweep value of ``--scenario-file``, a ``run``
-spec file (the ``Scenario`` defaults without one), on channels from
-``trial_rng(M, 0, 0)``, where M is ``--seed`` or else the file's
-``master_seed``.  So ``single --scenario-file F`` prints the first trial
-that ``run F`` draws, and ``--seed M`` the one it draws at
-``master_seed = M``.  Neither command reads the scenario's ``seed``.
+``single`` replays the first trial of ``run`` on the same spec file: it
+draws ``trial_rng(master_seed, 0, 0)`` on the spec's first sweep value,
+runs the spec's ``solvers`` in ``SOLVER_ORDER``, and prints the draw's gains
+and energy beam and every field of each solver's result.  Neither command
+reads the scenario's ``seed``.
 
 ``selftest`` solves scenario i < ``--trials`` of each seeded stress set
 of ``experiment.STRESS_SETS`` (broad, then corner) on channels from
@@ -36,10 +35,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ehrelay.channel import Scenario, require_count
+from ehrelay.channel import require_count
 from ehrelay.experiment import (
-    SOLVER_ORDER, SOLVERS, STRESS_SETS, ExperimentSpec, draw, emit_csv, run, run_trial, spec_from_file,
-    stress_scenarios, trial_rng, validate_solvers,
+    SOLVER_ORDER, SOLVERS, STRESS_SETS, draw, emit_csv, run, run_trial, spec_from_file, stress_scenarios, trial_rng,
 )
 
 MAX_NONCONVERGED_FRACTION = 0.05
@@ -147,12 +145,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_single(args) -> int:
-    spec = spec_from_file(args.scenario_file) if args.scenario_file else ExperimentSpec(Scenario())
+    spec = spec_from_file(args.spec_file)
     _, scenario = spec.points()[0]
-    triple = (spec.master_seed if args.seed is None else args.seed, 0, 0)
-    require_count("--seed", triple[0], least=0)
-    solvers = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
-    validate_solvers(solvers)
+    triple = (spec.master_seed, 0, 0)
 
     gains1, gains2, subcarrier, harvest_coeff, problem = draw(scenario, trial_rng(*triple))
 
@@ -165,7 +160,7 @@ def _cmd_single(args) -> int:
 
     converged = True
     for name in SOLVER_ORDER:
-        if name in solvers:
+        if name in spec.solvers:
             outcome, result = SOLVERS[name](problem)
             print(f"\n{name} rate: {outcome.rate_bps!r} bit/s at alpha = {outcome.alpha!r}")
             print("\n".join(_field_lines(result)))
@@ -218,7 +213,6 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
-_SOLVERS = ",".join(SOLVER_ORDER)
 # name -> (help line, handler, arguments); each argument is (flag, {help, type?, default?}).
 _COMMANDS = {
     "run": ("run a sweep experiment from a spec file", _cmd_run, (
@@ -226,11 +220,7 @@ _COMMANDS = {
         ("--output", {"help": "CSV output path"}),
     )),
     "single": ("solve a single channel realization", _cmd_single, (
-        ("--scenario-file", {"help": "key=value run spec file; its first sweep value is solved "
-                                     "(its trials and solvers are not read)"}),
-        ("--seed", {"type": int, "help": "draw run's first trial at this master_seed "
-                                         "(default: the file's master_seed; the scenario's seed is never read)"}),
-        ("--solvers", {"default": _SOLVERS, "help": f"comma-separated subset of {_SOLVERS}"}),
+        ("spec_file", {"help": "key=value experiment spec file, as for run; its first trial is solved"}),
     )),
     "selftest": ("run optimizer-vs-reference property checks", _cmd_selftest, (
         ("--trials", {"type": int, "default": 12, "help": "instances per stress set (broad, corner)"}),

@@ -16,7 +16,6 @@ from ehrelay.channel import Scenario
 from ehrelay.experiment import (
     CSV_HEADER,
     SOLVER_ORDER,
-    SOLVERS,
     STRESS_SETS,
     SWEEP_KINDS,
     ExperimentSpec,
@@ -57,6 +56,13 @@ SWEEP_VALUES = {
 }
 
 
+def single_spec(tmp_path, solvers="alpf, oracle, benchmark") -> str:
+    """Path of a one-trial spec at master_seed 3: ``single`` on it prints ``run``'s only trial."""
+    path = tmp_path / "single.txt"
+    path.write_text(f"master_seed = 3\ntrials = 1\nsolvers = {solvers}\n")
+    return str(path)
+
+
 @pytest.fixture
 def small_spec(tmp_path):
     path = tmp_path / "exp.txt"
@@ -80,8 +86,7 @@ class TestSpecParsing:
             spec_from_file(path)
 
     def test_scenario_file_round_trip(self, tmp_path):
-        # A scenario file is a run spec that sets scenario keys only, and
-        # ``ehrelay single`` reads it as one.
+        # A spec may set scenario keys only; every other field keeps its default.
         path = tmp_path / "scenario.txt"
         path.write_text(
             "# comment line\n"
@@ -429,7 +434,7 @@ class TestCli:
             ("run a b", "ehrelay run", "unrecognized arguments: b"),
             ("run a --foo", "ehrelay run", "unrecognized arguments: --foo"),
             ("run a --output", "ehrelay run", "argument --output: expected one argument"),
-            ("single --seed x", "ehrelay single", "argument --seed: invalid int value: 'x'"),
+            ("single", "ehrelay single", "the following arguments are required: spec_file"),
             ("selftest --trials 2.5", "ehrelay selftest", "argument --trials: invalid int value: '2.5'"),
         ],
     )
@@ -443,16 +448,23 @@ class TestCli:
         assert captured.err.splitlines()[-1] == f"{prog}: error: {message}"
         assert captured.out == ""
 
-    def test_option_forms(self, capsys):
+    def test_option_forms(self, tmp_path, capsys):
         # --flag VALUE and --flag=VALUE read alike; a prefix names no option.
-        assert cli.main(["single", "--seed", "3", "--solvers", "benchmark"]) == 0
-        separate = capsys.readouterr().out
-        assert cli.main(["single", "--seed=3", "--solvers=benchmark"]) == 0
-        assert capsys.readouterr().out == separate
+        spec_path = tmp_path / "exp.txt"
+        spec_path.write_text("sweep = none\ntrials = 1\nsolvers = benchmark\n")
+        separate, joined = tmp_path / "separate.csv", tmp_path / "joined.csv"
+        assert cli.main(["run", str(spec_path), "--output", str(separate)]) == 0
+        assert cli.main(["run", str(spec_path), f"--output={joined}"]) == 0
+        assert separate.read_bytes() == joined.read_bytes()
+        capsys.readouterr()
+        outputs = []
+        for argv in (["--trials", "1", "--seed", "6"], ["--trials=1", "--seed=6"]):
+            outputs.append((cli.main(["selftest", *argv]), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
         with pytest.raises(SystemExit) as exc:
-            cli.main(["single", "--se", "3"])
+            cli.main(["run", str(spec_path), "--out", "x"])
         assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith("\nehrelay single: error: unrecognized arguments: --se 3\n")
+        assert capsys.readouterr().err.endswith("\nehrelay run: error: unrecognized arguments: --out x\n")
 
     def test_run_leaves_argparse_unloaded(self, tmp_path):
         # main reads argv from the _COMMANDS table: argparse, and the
@@ -549,10 +561,11 @@ class TestCli:
             ("run", "seed = -2", "error: {path}: seed must be an integer >= 0, got -2\n"),
             ("run", "output_path = o.csv", "error: {path}: unknown key 'output_path'\n"),
             ("single", "output_path = o.csv", "error: {path}: unknown key 'output_path'\n"),
+            ("single", "master_seed = -1", "error: {path}: master_seed must be an integer >= 0, got -1\n"),
         ],
         ids=[
             "scenario-value", "scenario-range", "solver", "sweep", "malformed-line", "scenario-seed",
-            "run-output-path", "single-output-path",
+            "run-output-path", "single-output-path", "single-master-seed",
         ],
     )
     def test_input_errors_name_the_file(self, tmp_path, monkeypatch, capsys, command, line, err):
@@ -561,10 +574,7 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "input.txt"
         path.write_text(f"{line}\n")
-        if command == "single":
-            argv = ["single", "--scenario-file", str(path)]
-        else:
-            argv = ["run", str(path), "--output", str(tmp_path / "o.csv")]
+        argv = [command, str(path), *(["--output", str(tmp_path / "o.csv")] if command == "run" else [])]
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == err.format(path=path)
@@ -584,27 +594,27 @@ class TestCli:
         # each process its import time.
         assert "logging" not in modules_loaded_by("ehrelay.cli")
 
-    def test_single_subcommand(self, capsys):
-        code = cli.main(["single", "--seed", "3", "--solvers", "alpf,benchmark"])
+    def test_single_subcommand(self, tmp_path, capsys):
+        code = cli.main(["single", single_spec(tmp_path, "alpf, benchmark")])
         out = capsys.readouterr().out
         assert code == 0
         assert "alpf rate" in out
         assert "benchmark rate" in out
         assert "converged: True" in out
 
-    def test_single_stdout_pinned(self, capsys):
+    def test_single_stdout_pinned(self, tmp_path, capsys):
         # Every line single prints, from the draw's gains and energy beam
         # to each solver's report.  Recorded with numpy 2.4 on OpenBLAS
         # 0.3; another BLAS may order its dot products differently and
         # move the last bits, which is then a reason to re-record.
-        assert cli.main(["single", "--seed", "3"]) == 0
+        assert cli.main(["single", single_spec(tmp_path)]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
             "ad1f54d308beb8f438394279f21b65349ea73e41b9f9513375356cdf85e0453e"
         )
 
     @pytest.mark.parametrize("unbuffered", ["1", ""])
-    def test_single_into_a_closed_pipe_exits_quietly(self, unbuffered):
-        # As ``ehrelay single --seed 3 | head -1`` once the reader is gone:
+    def test_single_into_a_closed_pipe_exits_quietly(self, tmp_path, unbuffered):
+        # As ``ehrelay single SPEC | head -1`` once the reader is gone:
         # unbuffered, the first print fails; buffered, main's flush does.
         # Either way nothing goes to stderr, and the exit code is SIGPIPE's.
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -613,21 +623,15 @@ class TestCli:
         os.close(read)
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "ehrelay.cli", "single", "--seed", "3"],
+                [sys.executable, "-m", "ehrelay.cli", "single", single_spec(tmp_path)],
                 stdout=write, stderr=subprocess.PIPE, env=env,
             )
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (141, b"")
 
-    def test_single_negative_seed_is_validation_error(self, capsys):
-        assert cli.main(["single", "--seed", "-1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == "error: --seed must be an integer >= 0, got -1\n"
-        assert captured.out == ""
-
-    def test_single_runs_every_solver_by_default(self, capsys):
-        assert cli.main(["single", "--seed", "3"]) == 0
+    def test_single_runs_every_solver_by_default(self, tmp_path, capsys):
+        assert cli.main(["single", single_spec(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "bit/s at alpha = 0.5\n" in out
         assert "oracle rate: " in out and "mu_bar_star: " in out
@@ -641,13 +645,15 @@ class TestCli:
             assert any(line.startswith(f"{name}: ") for line in lines), name
         assert "stalled: False" in lines
 
-    def test_single_prints_solvers_in_table_order(self, capsys):
-        assert cli.main(["single", "--seed", "3", "--solvers", "benchmark,alpf"]) == 0
-        headers = [line for line in capsys.readouterr().out.splitlines() if " rate: " in line]
-        problem = draw(Scenario(), trial_rng(3, 0, 0)).problem
-        assert [line.split()[0] for line in headers] == ["alpf", "benchmark"]  # SOLVER_ORDER
-        for name, line in zip(["alpf", "benchmark"], headers):
-            assert line.split()[2] == repr(SOLVERS[name](problem)[0].rate_bps)
+    def test_single_prints_solvers_in_table_order(self, tmp_path, capsys):
+        # Only the spec's solvers, in SOLVER_ORDER, each at the rate of its row of ``run``.
+        for solvers, shown in [("benchmark, alpf", ["alpf", "benchmark"]), ("oracle, alpf", ["alpf", "oracle"])]:
+            path = single_spec(tmp_path, solvers)
+            assert cli.main(["single", path]) == 0
+            headers = [line.split() for line in capsys.readouterr().out.splitlines() if " rate: " in line]
+            rows = run(spec_from_file(path)).rows
+            assert [row.solver for row in rows] == shown
+            assert [(h[0], h[2]) for h in headers] == [(row.solver, repr(row.mean_rate_bps)) for row in rows]
 
     @pytest.mark.parametrize(
         "sweep, first",
@@ -655,9 +661,8 @@ class TestCli:
         ids=["swept", "unswept"],
     )
     def test_single_replays_runs_first_trial(self, tmp_path, capsys, sweep, first):
-        # single --seed M --scenario-file F draws trial_rng(M, 0, 0) on F's
-        # first sweep value, the first trial of ``run F`` at master_seed = M.
-        # Without --seed it takes the file's master_seed; the scenario's
+        # single F draws trial_rng(M, 0, 0) on F's first sweep value, where
+        # M is F's master_seed: the first trial of ``run F``.  The scenario's
         # seed is read by neither command, nor printed.
         path = tmp_path / "exp.txt"
         path.write_text(
@@ -669,18 +674,15 @@ class TestCli:
         rows = run(spec_from_file(path)).rows[:len(SOLVER_ORDER)]
         assert [row.mean_rate_bps for row in rows] == [outcome[name].rate_bps for name in SOLVER_ORDER]
 
-        assert cli.main(["single", "--seed", "11", "--scenario-file", str(path)]) == 0
+        assert cli.main(["single", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[:2] == [f"scenario: {scenario!r}".replace(", seed=8)", ")"), "trial: (11, 0, 0)"]
         headers = [line.split() for line in lines if " rate: " in line]
         assert [(h[0], h[2]) for h in headers] == [(name, repr(outcome[name].rate_bps)) for name in SOLVER_ORDER]
 
-        assert cli.main(["single", "--scenario-file", str(path)]) == 0
-        assert capsys.readouterr().out.splitlines() == lines
-
-    def test_single_unconverged_exits_2(self, monkeypatch, capsys):
+    def test_single_unconverged_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(auglag, "_MAX_OUTER_ITERS", 1)
-        assert cli.main(["single", "--seed", "3", "--solvers", "alpf"]) == 2
+        assert cli.main(["single", single_spec(tmp_path, "alpf")]) == 2
         out = capsys.readouterr().out
         assert "converged: False" in out and "outer_iterations: 1" in out
 
@@ -692,14 +694,14 @@ class TestCli:
         assert [line.split()[3:6] for line in lines[:4]] == [["seed=(6,", "0,", f"{i})"] for i in (0, 1, 0, 1)]
         assert lines[4:] == ["selftest FAILED on 4/4 instances"]
 
-    def test_failed_decomposition_is_reported(self, monkeypatch, capsys):
+    def test_failed_decomposition_is_reported(self, tmp_path, monkeypatch, capsys):
         # LAPACK's LinAlgError is a ValueError, so main reports it and
         # returns 1 instead of ending in a traceback.
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(channel, "svd", fail)
-        assert cli.main(["single"]) == 1
+        assert cli.main(["single", single_spec(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: SVD did not converge\n"
 
     def test_selftest_subcommand(self, capsys):
@@ -746,8 +748,10 @@ class TestCli:
         assert not any(line.startswith("[") for line in captured.out.splitlines())
 
     @pytest.mark.parametrize("solvers", ["", ",,", " , "])
-    def test_single_without_solvers_is_validation_error(self, solvers, capsys):
-        assert cli.main(["single", "--solvers", solvers]) == 1
+    def test_single_without_solvers_is_validation_error(self, tmp_path, solvers, capsys):
+        # A blank solver list in the spec is refused, and the error names the file.
+        path = single_spec(tmp_path, solvers)
+        assert cli.main(["single", path]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: solvers must be nonempty\n"
+        assert captured.err == f"error: {path}: solvers must be nonempty\n"
         assert captured.out == ""
