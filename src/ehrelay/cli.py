@@ -131,12 +131,12 @@ def _cmd_run(args) -> int:
         raise OSError(f"cannot write CSV to '{args.output}': no such file or directory")
     if Path(args.output).is_dir():
         raise OSError(f"cannot write CSV to '{args.output}': is a directory")
-    result = run(spec)
-    emit_csv(result, args.output)
-    print(f"wrote {len(result.rows)} rows to {args.output}")
+    rows = run(spec)
+    emit_csv(rows, args.output)
+    print(f"wrote {len(rows)} rows to {args.output}")
 
     # Only ALPF can fail to converge; every other solver reports 1.0.
-    worst = min(row.convergence_fraction for row in result.rows)
+    worst = min(row.convergence_fraction for row in rows)
     if 1.0 - worst > MAX_NONCONVERGED_FRACTION:
         print(f"optimizer convergence fraction {worst:.3f} below {1.0 - MAX_NONCONVERGED_FRACTION:.2f}",
               file=sys.stderr)
@@ -159,12 +159,11 @@ def _cmd_single(args) -> int:
     print(f"sorted hop-2 gains: {np.array2string(gains2, precision=6)}")
 
     converged = True
-    for name in SOLVER_ORDER:
-        if name in spec.solvers:
-            outcome, result = SOLVERS[name](problem)
-            print(f"\n{name} rate: {outcome.rate_bps!r} bit/s at alpha = {outcome.alpha!r}")
-            print("\n".join(_field_lines(result)))
-            converged = converged and outcome.converged
+    for name in spec.solvers:
+        outcome, result = SOLVERS[name](problem)
+        print(f"\n{name} rate: {outcome.rate_bps!r} bit/s at alpha = {outcome.alpha!r}")
+        print("\n".join(_field_lines(result)))
+        converged = converged and outcome.converged
     return 0 if converged else 2
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "SWEEP_KINDS",
     "Draw",
     "ExperimentSpec",
-    "SweepResult",
     "SweepRow",
     "TrialOutcome",
     "draw",
@@ -47,7 +46,6 @@ __all__ = [
     "spec_from_file",
     "stress_scenarios",
     "trial_rng",
-    "validate_solvers",
 ]
 
 # Each sweep kind and the Scenario fields one of its values sets.
@@ -66,7 +64,12 @@ STRESS_SETS = {
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One reproducible experiment: scenario, sweep axis, trials, solvers."""
+    """One reproducible experiment: scenario, sweep axis, trials, solvers.
+
+    ``solvers`` is held in :data:`SOLVER_ORDER`, each name once, and
+    ``sweep_values`` as Python numbers, so the spec is hashable and each
+    value's CSV cell reads back by ``float``.
+    """
 
     scenario: Scenario
     sweep: str = "none"
@@ -85,6 +88,8 @@ class ExperimentSpec:
         require_count("trials", self.trials)
         require_count("master_seed", self.master_seed, least=0)
         validate_solvers(self.solvers)
+        object.__setattr__(self, "solvers", tuple(s for s in SOLVER_ORDER if s in self.solvers))
+        object.__setattr__(self, "sweep_values", tuple(np.asarray(v).item() for v in self.sweep_values))
         self.points()  # validates each swept scenario
 
     def points(self) -> list[tuple]:
@@ -131,12 +136,13 @@ SOLVER_ORDER = tuple(SOLVERS)
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Aggregate of one (sweep value, solver) cell; its fields are the CSV columns.
+    """Aggregate of one (sweep value, solver) cell; its fields are the CSV columns, in order.
 
     ``mean_iterations`` averages each trial's count: ALPF's outer
     iterations, the oracle's Dinkelbach steps, and 0 for the benchmark.
     """
 
+    sweep_param: str
     sweep_value: float | int | None
     solver: str
     mean_rate_bps: float
@@ -152,15 +158,7 @@ _SCENARIO_KEYS = {f.name for f in fields(Scenario)}
 _KEY_TYPES = {f.name: type(f.default) for f in (*fields(Scenario), *fields(ExperimentSpec)) if f.name != "scenario"}
 
 _ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
-CSV_HEADER = ",".join(["sweep_param", *_ROW_FIELDS])
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """All aggregate rows of one experiment run."""
-
-    sweep_param: str
-    rows: tuple[SweepRow, ...]
+CSV_HEADER = ",".join(_ROW_FIELDS)
 
 
 def validate_solvers(solvers) -> None:
@@ -242,41 +240,34 @@ def run_trial(scenario: Scenario, rng: np.random.Generator, solvers) -> dict[str
     return {s: SOLVERS[s](problem)[0] for s in solvers}
 
 
-def run(spec: ExperimentSpec) -> SweepResult:
-    """Execute the experiment: every sweep value times every trial.
+def run(spec: ExperimentSpec) -> tuple[SweepRow, ...]:
+    """Execute the experiment: every sweep value times every trial; return the CSV's rows.
 
     Deterministic for a fixed ``spec``; trial outcomes are aggregated per
-    (sweep value, solver) into mean rate, standard error, mean optimal
-    time split, mean iteration count and convergence fraction.
+    (sweep value, solver), solvers in the spec's order, into mean rate,
+    standard error, mean optimal time split, mean iteration count and
+    convergence fraction.
     """
-    solvers = [s for s in SOLVER_ORDER if s in spec.solvers]
     rows: list[SweepRow] = []
     for i, (value, scen) in enumerate(spec.points()):
-        collected: dict[str, list[TrialOutcome]] = {s: [] for s in solvers}
-        for t in range(spec.trials):
-            outcome = run_trial(scen, trial_rng(spec.master_seed, i, t), solvers)
-            for s in solvers:
-                collected[s].append(outcome[s])
-        for s in solvers:
-            rows.append(_aggregate(value, s, collected[s]))
-    return SweepResult(sweep_param=spec.sweep, rows=tuple(rows))
+        outcomes = [run_trial(scen, trial_rng(spec.master_seed, i, t), spec.solvers) for t in range(spec.trials)]
+        rows += (_aggregate(spec.sweep, value, s, [o[s] for o in outcomes]) for s in spec.solvers)
+    return tuple(rows)
 
 
-def emit_csv(result: SweepResult, path) -> None:
-    """Write one header line plus one line per aggregate row.
+def emit_csv(rows, path) -> None:
+    """Write one header line plus one line per :class:`SweepRow` of ``rows``.
 
     Numbers are written with ``repr`` so parsing them back recovers the
     exact double-precision values.
 
     Raises:
-        ValueError: on an empty result.
+        ValueError: on no rows.
         OSError: when the file cannot be written; the message names the path.
     """
-    if not result.rows:
-        raise ValueError("cannot emit CSV for an empty result")
-    lines = [CSV_HEADER]
-    for row in result.rows:
-        lines.append(",".join([result.sweep_param, *(_cell(getattr(row, name)) for name in _ROW_FIELDS)]))
+    if not rows:
+        raise ValueError("cannot emit CSV for no rows")
+    lines = [CSV_HEADER, *(",".join(_cell(getattr(row, name)) for name in _ROW_FIELDS) for row in rows)]
     text = "\n".join(lines) + "\n"
     try:
         Path(path).write_text(text, newline="\n")
@@ -334,13 +325,14 @@ def _cell(value) -> str:
     return value if isinstance(value, str) else repr(value)
 
 
-def _aggregate(sweep_value, solver: str, outcomes: list[TrialOutcome]) -> SweepRow:
+def _aggregate(sweep_param: str, sweep_value, solver: str, outcomes: list[TrialOutcome]) -> SweepRow:
     rates = np.array([o.rate_bps for o in outcomes])
     alphas = np.array([o.alpha for o in outcomes])
     iters = np.array([float(o.iterations) for o in outcomes])
     conv = np.array([1.0 if o.converged else 0.0 for o in outcomes])
     stderr = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
     return SweepRow(
+        sweep_param=sweep_param,
         sweep_value=sweep_value,
         solver=solver,
         mean_rate_bps=float(rates.mean()),

@@ -170,7 +170,7 @@ def test_criterion_3_constraint_satisfaction(comparison_batch):
 
 def test_criterion_4_rate_dip_at_midpoint(phi_sweep):
     result, elapsed = phi_sweep
-    rows = [row for row in result.rows if row.solver == "alpf"]
+    rows = [row for row in result if row.solver == "alpf"]
     rates = np.array([row.mean_rate_bps for row in rows])
     errs = np.array([row.stderr_rate_bps for row in rows])
     i_min = int(np.argmin(rates))
@@ -192,7 +192,7 @@ def test_criterion_4_rate_dip_at_midpoint(phi_sweep):
 
 def test_criterion_5_alpha_rises_then_falls(phi_sweep):
     result, _ = phi_sweep
-    rows = [row for row in result.rows if row.solver == "alpf"]
+    rows = [row for row in result if row.solver == "alpf"]
     alphas = np.array([row.mean_alpha for row in rows])
     smoothed = np.array(
         [alphas[max(0, i - 1) : i + 2].mean() for i in range(len(alphas))]
@@ -218,7 +218,7 @@ def test_criterion_6_rate_grows_with_antennas():
         master_seed=11,
     )
     result = run(spec)
-    rates = [row.mean_rate_bps for row in result.rows if row.solver == "alpf"]
+    rates = [row.mean_rate_bps for row in result if row.solver == "alpf"]
     increasing = all(rates[i] < rates[i + 1] for i in range(len(rates) - 1))
     report(6, increasing, "mean rates " + ", ".join(f"{r:.0f}" for r in rates))
     assert increasing

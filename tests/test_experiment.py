@@ -19,7 +19,6 @@ from ehrelay.experiment import (
     STRESS_SETS,
     SWEEP_KINDS,
     ExperimentSpec,
-    SweepResult,
     SweepRow,
     draw,
     emit_csv,
@@ -167,7 +166,7 @@ class TestSpecParsing:
             "sweep": ("p_source", "p_source"),
             "sweep_values": ("0.5, 2", (0.5, 2.0)),
             "trials": ("4", 4),
-            "solvers": ("oracle, benchmark", ("oracle", "benchmark")),
+            "solvers": ("benchmark, alpf, benchmark", ("alpf", "benchmark")),
             "master_seed": ("17", 17),
         }
         assert set(values) == {f.name for f in fields(ExperimentSpec)} - {"scenario"}
@@ -218,7 +217,7 @@ class TestRun:
         r1 = run(small_spec)
         r2 = run(small_spec)
         assert r1 == r2
-        assert len(r1.rows) == 4  # 2 sweep values x 2 solvers
+        assert len(r1) == 4  # 2 sweep values x 2 solvers
 
     def test_single_benchmark_trial_reproducible(self):
         spec = ExperimentSpec(
@@ -226,9 +225,9 @@ class TestRun:
         )
         r1 = run(spec)
         r2 = run(spec)
-        assert r1.rows[0].mean_rate_bps == r2.rows[0].mean_rate_bps
-        assert r1.rows[0].convergence_fraction == 1.0
-        assert r1.rows[0].mean_alpha == 0.5
+        assert r1[0].mean_rate_bps == r2[0].mean_rate_bps
+        assert r1[0].convergence_fraction == 1.0
+        assert r1[0].mean_alpha == 0.5
 
     def test_alpf_beats_benchmark_each_trial(self):
         scen = Scenario()
@@ -303,7 +302,7 @@ class TestRun:
         )
         r_base = run(base)
         r_ext = run(extended)
-        assert r_base.rows[0] == r_ext.rows[0]
+        assert r_base[0] == r_ext[0]
 
 
 class TestCsv:
@@ -315,22 +314,22 @@ class TestCsv:
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_csv(SweepResult(sweep_param="phi", rows=()), tmp_path / "out.csv")
+            emit_csv((), tmp_path / "out.csv")
 
     def test_single_row_two_lines(self, tmp_path):
-        row = SweepRow(0.5, "benchmark", 123.456, 0.0, 0.5, 0.0, 1.0)
+        row = SweepRow("phi", 0.5, "benchmark", 123.456, 0.0, 0.5, 0.0, 1.0)
         path = tmp_path / "out.csv"
-        emit_csv(SweepResult(sweep_param="phi", rows=(row,)), path)
+        emit_csv((row,), path)
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0] == CSV_HEADER
 
     def test_round_trip_bit_exact(self, tmp_path, small_spec):
-        result = run(small_spec)
+        rows = run(small_spec)
         path = tmp_path / "out.csv"
-        emit_csv(result, path)
+        emit_csv(rows, path)
         lines = path.read_text().splitlines()[1:]
-        for line, row in zip(lines, result.rows):
+        for line, row in zip(lines, rows):
             parts = line.split(",")
             assert parts[0] == "phi"
             assert float(parts[1]) == row.sweep_value
@@ -348,29 +347,52 @@ class TestCsv:
         emit_csv(run(small_spec), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_pipeline_bytes_pinned(self, tmp_path):
+    @pytest.mark.parametrize(
+        "sweep, digest",
+        [
+            ({"sweep": "antennas", "sweep_values": (2, 3)},
+             "6d29c150e688ea35e382687b39839049914c079c91b413ff0c690e149b23fd9d"),
+            ({}, "5e24712bb837f56ec763745e3cbcc4465958fcd1cf4665a3930b4ad88128fcca"),
+        ],
+        ids=["antennas", "none"],
+    )
+    def test_pipeline_bytes_pinned(self, tmp_path, sweep, digest):
         # Channel draw, every solver, aggregation and formatting, end to
         # end: a change that claims the same numbers must reproduce this
-        # digest, which comparing two runs of one build cannot show.
+        # digest, which comparing two runs of one build cannot show.  The
+        # unswept case pins the ``none`` rows with their empty sweep_value.
         # Recorded with numpy 2.4 on OpenBLAS 0.3; another BLAS may order
         # its dot products differently and move the last bits, which is
         # then a reason to re-record, not a pipeline change.  A deliberate
         # change of a solver's path is the other reason, and CHANGES.md
         # lists the old and new digests.
         spec = ExperimentSpec(
-            scenario=Scenario(), sweep="antennas", sweep_values=(2, 3), trials=2,
-            solvers=("alpf", "oracle", "benchmark"), master_seed=2014,
+            scenario=Scenario(), trials=2, solvers=("alpf", "oracle", "benchmark"), master_seed=2014, **sweep,
         )
         path = tmp_path / "out.csv"
         emit_csv(run(spec), path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "6d29c150e688ea35e382687b39839049914c079c91b413ff0c690e149b23fd9d"
-        )
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "sweep, numpy_values, values",
+        [("phi", np.linspace(0.3, 0.7, 2), (0.3, 0.7)), ("antennas", np.arange(2, 4), (2, 3))],
+        ids=["phi", "antennas"],
+    )
+    def test_numpy_sweep_values_write_python_numbers(self, tmp_path, sweep, numpy_values, values):
+        # A numpy scalar's repr is np.float64(0.3), which float() cannot read back.
+        specs = [
+            ExperimentSpec(Scenario(), sweep=sweep, sweep_values=given, trials=1, solvers=solvers)
+            for given, solvers in [(tuple(numpy_values), ("benchmark",)), (list(values), ["benchmark"])]
+        ]
+        for i, spec in enumerate(specs):
+            emit_csv(run(spec), tmp_path / f"{i}.csv")
+        assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+        assert specs[0] == specs[1] and hash(specs[0]) == hash(specs[1])
 
     def test_unwritable_path_raises_oserror(self, small_spec):
-        result = run(small_spec)
+        rows = run(small_spec)
         with pytest.raises(OSError, match="no/such/dir"):
-            emit_csv(result, "/no/such/dir/out.csv")
+            emit_csv(rows, "/no/such/dir/out.csv")
 
 
 class TestCli:
@@ -582,8 +604,8 @@ class TestCli:
         assert not (tmp_path / "o.csv").exists()
 
     def test_low_convergence_fraction_is_logged(self, tmp_path, monkeypatch, capsys):
-        row = SweepRow(None, "alpf", 1.0, 0.0, 0.5, 3.0, 0.5)
-        monkeypatch.setattr(cli, "run", lambda spec: SweepResult("none", (row,)))
+        row = SweepRow("none", None, "alpf", 1.0, 0.0, 0.5, 3.0, 0.5)
+        monkeypatch.setattr(cli, "run", lambda spec: (row,))
         spec_path = tmp_path / "exp.txt"
         spec_path.write_text("sweep = none\ntrials = 2\nsolvers = alpf\n")
         assert cli.main(["run", str(spec_path), "--output", str(tmp_path / "o.csv")]) == 2
@@ -630,7 +652,7 @@ class TestCli:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (141, b"")
 
-    def test_single_runs_every_solver_by_default(self, tmp_path, capsys):
+    def test_single_prints_every_result_field(self, tmp_path, capsys):
         assert cli.main(["single", single_spec(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "bit/s at alpha = 0.5\n" in out
@@ -651,7 +673,7 @@ class TestCli:
             path = single_spec(tmp_path, solvers)
             assert cli.main(["single", path]) == 0
             headers = [line.split() for line in capsys.readouterr().out.splitlines() if " rate: " in line]
-            rows = run(spec_from_file(path)).rows
+            rows = run(spec_from_file(path))
             assert [row.solver for row in rows] == shown
             assert [(h[0], h[2]) for h in headers] == [(row.solver, repr(row.mean_rate_bps)) for row in rows]
 
@@ -671,7 +693,7 @@ class TestCli:
         )
         scenario = Scenario(n_s=3, k_subcarriers=3, p_source=0.5, seed=8, **first)
         outcome = run_trial(scenario, trial_rng(11, 0, 0), SOLVER_ORDER)
-        rows = run(spec_from_file(path)).rows[:len(SOLVER_ORDER)]
+        rows = run(spec_from_file(path))[:len(SOLVER_ORDER)]
         assert [row.mean_rate_bps for row in rows] == [outcome[name].rate_bps for name in SOLVER_ORDER]
 
         assert cli.main(["single", str(path)]) == 0
