@@ -28,9 +28,11 @@ The solver iterates on the point ``z = (alpha, mu)``; the slacks are
 eliminated in closed form at every trial point.  The penalty's Hessian
 over ``z`` is a diagonal plus the rank-one terms ``sigma1 11^T`` and
 ``sigma2 r r^T`` of the binding budgets, bordered by the ``alpha`` row,
-so each inner iteration is a projected Newton step solved in O(n) by
+so each inner iteration is a projected Newton step, solved in O(n) by
 Woodbury's identity, per-row inner products and a 2x2 capacitance solve,
-followed by Armijo backtracking by halving along the projection arc.
+or by a dense LAPACK solve of the ``mu`` block where the penalties' gain
+would cancel that small solve's digits, and followed by Armijo
+backtracking by halving along the projection arc.
 The Newton subproblem solver follows the practice in Birgin & Martinez,
 *Practical Augmented Lagrangian Methods for Constrained Optimization*
 (SIAM, 2014).
@@ -61,8 +63,8 @@ _MAX_HALVINGS = 60
 _ACTIVE_EPS = 1e-3
 _ALPHA_STEP = 0.25
 # Rounding gain (a row's ``sigma u^T D^-1 u``, row 1's times row 2's pivot cancellation)
-# up to which the 2x2 capacitance solve keeps 10 digits; a sequential update above it is refined.
-_REFINE_GAIN = 1e4
+# up to which the 2x2 capacitance solve keeps 10 digits; above it the mu block is solved densely.
+_WOODBURY_GAIN = 1e4
 # Stopping violation and the outer and per-subproblem inner iteration caps.
 _EPS = 1e-6
 _MAX_OUTER_ITERS = 100
@@ -185,12 +187,16 @@ def _newton_direction(z: np.ndarray, point: _ReducedPoint, eps: float) -> np.nda
     ``D``, three matrix-vector products give their inner products with
     ``h_cross``, 1 and ``r``, the 2x2 capacitance system ``C^-1 + U^T D^-1 U``
     is solved in floats with row 1 eliminated first, and one more product
-    forms ``d_mu``; where that solve's rounding gain exceeds ``_REFINE_GAIN``
-    the step is :func:`_sequential_solve`'s.  The ``mu`` block is positive
-    semidefinite and gets a relative floor; where the Schur complement of
-    ``alpha`` is not positive (the objective couples ``alpha`` and ``mu``
-    bilinearly) the ``alpha`` move is a fixed-length step along its reduced
-    descent direction, which keeps the whole direction a descent direction.
+    forms ``d_mu``.  Where that solve's rounding gain exceeds ``_WOODBURY_GAIN``
+    it would cancel catastrophically, so the dense ``mu`` block is solved for
+    ``g_mu`` and ``h_cross`` by LAPACK's least squares: after rounding, parallel
+    rows at a large penalty make the block exactly singular, where ``solve``
+    raises.  A held coordinate's unit row there solves to 0.  The ``mu``
+    block is positive semidefinite and gets a relative floor; where the Schur
+    complement of ``alpha`` is not positive (the objective couples ``alpha``
+    and ``mu`` bilinearly) the ``alpha`` move is a fixed-length step along its
+    reduced descent direction, which keeps the whole direction a descent
+    direction.
     The ``alpha`` move is limited to ``_ALPHA_STEP`` either way.
     """
     grad = point.gradient
@@ -213,8 +219,8 @@ def _newton_direction(z: np.ndarray, point: _ReducedPoint, eps: float) -> np.nda
     pivot1 = (1.0 / c1 if c1 > 0.0 else inf) + s11
     lead = s1r / pivot1
     left = srr - lead * s1r  # cancels by srr / left where the rows are nearly parallel
-    inv = ()
-    if max(c1 * s11 * srr, c2 * left * left) <= _REFINE_GAIN * left:
+    woodbury = max(c1 * s11 * srr, c2 * left * left) <= _WOODBURY_GAIN * left
+    if woodbury:
         pivot2 = (1.0 / c2 if c2 > 0.0 else inf) + left
         # x1 and x2 weigh the rows 1 and r of sol in the solutions for g_mu and h_cross.
         x2g, x2w = (g2 - lead * g1) / pivot2, (w2 - lead * w1) / pivot2
@@ -222,7 +228,8 @@ def _newton_direction(z: np.ndarray, point: _ReducedPoint, eps: float) -> np.nda
         hg, hw, h1, hr = sol.dot(block[1]).tolist()  # h_cross against every row of sol
         h_g, h_w = hg - x1g * h1 - x2g * hr, hw - x1w * h1 - x2w * hr
     else:
-        inv = _sequential_solve(block, diag, c1, c2)
+        hess = np.diag(diag) + c1 * np.outer(block[2], block[2]) + c2 * np.outer(block[3], block[3])
+        inv = np.linalg.lstsq(hess, block[:2].T, rcond=None)[0].T
         h_g, h_w = float(point.block[1] @ inv[0]), float(point.block[1] @ inv[1])
     direction = np.empty_like(z)
     step = 0.0
@@ -237,41 +244,13 @@ def _newton_direction(z: np.ndarray, point: _ReducedPoint, eps: float) -> np.nda
         else:
             step = _ALPHA_STEP * float(np.sign(reduced))
         direction[0] = step
-    if inv:
-        direction[1:] = -(inv[0] + inv[1] * step)
-    else:
+    if woodbury:
         direction[1:] = np.array((-1.0, -step, x1g + step * x1w, x2g + step * x2w)).dot(sol)
+    else:
+        direction[1:] = -(inv[0] + inv[1] * step)
     if held:
         direction[1:][fixed] = -mu[fixed]
     return direction
-
-
-def _sequential_solve(block: np.ndarray, diag: np.ndarray, c1: float, c2: float) -> tuple:
-    """Solutions for ``g_mu`` and ``h_cross`` by one Sherman-Morrison update per binding row
-    (``u = 1``, then ``r``) on the columns, refined once where an update's gain exceeds
-    ``_REFINE_GAIN``.  These high-gain steps decide which corner stress solves converge: a
-    change of their rounding, even of a sum's order, moves that table (ROADMAP item 2)."""
-    cols = block.T.copy()
-    sol = cols / diag[:, None]
-    steps, gain = [], 0.0
-    for c, k in ((c1, 2), (c2, 3)):
-        if c > 0.0:
-            u, y = cols[:, k].copy(), sol[:, k].copy()  # contiguous: BLAS sums a strided dot in another order
-            uy = float(u @ y)
-            gain = max(gain, c * uy)
-            denom = 1.0 / c + uy
-            sol -= y[:, None] * ((u @ sol) / denom)
-            steps.append((c, u, y, denom))
-    solved = sol[:, :2]
-    if gain > _REFINE_GAIN:
-        residual = cols[:, :2] - diag[:, None] * solved
-        for c, u, _, _ in steps:
-            residual -= (c * u)[:, None] * (u @ solved)
-        fix = residual / diag[:, None]
-        for _, u, y, denom in steps:
-            fix -= y[:, None] * ((u @ fix) / denom)
-        solved = solved + fix
-    return solved[:, 0], solved[:, 1]
 
 
 def optimize(problem: ReducedProblem) -> AlpfResult:
