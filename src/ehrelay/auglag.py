@@ -30,7 +30,7 @@ over ``z`` is a diagonal plus the rank-one terms ``sigma1 11^T`` and
 ``sigma2 r r^T`` of the binding budgets, bordered by the ``alpha`` row,
 so each inner iteration is a projected Newton step, solved in O(n) by
 Woodbury's identity, per-row inner products and a 2x2 capacitance solve,
-or by a dense LAPACK solve of the ``mu`` block where the penalties' gain
+or by an orthogonal split of the scaled block where the penalties' gain
 would cancel that small solve's digits, and followed by Armijo
 backtracking by halving along the projection arc.
 The Newton subproblem solver follows the practice in Birgin & Martinez,
@@ -63,7 +63,7 @@ _MAX_HALVINGS = 60
 _ACTIVE_EPS = 1e-3
 _ALPHA_STEP = 0.25
 # Rounding gain (a row's ``sigma u^T D^-1 u``, row 1's times row 2's pivot cancellation)
-# up to which the 2x2 capacitance solve keeps 10 digits; above it the mu block is solved densely.
+# up to which the 2x2 capacitance solve keeps 10 digits; above it the orthogonal solve takes over.
 _WOODBURY_GAIN = 1e4
 # Stopping violation and the outer and per-subproblem inner iteration caps.
 _EPS = 1e-6
@@ -188,11 +188,9 @@ def _newton_direction(z: np.ndarray, point: _ReducedPoint, eps: float) -> np.nda
     ``h_cross``, 1 and ``r``, the 2x2 capacitance system ``C^-1 + U^T D^-1 U``
     is solved in floats with row 1 eliminated first, and one more product
     forms ``d_mu``.  Where that solve's rounding gain exceeds ``_WOODBURY_GAIN``
-    it would cancel catastrophically, so the dense ``mu`` block is solved for
-    ``g_mu`` and ``h_cross`` by LAPACK's least squares: after rounding, parallel
-    rows at a large penalty make the block exactly singular, where ``solve``
-    raises.  A held coordinate's unit row there solves to 0.  The ``mu``
-    block is positive semidefinite and gets a relative floor; where the Schur
+    it would cancel catastrophically, and :func:`_orthogonal_solve` takes the
+    step; a held coordinate's unit row there solves to 0.  The ``mu`` block
+    is positive semidefinite and gets a relative floor; where the Schur
     complement of ``alpha`` is not positive (the objective couples ``alpha``
     and ``mu`` bilinearly) the ``alpha`` move is a fixed-length step along its
     reduced descent direction, which keeps the whole direction a descent
@@ -228,8 +226,7 @@ def _newton_direction(z: np.ndarray, point: _ReducedPoint, eps: float) -> np.nda
         hg, hw, h1, hr = sol.dot(block[1]).tolist()  # h_cross against every row of sol
         h_g, h_w = hg - x1g * h1 - x2g * hr, hw - x1w * h1 - x2w * hr
     else:
-        hess = np.diag(diag) + c1 * np.outer(block[2], block[2]) + c2 * np.outer(block[3], block[3])
-        inv = np.linalg.lstsq(hess, block[:2].T, rcond=None)[0].T
+        inv = _orthogonal_solve(block, diag, c1, c2)
         h_g, h_w = float(point.block[1] @ inv[0]), float(point.block[1] @ inv[1])
     direction = np.empty_like(z)
     step = 0.0
@@ -251,6 +248,26 @@ def _newton_direction(z: np.ndarray, point: _ReducedPoint, eps: float) -> np.nda
     if held:
         direction[1:][fixed] = -mu[fixed]
     return direction
+
+
+def _orthogonal_solve(block: np.ndarray, diag: np.ndarray, c1: float, c2: float) -> np.ndarray:
+    """Solutions for ``g_mu`` and ``h_cross`` of ``D + U C U^T`` in O(n): with ``D^-1/2 U C^1/2 = QR``
+    the scaled block is ``I + Q R R^T Q^T``; a side's part orthogonal to ``Q`` (split off twice,
+    so no rounding of the whole side stays along ``Q``) passes unchanged, its part along ``Q``
+    takes the 2x2 ``(I + R R^T)^-1``, an adjugate over a determinant of positive terms."""
+    scale = 1.0 / np.sqrt(diag)
+    q, r = np.linalg.qr((block[2:] * scale * np.sqrt([[c1], [c2]])).T)
+    if len(r) == 1:  # one coordinate: a zero second column keeps the 2x2 form
+        q, r = np.hstack((q, [[0.0]])), np.vstack((r, [[0.0, 0.0]]))
+    rhs = block[:2] * scale
+    along = rhs @ q
+    rest = rhs - along @ q.T
+    fix = rest @ q
+    rest -= fix @ q.T
+    (r11, r12), (_, r22) = r.tolist()
+    det = 1.0 + r11 * r11 + r12 * r12 + r22 * r22 + (r11 * r22) ** 2
+    inv_m = np.array(((1.0 + r22 * r22, -r12 * r22), (-r12 * r22, 1.0 + r11 * r11 + r12 * r12))) / det
+    return (rest + (along + fix) @ inv_m @ q.T) * scale
 
 
 def optimize(problem: ReducedProblem) -> AlpfResult:

@@ -9,6 +9,7 @@ from ehrelay import auglag, experiment
 from ehrelay.auglag import (
     _eliminate,
     _newton_direction,
+    _orthogonal_solve,
     _penalty,
     _ReducedPoint,
     _Subproblem,
@@ -423,6 +424,23 @@ class TestSubproblem:
         # The parallel-row states above with a and b drawn from [1e-2, 1].
         assert parallel_row_residual(1e10, 1e-2, 1.0) <= 1e-7
 
+    @pytest.mark.parametrize("c1, c2", [(1e6, 1e12), (1e4, 1e20), (0.0, 1e20)])
+    def test_orthogonal_solve_keeps_floored_coordinates(self, c1, c2):
+        # n = 100, half the diagonal at the 1e-12 floor, under binding
+        # penalties: a least-squares solve of the dense block drops the
+        # floored directions below its rank cutoff.  Each r appears twice,
+        # on a unit and a floored coordinate, with opposite x: 1^T x and
+        # r^T x are exactly 0 in floats, so x solves the side D x.
+        rng = np.random.default_rng(68)
+        pairs = 50
+        r = np.repeat(rng.integers(2, 9, pairs) / 4.0, 2)
+        x = np.vstack([np.repeat(rng.integers(-8, 9, pairs), 2) * np.tile([1.0, -1.0], pairs) for _ in range(2)])
+        diag = np.tile([1.0, 1e-12], pairs)
+        rows = np.vstack((np.ones(2 * pairs), r))
+        assert not np.any(x @ rows.T)
+        solved = _orthogonal_solve(np.vstack((diag * x, rows)), diag, c1, c2)
+        assert np.max(np.abs(solved - x)) <= 1e-8 * np.max(np.abs(x))
+
     def test_newton_direction_holds_coordinates_at_bound(self):
         # With eps > 0, every mu within eps of 0 whose gradient pushes it
         # outward steps exactly to 0 and drops out of the Hessian.  The free
@@ -730,8 +748,8 @@ class TestOptimize:
                 "0x1.e079530000000p-27", "85898caab30f0147af1a61c058918c39687a8fd0e14393be7adf3ea64f9ee4d3",
             ),
             (
-                ("phi", 0.5), "0x1.8d3aed5bc5017p+10", "0x1.362ed74f4ab86p-2", 3, 66,
-                "0x1.269dceb800000p-22", "c2dc547395817026600f000a08deace725b255c841713c6dba7d9102862735bd",
+                ("phi", 0.5), "0x1.8d3aed5bc5017p+10", "0x1.362ed74f4ab88p-2", 3, 66,
+                "0x1.269dceb800000p-22", "c4b25c6039d1b15689bad0db8c9e463f2baeb6533f652ba4a505702c7a9cf153",
             ),
             (
                 ("phi", 0.9), "0x1.f2d88b0e2dd70p+11", "0x1.2b1de8d0f4f60p-4", 4, 9,
@@ -860,7 +878,7 @@ class TestOptimize:
                 marks=pytest.mark.xfail(
                     raises=AssertionError,
                     reason="beside a pair at a = b = 1, a live pair at a / b = 1e20 "
-                    "reports converged 6.9% below the oracle",
+                    "reports converged 34% below the oracle",
                 ),
             ),
         ],
@@ -869,10 +887,19 @@ class TestOptimize:
     def test_live_pairs_at_high_gain_ratio(self, a, b):
         # Each one-pair solve ends within 2e-15 of the oracle after 2 or 3
         # outer iterations.  Beside a pair at a = b = 1, a / b = 1e20
-        # reports converged at 482.21 against the oracle's 517.80 bit/s
-        # after 3 outer and 21 inner iterations, with no stall (alpha 0.555
+        # reports converged at 340.51 against the oracle's 517.80 bit/s
+        # after 23 outer and 30 inner iterations, with no stall (alpha 0.346
         # against alpha* 0.582).  A solver must converge or say it did not.
         problem = ReducedProblem(np.array(a), np.array(b), 1000.0, 1)
+        res = optimize(problem)
+        oracle = oracle_solve(problem).rate_star
+        assert not res.converged or abs(res.rate_bps - oracle) <= 1e-6 * oracle
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="reports converged 5.5e-4 below the oracle")
+    def test_one_weak_pair_in_the_shrunk_case(self):
+        # One pair at a = 1, b = 1e-6, K = 1: alpha* is 0.99900 and the run
+        # stops at 0.99793, on the first subproblem's loose inner tolerance.
+        problem = ReducedProblem(np.array([1.0]), np.array([1e-6]), 1000.0, 1)
         res = optimize(problem)
         oracle = oracle_solve(problem).rate_star
         assert not res.converged or abs(res.rate_bps - oracle) <= 1e-6 * oracle
